@@ -32,7 +32,7 @@ import numpy as np
 from . import problems, schemes, sketch, solver, theory
 from .linalg import SpdMatrix
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -203,6 +203,7 @@ def run_bench(cfg: dict) -> int:
                     "final_err": (None if final.rel_error is None
                                   else _finite(final.rel_error, "final_err")),
                     "skip_count": trace.skip_count,
+                    "exact_recomputes": trace.exact_recomputes,
                     "wall_s": time.perf_counter() - t0,
                 })
                 _write_trace_csv(out / f"{sid}_trial{trial}.csv", trace)

@@ -25,9 +25,11 @@ where the pair (Y, Z) is rebuilt from a fresh random draw every step:
     S3  column subset C          Y = Z = I_C                 (randomized Newton / block CD)
     S4  Gaussian matrix W (nxl)  Y = Z = W
 
-:func:`step` applies the cheap specialized update for each scheme;
-:func:`step_generic` assembles the (Y, Z) pair explicitly and serves as the
-oracle path the specialized updates are tested against.
+:func:`step` applies the cheap specialized update for each scheme, and for
+the column and symmetric families can carry the residual ``b - A x`` along
+in place (:func:`maintains_residual`); :func:`step_generic` assembles the
+(Y, Z) pair explicitly and serves as the oracle path the specialized
+updates are tested against.
 """
 
 from __future__ import annotations
@@ -205,17 +207,39 @@ def step_generic(scheme: Scheme, a: np.ndarray, b: np.ndarray,
     return x + z @ (pseudoinverse(e) @ (y.T @ r))
 
 
+def maintains_residual(scheme: Scheme) -> bool:
+    """Whether :func:`step` keeps ``r = b - A x`` up to date for ``scheme``.
+
+    Column and symmetric updates move the residual by ``A Z d``, an O(m l)
+    product; a row update would need a full O(mn) matvec, as much as
+    recomputing the residual, so K schemes keep none.
+    """
+    # scheme ids are validated on construction; this runs on every step
+    return scheme.id[0] != "K"
+
+
 def step(scheme: Scheme, a: np.ndarray, b: np.ndarray,
-         x: np.ndarray, draw: SketchDraw) -> np.ndarray:
+         x: np.ndarray, draw: SketchDraw,
+         r: np.ndarray | None = None) -> np.ndarray:
     """One iteration via the specialized update for ``scheme``.
 
     Scalar schemes use their closed-form denominators and raise
     :class:`SkipStep` when the drawn row/column is degenerate; block schemes
     factor through the small l x l sketched system only.
+
+    For schemes that :func:`maintains_residual`, ``r`` may carry the current
+    residual ``b - A x``; the update then reads ``Y^T r`` from it and
+    overwrites it in place with ``b - A x_next`` (left untouched when
+    :class:`SkipStep` is raised). Without ``r`` the residual is formed here.
     """
     _check_draw(scheme, draw)
     sid = scheme.id
     g = scheme.g.mat if scheme.g is not None else None
+    if maintains_residual(scheme):
+        if r is None:
+            r = b - a @ x
+    elif r is not None:
+        raise ValueError(f"scheme {sid} does not maintain a residual")
 
     if sid == "K1":
         i = draw.indices[0]
@@ -265,8 +289,10 @@ def step(scheme: Scheme, a: np.ndarray, b: np.ndarray,
         denom = float(col @ col)
         if denom <= 0.0:
             raise SkipStep(f"zero column {j}")
+        delta = (col @ r) / denom
+        r -= delta * col
         out = x.copy()
-        out[j] += (col @ (b - a @ x)) / denom
+        out[j] += delta
         return out
 
     if sid == "C2":
@@ -275,66 +301,79 @@ def step(scheme: Scheme, a: np.ndarray, b: np.ndarray,
         denom = float(v @ v)
         if denom <= 0.0:
             raise SkipStep("sketched column vanished")
-        return x + ((v @ (b - a @ x)) / denom) * w
+        delta = (v @ r) / denom
+        r -= delta * v
+        return x + delta * w
 
     if sid == "C3":
         cols = draw.indices
-        ac = a[:, cols]
-        e = ac.T @ ac
+        ac = np.take(a, cols, axis=1)
+        d = pseudoinverse(ac.T @ ac) @ (ac.T @ r)
+        r -= ac @ d
         out = x.copy()
-        out[cols] += pseudoinverse(e) @ (ac.T @ (b - a @ x))
+        out[cols] += d
         return out
 
     if sid == "C4":
         w = draw.dense
         v = a @ w
-        e = v.T @ v
-        return x + w @ (pseudoinverse(e) @ (v.T @ (b - a @ x)))
+        d = pseudoinverse(v.T @ v) @ (v.T @ r)
+        r -= v @ d
+        return x + w @ d
 
     if sid == "C5":
         cols = draw.indices
-        ac = a[:, cols]
+        ac = np.take(a, cols, axis=1)
         gac = g @ ac
-        e = ac.T @ gac
+        d = pseudoinverse(ac.T @ gac) @ (gac.T @ r)
+        r -= ac @ d
         out = x.copy()
-        out[cols] += pseudoinverse(e) @ (gac.T @ (b - a @ x))
+        out[cols] += d
         return out
 
     if sid == "C6":
         w = draw.dense
         v = a @ w
         gv = g @ v
-        e = v.T @ gv
-        return x + w @ (pseudoinverse(e) @ (gv.T @ (b - a @ x)))
+        d = pseudoinverse(v.T @ gv) @ (gv.T @ r)
+        r -= v @ d
+        return x + w @ d
 
     if sid == "S1":
         i = draw.indices[0]
         denom = float(a[i, i])
         if denom <= 0.0:
             raise SkipStep(f"nonpositive diagonal entry {i}")
+        delta = r[i] / denom
+        r -= delta * a[:, i]
         out = x.copy()
-        out[i] += (b[i] - a[i, :] @ x) / denom
+        out[i] += delta
         return out
 
     if sid == "S2":
         w = draw.dense[:, 0]
-        denom = float(w @ (a @ w))
+        v = a @ w
+        denom = float(w @ v)
         if denom <= 0.0:
             raise SkipStep("nonpositive sketched quadratic form")
-        return x + ((w @ (b - a @ x)) / denom) * w
+        delta = (w @ r) / denom
+        r -= delta * v
+        return x + delta * w
 
     if sid == "S3":
         cols = draw.indices
-        sub = a[np.ix_(cols, cols)]
-        r = b - a @ x
+        d = pseudoinverse(a[np.ix_(cols, cols)]) @ r[cols]
+        r -= np.take(a, cols, axis=1) @ d
         out = x.copy()
-        out[cols] += pseudoinverse(sub) @ r[cols]
+        out[cols] += d
         return out
 
     if sid == "S4":
         w = draw.dense
-        e = w.T @ a @ w
-        return x + w @ (pseudoinverse(e) @ (w.T @ (b - a @ x)))
+        v = a @ w
+        d = pseudoinverse(w.T @ v) @ (w.T @ r)
+        r -= v @ d
+        return x + w @ d
 
     raise ValueError(f"unknown scheme {sid!r}")
 

@@ -356,13 +356,14 @@ def fit_empirical_rate(problem: Problem, scheme: schemes.Scheme, trials: int,
     for t in range(trials):
         rng = sketch.rng_from_keys(seed, t)
         x = x_start.copy()
+        r = problem.b - a @ x if schemes.maintains_residual(scheme) else None
         e = x - problem.x_star
         sq[t, 0] = err_sq(e)
         mean_err[0] += e
         for k in range(1, iterations + 1):
             draw = sketch.draw_sketch(scheme.spec, (m, n), rng, weights)
             try:
-                x = schemes.step(scheme, a, problem.b, x, draw)
+                x = schemes.step(scheme, a, problem.b, x, draw, r=r)
             except schemes.SkipStep:
                 pass
             e = x - problem.x_star

@@ -39,7 +39,7 @@ class TestBench:
         code = main(["bench", "--config", _bench_config(tmp_path, out)])
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["schema_version"] == 1
+        assert summary["schema_version"] == 2
         by_scheme = {e["scheme"]: e for e in summary["per_scheme"]}
         assert by_scheme["K1"]["status"] == "Converged"
         assert by_scheme["K3"]["iters"] < by_scheme["K1"]["iters"]
@@ -48,6 +48,8 @@ class TestBench:
 
         rows = _read_csv(out / "K1_trial0.csv")
         assert rows[0] == ["iter", "res", "err", "time_s"]
+        # every K1 record recomputes the residual from scratch
+        assert by_scheme["K1"]["exact_recomputes"] == len(rows) - 1
         assert rows[1][0] == "0"
         for row in rows[1:]:
             assert float(row[1]) >= 0.0 and float(row[2]) >= 0.0

@@ -10,7 +10,8 @@ from sketchsolve.schemes import (SkipStep, error_propagator, make_scheme,
                                  realize_sketch, reduction_discrepancy, step,
                                  step_generic)
 from sketchsolve.sketch import (COL_SUBSET, COORD_COL, COORD_ROW, GAUSS_MATRIX,
-                                ROW_SUBSET, SketchDraw, draw_sketch, make_rng)
+                                GAUSS_VECTOR, ROW_SUBSET, SketchDraw,
+                                draw_sketch, make_rng)
 
 
 def _instance(sid: str, seed: int, block: int = 3):
@@ -71,6 +72,23 @@ class TestUpdates:
             got = step(scheme, a, b, x, draw)
             want = step_generic(scheme, a, b, x, draw)
             assert np.abs(got - want).max() <= 1e-10 * (1.0 + np.linalg.norm(x))
+
+    @pytest.mark.parametrize("sid", schemes.COL_SCHEMES + schemes.SYM_SCHEMES)
+    def test_maintained_residual_follows_iterate(self, sid):
+        for seed in range(10):
+            scheme, a, b, x, draw = _instance(sid, 100 + seed)
+            r = b - a @ x
+            got = step(scheme, a, b, x, draw, r=r)
+            want = step(scheme, a, b, x, draw)
+            assert np.abs(got - want).max() <= 1e-10 * (1.0 + np.linalg.norm(x))
+            assert np.linalg.norm(r - (b - a @ got)) <= 1e-12 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("sid", schemes.ROW_SCHEMES)
+    def test_row_schemes_refuse_a_residual(self, sid):
+        scheme, a, b, x, draw = _instance(sid, 500)
+        assert not schemes.maintains_residual(scheme)
+        with pytest.raises(ValueError):
+            step(scheme, a, b, x, draw, r=b - a @ x)
 
     @pytest.mark.parametrize("sid", schemes.ALL_SCHEMES)
     def test_sketched_equations_solved_exactly(self, sid):
@@ -133,6 +151,23 @@ class TestDegenerateDraws:
         draw = SketchDraw(kind=COORD_COL, indices=np.array([0]))
         with pytest.raises(SkipStep):
             step(make_scheme("C1"), a, np.zeros(2), np.zeros(2), draw)
+
+    @pytest.mark.parametrize("sid, draw", [
+        ("C1", SketchDraw(kind=COORD_COL, indices=np.array([0]))),
+        ("C2", SketchDraw(kind=GAUSS_VECTOR, dense=np.array([[1.0], [0.0]]))),
+        ("S1", SketchDraw(kind=COORD_ROW, indices=np.array([0]))),
+        ("S2", SketchDraw(kind=GAUSS_VECTOR, dense=np.array([[1.0], [0.0]]))),
+    ])
+    def test_skip_leaves_residual_untouched(self, sid, draw):
+        # column 0 and the diagonal entry a[0, 0] are zero
+        a = np.array([[0.0, 1.0], [0.0, 2.0]])
+        b = np.array([1.0, -1.0])
+        x = np.array([0.5, 0.25])
+        r = b - a @ x
+        r_before = r.copy()
+        with pytest.raises(SkipStep):
+            step(make_scheme(sid), a, b, x, draw, r=r)
+        assert np.array_equal(r, r_before)
 
     def test_skip_is_not_a_value_error(self):
         assert not issubclass(SkipStep, ValueError)

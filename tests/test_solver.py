@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import gaussian, ls_solution_oracle
+from helpers import gaussian, ls_solution_oracle, random_spd
 from sketchsolve import schemes
 from sketchsolve.schemes import SkipStep, error_propagator, make_scheme, step
 from sketchsolve.sketch import draw_sketch, make_rng
-from sketchsolve.solver import (CONVERGED, MAX_ITERS, Problem, StopRule,
-                                solve, solve_with_ls_residual)
+from sketchsolve.solver import (CONVERGED, DRIFT, EXACT_EVERY, MAX_ITERS,
+                                Problem, StopRule, solve,
+                                solve_with_ls_residual)
 
 
 def _consistent_problem(seed: int, m: int, n: int) -> Problem:
@@ -151,6 +152,52 @@ class TestReplay:
             recomputed = np.linalg.norm(b - a @ x) / norm_b
             assert abs(rec.rel_residual - recomputed) <= 1e-12
             assert np.linalg.norm(x - prob.x_star - err_product) <= 1e-8
+
+    @pytest.mark.parametrize("sid", ["C3", "S3"])
+    def test_maintained_residual_records_match_replay(self, sid):
+        """Records that read the maintained residual agree with a recompute
+        along the replayed iterates, and the final Converged record is the
+        exact residual of the returned iterate."""
+        a = random_spd(10, 40) if sid == "S3" else gaussian(10, 60, 40)
+        prob = Problem(a=a, b=a @ np.ones(40), x_star=np.ones(40))
+        scheme = make_scheme(sid, block_size=4)
+        seed = 321
+        x_final, trace = solve(prob, scheme, StopRule(itmax=20_000, tol=1e-10),
+                               make_rng(seed))
+        assert trace.status == CONVERGED
+        # periodic checks ran, yet most records read the maintained residual
+        assert len(trace.records) > EXACT_EVERY
+        assert 2 < trace.exact_recomputes < len(trace.records) // 10
+
+        rng = make_rng(seed)
+        b = prob.b
+        norm_b = np.linalg.norm(b)
+        x = np.zeros(40)
+        for rec in trace.records[1:]:
+            draw = draw_sketch(scheme.spec, a.shape, rng)
+            x = step(scheme, a, b, x, draw)
+            recomputed = np.linalg.norm(b - a @ x) / norm_b
+            assert abs(rec.rel_residual - recomputed) <= 1e-12
+        assert trace.final.rel_residual == np.linalg.norm(b - a @ x_final) / norm_b
+
+    def test_perturbed_residual_stops_with_drift(self, monkeypatch):
+        prob = _consistent_problem(15, 30, 8)
+        real_step = schemes.step
+        calls = []
+
+        def perturbing_step(scheme, a, b, x, draw, r=None):
+            out = real_step(scheme, a, b, x, draw, r=r)
+            calls.append(None)
+            if len(calls) == 3:
+                r[0] += 1e-6 * np.linalg.norm(b)
+            return out
+
+        monkeypatch.setattr(schemes, "step", perturbing_step)
+        x, trace = solve(prob, make_scheme("C3", block_size=3),
+                         StopRule(itmax=50, tol=1e-14), make_rng(0))
+        assert trace.status == DRIFT
+        assert trace.final.rel_residual == \
+            np.linalg.norm(prob.b - prob.a @ x) / np.linalg.norm(prob.b)
 
 
 class TestLeastSquares:
