@@ -1,6 +1,6 @@
 """Randomized sketch-and-project solvers for consistent linear systems."""
 
-from .linalg import SpdMatrix, extremal_eigs, frobenius_norm_sq, matmul, \
+from .linalg import SpdMatrix, extremal_eigs, frobenius_norm_sq, \
     pseudoinverse, spd_sqrt, weighted_norm
 from .problems import ProblemSpec, ProblemStats, generate, load_matrixmarket, \
     save_matrixmarket
@@ -18,10 +18,9 @@ __all__ = [
     "SkipStep", "SolveTrace", "SpdMatrix", "StopRule", "coordinate_partition",
     "draw_sketch", "error_propagator", "estimate_mean_propagator",
     "extremal_eigs", "fit_empirical_rate", "frobenius_norm_sq", "generate",
-    "load_matrixmarket", "make_rng", "make_scheme", "matmul",
-    "mean_sketched_inverse", "pseudoinverse", "rate_gaussian_bound",
-    "rate_norm_sampling", "rate_trace_sampling", "realize_sketch",
-    "reduction_discrepancy", "rng_from_keys", "save_matrixmarket", "solve",
-    "solve_with_ls_residual", "spd_sqrt", "step", "step_generic",
-    "weighted_norm",
+    "load_matrixmarket", "make_rng", "make_scheme", "mean_sketched_inverse",
+    "pseudoinverse", "rate_gaussian_bound", "rate_norm_sampling",
+    "rate_trace_sampling", "realize_sketch", "reduction_discrepancy",
+    "rng_from_keys", "save_matrixmarket", "solve", "solve_with_ls_residual",
+    "spd_sqrt", "step", "step_generic", "weighted_norm",
 ]

@@ -5,6 +5,8 @@ Everything operates on float64 numpy arrays. Matrices are 2-D, vectors 1-D.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 SYM_RTOL = 1e-12
@@ -22,15 +24,6 @@ def as_vector(v) -> np.ndarray:
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     return v
-
-
-def matmul(a, b) -> np.ndarray:
-    """Dense matrix product with an explicit dimension check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def pseudoinverse(m) -> np.ndarray:
@@ -72,6 +65,11 @@ def extremal_eigs(s) -> tuple[float, float]:
     return float(w[0]), float(w[-1])
 
 
+def finite_or_none(v):
+    """``v``, or None when it is a non-finite float (JSON has no NaN/Inf)."""
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def frobenius_norm_sq(m) -> float:
     """Sum of squared entries, trace(M^T M)."""
     m = np.asarray(m, dtype=float)
@@ -101,10 +99,6 @@ class SpdMatrix:
 
     def __repr__(self) -> str:
         return f"SpdMatrix(n={self.n})"
-
-
-def identity_spd(n: int) -> SpdMatrix:
-    return SpdMatrix(np.eye(n))
 
 
 def weighted_norm(v, w: SpdMatrix) -> float:

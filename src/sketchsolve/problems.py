@@ -1,17 +1,21 @@
 """Test-problem generation and MatrixMarket ingestion.
 
 Three generator kinds mirror the usual benchmark classes for randomized
-row/column solvers: dense uniform(0,1) matrices, sparse-pattern Gaussian
-matrices reshaped to a prescribed reciprocal condition number, and SPD
-matrices with prescribed conditioning. The right-hand side is always built
-as b = A @ ones, so every generated system is consistent by construction
-and the all-ones solution is available for error traces.
+row/column solvers: dense uniform(0,1) matrices (``UniformDense``),
+sparse-pattern Gaussian matrices reshaped to a prescribed reciprocal
+condition number (``SparseNormal``), and SPD matrices with prescribed
+conditioning (``SparseSpd``, a dense Q diag(lam) Q^T despite its name). The
+right-hand side is always built as b = A @ ones, so every generated system
+is consistent by construction and the all-ones solution is available for
+error traces.
 
 Conditioning is imposed by reassigning singular values (affine rescale for
 the rectangular kind, pinned log-uniform eigenvalues for the SPD kind),
 which densifies the matrix; the sparsity target therefore describes the
 pattern before reshaping and the achieved fraction is reported in
-:class:`ProblemStats` rather than enforced on the final matrix.
+:class:`ProblemStats` rather than enforced on the final matrix. Only
+``SparseNormal`` takes a ``density``, and only it and ``SparseSpd`` take an
+``rc``; :class:`ProblemSpec` rejects either where the kind would ignore it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import as_matrix, finite_or_none
 from .sketch import make_rng
 from .solver import Problem
 
@@ -31,6 +35,9 @@ SPARSE_SPD = "SparseSpd"
 FROM_FILE = "FromFile"
 
 KINDS = (UNIFORM_DENSE, SPARSE_NORMAL, SPARSE_SPD, FROM_FILE)
+# the optional shape parameters each kind reads; any other is rejected
+_TAKES = {UNIFORM_DENSE: (), SPARSE_NORMAL: ("density", "rc"),
+          SPARSE_SPD: ("rc",), FROM_FILE: ()}
 
 
 @dataclass
@@ -47,16 +54,12 @@ class ProblemStats:
     structurally_deficient: bool = False  # too few nonzeros for full rank
 
     def to_json_dict(self) -> dict:
-        def clean(v):
-            return None if isinstance(v, float) and not math.isfinite(v) else v
         return {
             "kind": self.kind, "m": self.m, "n": self.n,
-            "density": clean(self.density) if self.density is not None else None,
-            "pattern_density": (clean(self.pattern_density)
-                                if self.pattern_density is not None else None),
-            "rc": clean(self.rc) if self.rc is not None else None,
-            "achieved_rc": (clean(self.achieved_rc)
-                            if self.achieved_rc is not None else None),
+            "density": finite_or_none(self.density),
+            "pattern_density": finite_or_none(self.pattern_density),
+            "rc": finite_or_none(self.rc),
+            "achieved_rc": finite_or_none(self.achieved_rc),
             "structurally_deficient": self.structurally_deficient,
         }
 
@@ -66,14 +69,22 @@ class ProblemSpec:
     kind: str
     m: int = 0
     n: int = 0
-    density: float | None = None  # default 1/log(m*n)
-    rc: float | None = None       # default 1/sqrt(m*n)
+    density: float | None = None  # SparseNormal; default 1/log(m*n)
+    rc: float | None = None       # SparseNormal, SparseSpd; default 1/sqrt(m*n)
     seed: int = 0
     path: str | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown problem kind {self.kind!r}")
+        for name in ("density", "rc"):
+            v = getattr(self, name)
+            if v is None:
+                continue
+            if name not in _TAKES[self.kind]:
+                raise ValueError(f"{self.kind} problems take no {name}")
+            if not (0.0 < v <= 1.0):
+                raise ValueError(f"{name} must lie in (0, 1], got {v}")
         if self.kind == FROM_FILE:
             if not self.path:
                 raise ValueError("FromFile problems need a path")
@@ -82,10 +93,6 @@ class ProblemSpec:
             raise ValueError("m and n must be >= 1")
         if self.kind == SPARSE_SPD and self.m != self.n:
             raise ValueError("SPD problems must be square")
-        for name in ("density", "rc"):
-            v = getattr(self, name)
-            if v is not None and not (0.0 < v <= 1.0):
-                raise ValueError(f"{name} must lie in (0, 1], got {v}")
 
     def resolved_density(self) -> float:
         if self.density is not None:
@@ -154,7 +161,6 @@ def generate(spec: ProblemSpec) -> Problem:
                                  structurally_deficient=deficient)
 
         elif spec.kind == SPARSE_SPD:
-            density = spec.resolved_density()
             rc = spec.resolved_rc()
             q = _random_orthogonal(n, rng)
             if n == 1:
@@ -167,8 +173,8 @@ def generate(spec: ProblemSpec) -> Problem:
             a = (q * lam) @ q.T
             a = 0.5 * (a + a.T)
             w = np.linalg.eigvalsh(a)
-            stats = ProblemStats(kind=spec.kind, m=n, n=n, density=density,
-                                 rc=rc, achieved_rc=float(w[0] / w[-1]))
+            stats = ProblemStats(kind=spec.kind, m=n, n=n, rc=rc,
+                                 achieved_rc=float(w[0] / w[-1]))
         else:  # pragma: no cover - guarded by ProblemSpec
             raise ValueError(spec.kind)
 

@@ -25,11 +25,14 @@ where the pair (Y, Z) is rebuilt from a fresh random draw every step:
     S3  column subset C          Y = Z = I_C                 (randomized Newton / block CD)
     S4  Gaussian matrix W (nxl)  Y = Z = W
 
-:func:`step` applies the cheap specialized update for each scheme, and for
-the column and symmetric families can carry the residual ``b - A x`` along
-in place (:func:`maintains_residual`); :func:`step_generic` assembles the
-(Y, Z) pair explicitly and serves as the oracle path the specialized
-updates are tested against.
+:func:`step` applies the cheap specialized update: closed forms for the
+scalar ids, and for the block ids one kernel per side of A. The row kernel
+(K3-K6) works on the sketched rows Y^T A, the column kernel (C3-C6, S3, S4)
+on the sketched columns A Z; the weighted ids only multiply in the SPD
+factor G, and S3/S4 are the column update with Y = Z. The column and
+symmetric families carry the residual ``b - A x`` along in place
+(:func:`maintains_residual`); :func:`step_generic` assembles (Y, Z)
+explicitly, the oracle the specialized updates are tested against.
 """
 
 from __future__ import annotations
@@ -225,7 +228,9 @@ def step(scheme: Scheme, a: np.ndarray, b: np.ndarray,
 
     Scalar schemes use their closed-form denominators and raise
     :class:`SkipStep` when the drawn row/column is degenerate; block schemes
-    factor through the small l x l sketched system only.
+    go through the row kernel (K) or the column kernel (C, S), which factor
+    through the small l x l sketched system only, with G as a factor of Z
+    (K5, K6) or of Y (C5, C6).
 
     For schemes that :func:`maintains_residual`, ``r`` may carry the current
     residual ``b - A x``; the update then reads ``Y^T r`` from it and
@@ -234,7 +239,6 @@ def step(scheme: Scheme, a: np.ndarray, b: np.ndarray,
     """
     _check_draw(scheme, draw)
     sid = scheme.id
-    g = scheme.g.mat if scheme.g is not None else None
     if maintains_residual(scheme):
         if r is None:
             r = b - a @ x
@@ -256,32 +260,6 @@ def step(scheme: Scheme, a: np.ndarray, b: np.ndarray,
         if denom <= 0.0:
             raise SkipStep("sketched row vanished")
         return x + ((w @ (b - a @ x)) / denom) * u
-
-    if sid == "K3":
-        rows = draw.indices
-        ar = a[rows, :]
-        e = ar @ ar.T
-        return x + ar.T @ (pseudoinverse(e) @ (b[rows] - ar @ x))
-
-    if sid == "K4":
-        w = draw.dense
-        u = a.T @ w
-        e = u.T @ u
-        return x + u @ (pseudoinverse(e) @ (w.T @ (b - a @ x)))
-
-    if sid == "K5":
-        rows = draw.indices
-        ar = a[rows, :]
-        zfac = g @ ar.T
-        e = ar @ zfac
-        return x + zfac @ (pseudoinverse(e) @ (b[rows] - ar @ x))
-
-    if sid == "K6":
-        w = draw.dense
-        u = a.T @ w
-        zfac = g @ u
-        e = u.T @ zfac
-        return x + zfac @ (pseudoinverse(e) @ (w.T @ (b - a @ x)))
 
     if sid == "C1":
         j = draw.indices[0]
@@ -305,40 +283,6 @@ def step(scheme: Scheme, a: np.ndarray, b: np.ndarray,
         r -= delta * v
         return x + delta * w
 
-    if sid == "C3":
-        cols = draw.indices
-        ac = np.take(a, cols, axis=1)
-        d = pseudoinverse(ac.T @ ac) @ (ac.T @ r)
-        r -= ac @ d
-        out = x.copy()
-        out[cols] += d
-        return out
-
-    if sid == "C4":
-        w = draw.dense
-        v = a @ w
-        d = pseudoinverse(v.T @ v) @ (v.T @ r)
-        r -= v @ d
-        return x + w @ d
-
-    if sid == "C5":
-        cols = draw.indices
-        ac = np.take(a, cols, axis=1)
-        gac = g @ ac
-        d = pseudoinverse(ac.T @ gac) @ (gac.T @ r)
-        r -= ac @ d
-        out = x.copy()
-        out[cols] += d
-        return out
-
-    if sid == "C6":
-        w = draw.dense
-        v = a @ w
-        gv = g @ v
-        d = pseudoinverse(v.T @ gv) @ (gv.T @ r)
-        r -= v @ d
-        return x + w @ d
-
     if sid == "S1":
         i = draw.indices[0]
         denom = float(a[i, i])
@@ -360,22 +304,46 @@ def step(scheme: Scheme, a: np.ndarray, b: np.ndarray,
         r -= delta * v
         return x + delta * w
 
-    if sid == "S3":
-        cols = draw.indices
-        d = pseudoinverse(a[np.ix_(cols, cols)]) @ r[cols]
-        r -= np.take(a, cols, axis=1) @ d
-        out = x.copy()
-        out[cols] += d
-        return out
+    g = scheme.g.mat if scheme.g is not None else None
+    if sid[0] == "K":
+        return _row_block(a, b, x, draw, g)
+    return _col_block(sid[0], a, x, r, draw, g)
 
-    if sid == "S4":
-        w = draw.dense
-        v = a @ w
-        d = pseudoinverse(w.T @ v) @ (w.T @ r)
-        r -= v @ d
+
+def _row_block(a, b, x, draw, g):
+    """K3-K6: the sketched rows ``ay = Y^T A`` and ``Z = ay^T`` (``G ay^T``
+    when weighted); returns ``x + Z (ay Z)^+ Y^T r``."""
+    rows, w = draw.indices, draw.dense
+    if rows is not None:
+        ay = a[rows, :]
+        ytr = b[rows] - ay @ x
+    else:
+        ay = (a.T @ w).T
+        ytr = w.T @ (b - a @ x)
+    z = ay.T if g is None else g @ ay.T
+    return x + z @ (pseudoinverse(ay @ z) @ ytr)
+
+
+def _col_block(fam, a, x, r, draw, g):
+    """C3-C6, S3, S4: the sketched columns ``az = A Z`` give ``Y = az``
+    (``G az`` when weighted) for C and ``Y = Z`` for S; solves for the step
+    ``d`` in Z's coordinates and moves ``r`` by ``az d`` in place."""
+    cols, w = draw.indices, draw.dense
+    az = a @ w if cols is None else np.take(a, cols, axis=1)
+    if fam == "C":
+        y = az if g is None else g @ az
+        e, ytr = az.T @ y, y.T @ r
+    elif cols is not None:
+        e, ytr = az[cols], r[cols]
+    else:
+        e, ytr = w.T @ az, w.T @ r
+    d = pseudoinverse(e) @ ytr
+    r -= az @ d
+    if cols is None:
         return x + w @ d
-
-    raise ValueError(f"unknown scheme {sid!r}")
+    out = x.copy()
+    out[cols] += d
+    return out
 
 
 def error_propagator(scheme: Scheme, a: np.ndarray,

@@ -103,12 +103,15 @@ class SketchDraw:
     dense: np.ndarray | None = None
 
     def __post_init__(self):
+        # the update kernels tell the two apart by which field is set
         if self.kind in _GAUSS_KINDS:
-            if self.dense is None or self.dense.ndim != 2:
-                raise ValueError("Gaussian draw needs a 2-D dense block")
+            if (self.dense is None or self.dense.ndim != 2
+                    or self.indices is not None):
+                raise ValueError("Gaussian draw needs a 2-D dense block "
+                                 "and no indices")
         else:
-            if self.indices is None:
-                raise ValueError("index draw needs indices")
+            if self.indices is None or self.dense is not None:
+                raise ValueError("index draw needs indices and no dense block")
             if len(np.unique(self.indices)) != len(self.indices):
                 raise ValueError("subset indices must be distinct")
 

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import schemes, sketch
-from .linalg import (SpdMatrix, as_matrix, extremal_eigs, frobenius_norm_sq,
-                     pseudoinverse, spd_sqrt)
+from .linalg import (SpdMatrix, as_matrix, extremal_eigs, finite_or_none,
+                     frobenius_norm_sq, pseudoinverse, spd_sqrt)
 from .solver import Problem
 
 NORM_EUCLID = "euclid"
@@ -63,13 +63,11 @@ class RateReport:
     degenerate: bool = False
 
     def to_json_dict(self) -> dict:
-        def clean(v):
-            return None if isinstance(v, float) and not math.isfinite(v) else v
         return {
             "scheme": self.scheme,
-            "rho_theory": clean(self.rho_theory),
-            "rho_fit": clean(self.rho_fit),
-            "rho_fit_norm_of_mean": clean(self.rho_fit_norm_of_mean),
+            "rho_theory": finite_or_none(self.rho_theory),
+            "rho_fit": finite_or_none(self.rho_fit),
+            "rho_fit_norm_of_mean": finite_or_none(self.rho_fit_norm_of_mean),
             "trials": self.trials,
             "iterations": self.iterations,
             "norm_used": self.norm_used,
@@ -101,16 +99,14 @@ class ExpectationEstimate:
     violated_assumptions: tuple[str, ...] = field(default_factory=tuple)
 
     def to_json_dict(self) -> dict:
-        def clean(v):
-            return None if isinstance(v, float) and not math.isfinite(v) else v
         return {
             "matrix": self.matrix.tolist(),
             "samples": self.samples,
             "bound_matrix": self.bound_matrix.tolist(),
-            "max_violation": clean(self.max_violation),
-            "max_violation_se": clean(self.max_violation_se),
-            "lambda_min": clean(self.lambda_min),
-            "spectral_rate": clean(self.spectral_rate),
+            "max_violation": finite_or_none(self.max_violation),
+            "max_violation_se": finite_or_none(self.max_violation_se),
+            "lambda_min": finite_or_none(self.lambda_min),
+            "spectral_rate": finite_or_none(self.spectral_rate),
             "positive_definite": self.positive_definite,
             "violated_assumptions": list(self.violated_assumptions),
         }

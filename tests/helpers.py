@@ -19,21 +19,6 @@ def random_spd(seed: int, n: int, lo: float = 0.5, hi: float = 3.0) -> np.ndarra
     return 0.5 * (a + a.T)
 
 
-def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entry-by-entry triple loop, no BLAS."""
-    m, k = a.shape
-    k2, n = b.shape
-    assert k == k2
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
-
-
 def charpoly_coefficients(a: np.ndarray) -> np.ndarray:
     """Characteristic polynomial coefficients via the Faddeev-LeVerrier
     trace recursion; independent of any eigendecomposition."""

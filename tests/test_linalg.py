@@ -3,28 +3,9 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given
 
-from helpers import (check_moore_penrose, eigs_via_charpoly, gaussian,
-                     matmul_oracle, random_spd)
+from helpers import check_moore_penrose, eigs_via_charpoly, gaussian, random_spd
 from sketchsolve.linalg import (SpdMatrix, extremal_eigs, frobenius_norm_sq,
-                                matmul, pseudoinverse, spd_sqrt, weighted_norm)
-
-
-class TestMatmul:
-    def test_identity(self):
-        assert np.array_equal(matmul(np.eye(2), np.eye(2)), np.eye(2))
-
-    def test_hand_product(self):
-        out = matmul([[1, 2], [3, 4]], [[1], [1]])
-        assert np.array_equal(out, [[3], [7]])
-
-    def test_against_triple_loop(self):
-        a = gaussian(0, 3, 4)
-        b = gaussian(1, 4, 2)
-        assert np.abs(matmul(a, b) - matmul_oracle(a, b)).max() < 1e-13
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matmul(gaussian(0, 3, 4), gaussian(1, 3, 2))
+                                pseudoinverse, spd_sqrt, weighted_norm)
 
 
 class TestPseudoinverse:

@@ -24,8 +24,23 @@ class TestSpecValidation:
             ProblemSpec(kind="FromFile")
 
     def test_density_range(self):
-        with pytest.raises(ValueError):
-            ProblemSpec(kind="SparseNormal", m=4, n=4, density=1.5)
+        for kind, params in [
+            ("SparseNormal", {"density": 1.5}),
+            ("SparseNormal", {"rc": 0.0}),
+            # parameters the generator would ignore are rejected, not echoed
+            ("SparseSpd", {"density": 0.5}),
+            ("UniformDense", {"density": 0.5}),
+            ("UniformDense", {"rc": 0.5}),
+            ("FromFile", {"rc": 0.5, "path": "A.mtx"}),
+        ]:
+            with pytest.raises(ValueError):
+                ProblemSpec(kind=kind, m=4, n=4, **params)
+
+    def test_spd_reports_no_density(self):
+        prob = generate(ProblemSpec(kind="SparseSpd", m=6, n=6, rc=0.5, seed=1))
+        assert prob.stats.density is None
+        assert prob.stats.to_json_dict()["density"] is None
+        assert prob.stats.rc == 0.5
 
     def test_defaults(self):
         spec = ProblemSpec(kind="SparseNormal", m=100, n=100)

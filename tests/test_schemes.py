@@ -107,6 +107,22 @@ class TestUpdates:
         fit = z @ np.linalg.lstsq(z, delta, rcond=None)[0]
         assert np.linalg.norm(delta - fit) <= 1e-10 * (1.0 + np.linalg.norm(delta))
 
+    @pytest.mark.parametrize("sid", schemes.ALL_SCHEMES)
+    def test_one_pseudoinverse_per_block_step(self, sid, monkeypatch):
+        # instrumentation such as perfbench's tracer counts pseudoinverse
+        # calls by wrapping this module attribute; every block step must
+        # reach it through the attribute, and no scalar step may
+        calls = []
+
+        def counting(m):
+            calls.append(m.shape)
+            return pseudoinverse(m)
+
+        monkeypatch.setattr(schemes, "pseudoinverse", counting)
+        scheme, a, b, x, draw = _instance(sid, 900)
+        step(scheme, a, b, x, draw)
+        assert len(calls) == (0 if sid in schemes.SCALAR_SCHEMES else 1)
+
 
 class TestMonotonicity:
     @given(seed=st.integers(0, 5_000), sid=st.sampled_from(["K1", "K2", "K3", "K4"]))
@@ -173,16 +189,33 @@ class TestDegenerateDraws:
         assert not issubclass(SkipStep, ValueError)
 
     def test_block_schemes_tolerate_singular_sketch(self):
-        # duplicated rows make the sketched system singular; pseudoinverse
+        # duplicated rows of A, columns of A or columns of W make the
+        # sketched system singular in both block kernels; pseudoinverse
         # keeps the step defined and consistent with the generic formula
-        a = np.vstack([np.ones((2, 3)), gaussian(31, 2, 3)])
-        scheme = make_scheme("K3", block_size=2)
-        draw = SketchDraw(kind=ROW_SUBSET, indices=np.array([0, 1]))
-        b = a @ np.ones(3)
-        x = np.zeros(3)
-        got = step(scheme, a, b, x, draw)
-        want = step_generic(scheme, a, b, x, draw)
-        assert np.abs(got - want).max() < 1e-10
+        w = gaussian(34, 4, 1)
+        cases = [
+            ("K3", np.vstack([np.ones((2, 3)), gaussian(31, 2, 3)]),
+             SketchDraw(kind=ROW_SUBSET, indices=np.array([0, 1]))),
+            ("C3", np.hstack([np.ones((5, 2)), gaussian(32, 5, 2)]),
+             SketchDraw(kind=COL_SUBSET, indices=np.array([0, 1, 3]))),
+            ("K4", gaussian(35, 4, 3),
+             SketchDraw(kind=GAUSS_MATRIX, dense=np.hstack([w, w]))),
+            ("C4", gaussian(36, 6, 4),
+             SketchDraw(kind=GAUSS_MATRIX, dense=np.hstack([w, w]))),
+            ("S4", random_spd(33, 4),
+             SketchDraw(kind=GAUSS_MATRIX, dense=np.hstack([w, w]))),
+        ]
+        for sid, a, draw in cases:
+            scheme = make_scheme(sid, block_size=draw.width)
+            b = a @ np.ones(a.shape[1])
+            x = np.zeros(a.shape[1])
+            r = b - a @ x if schemes.maintains_residual(scheme) else None
+            got = step(scheme, a, b, x, draw, r=r)
+            want = step_generic(scheme, a, b, x, draw)
+            assert np.abs(got - want).max() < 1e-10, sid
+            if r is not None:
+                gap = np.linalg.norm(r - (b - a @ got))
+                assert gap <= 1e-12 * np.linalg.norm(b), sid
 
 
 class TestPropagator:

@@ -152,6 +152,12 @@ class TestRealize:
         with pytest.raises(ValueError):
             schemes.realize_sketch(scheme, np.eye(2), draw)
 
+    def test_draw_carries_one_representation(self):
+        both = {"dense": np.ones((3, 2)), "indices": np.array([0, 1])}
+        for kind in (GAUSS_MATRIX, ROW_SUBSET):
+            with pytest.raises(ValueError):
+                SketchDraw(kind=kind, **both)
+
     def test_table_forms_match_selection_identities(self):
         # the implicit row/column selections must equal the explicit products
         a = gaussian(21, 6, 4)
