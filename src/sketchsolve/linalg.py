@@ -76,6 +76,16 @@ def frobenius_norm_sq(m) -> float:
     return float((m * m).sum())
 
 
+def squared_norms(a: np.ndarray, axis: int) -> np.ndarray:
+    """``(a * a).sum(axis=axis)`` bit for bit on a C-ordered ``a`` without its
+    m x n temporary; rows go in blocks, as ``einsum`` sums them in another order."""
+    if axis == 0:
+        return np.einsum("ij,ij->j", a, a)
+    rows = max(1, (1 << 17) // a.shape[1])
+    return np.concatenate([np.square(a[s:s + rows]).sum(axis=1)
+                           for s in range(0, a.shape[0], rows)])
+
+
 class SpdMatrix:
     """A symmetric positive definite matrix, validated at construction.
 

@@ -14,8 +14,9 @@ the rectangular kind, pinned log-uniform eigenvalues for the SPD kind),
 which densifies the matrix; the sparsity target therefore describes the
 pattern before reshaping and the achieved fraction is reported in
 :class:`ProblemStats` rather than enforced on the final matrix. Only
-``SparseNormal`` takes a ``density``, and only it and ``SparseSpd`` take an
-``rc``; :class:`ProblemSpec` rejects either where the kind would ignore it.
+``SparseNormal`` takes a ``density``, only it and ``SparseSpd`` take an
+``rc``, and ``FromFile`` takes no ``m``, ``n`` or ``seed`` (the file decides
+them); :class:`ProblemSpec` rejects any of them where the kind would ignore it.
 """
 
 from __future__ import annotations
@@ -35,9 +36,10 @@ SPARSE_SPD = "SparseSpd"
 FROM_FILE = "FromFile"
 
 KINDS = (UNIFORM_DENSE, SPARSE_NORMAL, SPARSE_SPD, FROM_FILE)
-# the optional shape parameters each kind reads; any other is rejected
-_TAKES = {UNIFORM_DENSE: (), SPARSE_NORMAL: ("density", "rc"),
-          SPARSE_SPD: ("rc",), FROM_FILE: ()}
+# the optional parameters each kind reads; any other is rejected
+_GEN = ("m", "n", "seed")
+_TAKES = {UNIFORM_DENSE: _GEN, SPARSE_NORMAL: (*_GEN, "density", "rc"),
+          SPARSE_SPD: (*_GEN, "rc"), FROM_FILE: ()}
 
 
 @dataclass
@@ -67,28 +69,29 @@ class ProblemStats:
 @dataclass
 class ProblemSpec:
     kind: str
-    m: int = 0
-    n: int = 0
+    m: int | None = None          # generated kinds only; a FromFile file sets
+    n: int | None = None          # the shape
     density: float | None = None  # SparseNormal; default 1/log(m*n)
     rc: float | None = None       # SparseNormal, SparseSpd; default 1/sqrt(m*n)
-    seed: int = 0
+    seed: int | None = None       # generated kinds; default 0
     path: str | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown problem kind {self.kind!r}")
-        for name in ("density", "rc"):
+        for name in ("density", "rc", "m", "n", "seed"):
             v = getattr(self, name)
             if v is None:
                 continue
             if name not in _TAKES[self.kind]:
                 raise ValueError(f"{self.kind} problems take no {name}")
-            if not (0.0 < v <= 1.0):
+            if name in ("density", "rc") and not (0.0 < v <= 1.0):
                 raise ValueError(f"{name} must lie in (0, 1], got {v}")
         if self.kind == FROM_FILE:
             if not self.path:
                 raise ValueError("FromFile problems need a path")
             return
+        self.m, self.n, self.seed = self.m or 0, self.n or 0, self.seed or 0
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be >= 1")
         if self.kind == SPARSE_SPD and self.m != self.n:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sketch
-from .linalg import SpdMatrix, pseudoinverse
+from .linalg import SpdMatrix, pseudoinverse, squared_norms
 from .sketch import (COL_SUBSET, COORD_COL, COORD_ROW, GAUSS_MATRIX,
                      GAUSS_VECTOR, ROW_SUBSET, SketchDraw, SketchSpec)
 
@@ -125,17 +125,16 @@ def make_scheme(scheme_id: str, block_size: int = 1,
     return Scheme(id=scheme_id, spec=spec, g=g)
 
 
-def sampling_weights(scheme: Scheme, a: np.ndarray) -> np.ndarray | None:
-    """Weights handed to :func:`sketch.draw_sketch` for proportional sampling:
-    squared row/column norms, or the diagonal for trace-proportional draws."""
+def sampling_weights(scheme: Scheme, a: np.ndarray) -> sketch.IndexCdf | None:
+    """The :func:`sketch.index_cdf` handed to :func:`sketch.draw_sketch` for
+    proportional sampling, built once per solve from the squared row/column
+    norms, or the diagonal for trace-proportional draws; None for uniform."""
     dist = scheme.spec.distribution
     if dist == sketch.UNIFORM:
         return None
     if dist == sketch.TRACE_PROPORTIONAL:
-        return np.diag(a).copy()
-    if scheme.spec.kind == COORD_ROW:
-        return (a * a).sum(axis=1)
-    return (a * a).sum(axis=0)
+        return sketch.index_cdf(np.diag(a))
+    return sketch.index_cdf(squared_norms(a, 1 if scheme.spec.kind == COORD_ROW else 0))
 
 
 def _selection(dim: int, idx: np.ndarray) -> np.ndarray:

@@ -4,6 +4,10 @@ A :class:`SketchSpec` describes what gets drawn each iteration (one row
 index, a subset of columns, a Gaussian matrix, ...); :func:`draw_sketch`
 produces one realized :class:`SketchDraw` from it.
 
+Proportional draws search a CDF that :func:`index_cdf` validates and builds
+once per solve: O(log d) each, and the same indices and generator state as
+``rng.choice(d, p=...)``.
+
 All randomness flows through ``numpy.random.Generator`` seeded with PCG64
 (:func:`make_rng`), so identical seeds give identical draw sequences.
 """
@@ -112,7 +116,8 @@ class SketchDraw:
         else:
             if self.indices is None or self.dense is not None:
                 raise ValueError("index draw needs indices and no dense block")
-            if len(np.unique(self.indices)) != len(self.indices):
+            if (len(self.indices) > 1
+                    and len(np.unique(self.indices)) != len(self.indices)):
                 raise ValueError("subset indices must be distinct")
 
     @property
@@ -123,48 +128,58 @@ class SketchDraw:
         return len(self.indices)  # type: ignore[arg-type]
 
 
-def _index_probabilities(weights, dim: int) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class IndexCdf:
+    """Read-only CDF of a proportional index draw, from :func:`index_cdf`."""
+
+    cdf: np.ndarray
+
+
+def index_cdf(weights) -> IndexCdf:
+    """Validate weights and build the CDF of drawing i with probability w[i] /
+    sum(w) as ``rng.choice(d, p=...)`` builds it, so draws match ``choice``."""
     w = np.asarray(weights, dtype=float)
-    if w.shape != (dim,):
-        raise ValueError(f"weights must have length {dim}, got shape {w.shape}")
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
     if (w < 0).any():
         raise ValueError("weights must be nonnegative")
     total = w.sum()
-    if total <= 0.0:
-        raise ValueError("weights sum to zero")
-    return w / total
+    if not 0.0 < total < np.inf:
+        raise ValueError(f"weights must have a positive finite sum, got {total}")
+    cdf = (w / total).cumsum()
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return IndexCdf(cdf)
 
 
-def draw_sketch(spec: SketchSpec, dims: tuple[int, int],
-                rng: np.random.Generator, weights=None) -> SketchDraw:
+def draw_sketch(spec: SketchSpec, dims: tuple[int, int], rng: np.random.Generator,
+                sampler: IndexCdf | None = None) -> SketchDraw:
     """Realize one draw of ``spec`` against an m x n system.
 
-    ``weights`` are required for the proportional distributions and are used
-    as given (callers pass squared row/column norms or diagonal entries);
-    index ``i`` is then drawn with probability ``weights[i] / sum(weights)``.
+    The proportional distributions need ``sampler``, the :func:`index_cdf`
+    of the weights (squared row/column norms or diagonal entries), built once
+    per solve; a draw is then one uniform and an O(log d) search of the CDF.
     Subsets are drawn uniformly without replacement and returned sorted.
     """
     m, n = dims
     dim = m if spec.resolved_axis == "rows" else n
+    width = 1 if spec.kind in (COORD_ROW, COORD_COL, GAUSS_VECTOR) else spec.block_size
+    if width > dim:
+        raise ValueError(f"block_size {spec.block_size} exceeds dimension {dim}")
 
     if spec.kind in (COORD_ROW, COORD_COL):
         if spec.distribution == UNIFORM:
             idx = int(rng.integers(dim))
         else:
-            if weights is None:
-                raise ValueError(f"{spec.distribution} sampling needs weights")
-            p = _index_probabilities(weights, dim)
-            idx = int(rng.choice(dim, p=p))
+            if not isinstance(sampler, IndexCdf) or len(sampler.cdf) != dim:
+                raise ValueError(f"{spec.distribution} sampling needs the "
+                                 f"index_cdf of {dim} weights")
+            idx = int(sampler.cdf.searchsorted(rng.random(), side="right"))
         return SketchDraw(kind=spec.kind, indices=np.array([idx]))
 
     if spec.kind in _SUBSET_KINDS:
-        if spec.block_size > dim:
-            raise ValueError(f"block_size {spec.block_size} exceeds dimension {dim}")
-        idx = np.sort(rng.choice(dim, size=spec.block_size, replace=False))
+        idx = np.sort(rng.choice(dim, size=width, replace=False))
         return SketchDraw(kind=spec.kind, indices=idx)
 
     # Gaussian kinds: fresh i.i.d. standard-normal entries every draw
-    width = 1 if spec.kind == GAUSS_VECTOR else spec.block_size
-    if spec.kind == GAUSS_MATRIX and spec.block_size > dim:
-        raise ValueError(f"block_size {spec.block_size} exceeds dimension {dim}")
     return SketchDraw(kind=spec.kind, dense=rng.standard_normal((dim, width)))

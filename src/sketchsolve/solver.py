@@ -157,7 +157,7 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
     if x.shape[0] != n:
         raise ValueError(f"x0 has length {x.shape[0]}, expected {n}")
 
-    weights = schemes.sampling_weights(scheme, a)
+    sampler = schemes.sampling_weights(scheme, a)
     norm_b = float(np.linalg.norm(b))
     res_denom = norm_b if norm_b > 0.0 else 1.0
     if problem.x_star is not None:
@@ -189,7 +189,7 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
         r = None
 
     for k in range(1, stop.itmax + 1):
-        draw = draw_sketch(scheme.spec, (m, n), rng, weights)
+        draw = draw_sketch(scheme.spec, (m, n), rng, sampler)
         try:
             x = schemes.step(scheme, a, b, x, draw, r=r)
         except schemes.SkipStep:

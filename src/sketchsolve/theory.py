@@ -339,7 +339,7 @@ def fit_empirical_rate(problem: Problem, scheme: schemes.Scheme, trials: int,
     a = problem.a
     m, n = a.shape
     wmat = _norm_matrix(norm_used, a, scheme.g)
-    weights = schemes.sampling_weights(scheme, a)
+    sampler = schemes.sampling_weights(scheme, a)
     x_start = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
 
     def err_sq(e: np.ndarray) -> float:
@@ -357,7 +357,7 @@ def fit_empirical_rate(problem: Problem, scheme: schemes.Scheme, trials: int,
         sq[t, 0] = err_sq(e)
         mean_err[0] += e
         for k in range(1, iterations + 1):
-            draw = sketch.draw_sketch(scheme.spec, (m, n), rng, weights)
+            draw = sketch.draw_sketch(scheme.spec, (m, n), rng, sampler)
             try:
                 x = schemes.step(scheme, a, problem.b, x, draw, r=r)
             except schemes.SkipStep:

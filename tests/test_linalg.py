@@ -5,7 +5,8 @@ from hypothesis import given
 
 from helpers import check_moore_penrose, eigs_via_charpoly, gaussian, random_spd
 from sketchsolve.linalg import (SpdMatrix, extremal_eigs, frobenius_norm_sq,
-                                pseudoinverse, spd_sqrt, weighted_norm)
+                                pseudoinverse, spd_sqrt, squared_norms,
+                                weighted_norm)
 
 
 class TestPseudoinverse:
@@ -99,6 +100,18 @@ class TestFrobenius:
     def test_trace_identity(self):
         m = gaussian(7, 4, 3)
         assert frobenius_norm_sq(m) == pytest.approx(np.trace(m.T @ m), rel=1e-13)
+
+
+class TestSquaredNorms:
+    # row blocks hold 2**17 // n rows: 262 at n = 500, 131 at n = 1000, so
+    # these m leave a partial last block; one block covers the narrow shapes
+    @pytest.mark.parametrize("m, n", [(2000, 500), (1025, 500), (300, 1000),
+                                      (3000, 7), (1025, 3), (50, 20), (7, 3000),
+                                      (1, 1), (1, 200_000)])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_bit_identical_to_squared_sum(self, m, n, axis):
+        for a in (gaussian(m + n, m, n), np.random.default_rng(n).random((m, n))):
+            assert np.array_equal(squared_norms(a, axis), (a * a).sum(axis=axis))
 
 
 class TestSpdSqrt:

@@ -23,6 +23,23 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ProblemSpec(kind="FromFile")
 
+    @pytest.mark.parametrize("param", [{"m": 3}, {"n": 99}, {"seed": 5},
+                                       {"m": 0}, {"seed": 0}])
+    def test_from_file_rejects_generator_parameters(self, param):
+        # the file decides the shape; an explicit m, n or seed would be ignored
+        with pytest.raises(ValueError, match="FromFile problems take no"):
+            ProblemSpec(kind="FromFile", path="A.mtx", **param)
+
+    def test_generated_kinds_keep_their_defaults(self):
+        spec = ProblemSpec(kind="UniformDense", m=3, n=2)
+        assert spec.seed == 0
+        assert np.array_equal(generate(spec).a,
+                              generate(ProblemSpec(kind="UniformDense", m=3, n=2,
+                                                   seed=0)).a)
+        with pytest.raises(ValueError, match="m and n must be >= 1"):
+            ProblemSpec(kind="UniformDense", n=2)
+        assert ProblemSpec(kind="FromFile", path="A.mtx").m is None
+
     def test_density_range(self):
         for kind, params in [
             ("SparseNormal", {"density": 1.5}),

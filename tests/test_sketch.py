@@ -9,7 +9,7 @@ from sketchsolve.linalg import SpdMatrix
 from sketchsolve.sketch import (COL_SUBSET, COORD_COL, COORD_ROW, GAUSS_MATRIX,
                                 NORM_PROPORTIONAL, ROW_SUBSET,
                                 TRACE_PROPORTIONAL, UNIFORM, SketchDraw,
-                                SketchSpec, draw_sketch, make_rng,
+                                SketchSpec, draw_sketch, index_cdf, make_rng,
                                 rng_from_keys)
 
 
@@ -33,9 +33,9 @@ class TestSpecValidation:
 
 class TestDraws:
     def test_single_row_dimension_one(self):
-        for dist, w in ((UNIFORM, None), (NORM_PROPORTIONAL, [2.0])):
+        for dist, cdf in ((UNIFORM, None), (NORM_PROPORTIONAL, index_cdf([2.0]))):
             s = SketchSpec(kind=COORD_ROW, distribution=dist)
-            d = draw_sketch(s, (1, 4), make_rng(0), weights=w)
+            d = draw_sketch(s, (1, 4), make_rng(0), cdf)
             assert d.indices.tolist() == [0]
 
     def test_full_subset(self):
@@ -47,7 +47,8 @@ class TestDraws:
         # index 1 should appear with probability 3/4 given weights (1, 3)
         spec = SketchSpec(kind=COORD_ROW, distribution=NORM_PROPORTIONAL)
         rng = make_rng(123)
-        hits = sum(draw_sketch(spec, (2, 2), rng, weights=[1.0, 3.0]).indices[0]
+        cdf = index_cdf([1.0, 3.0])
+        hits = sum(draw_sketch(spec, (2, 2), rng, cdf).indices[0]
                    for _ in range(100_000))
         assert abs(hits / 100_000 - 0.75) < 0.01
 
@@ -62,9 +63,8 @@ class TestDraws:
         assert abs(samples.var() - 1.0) < 0.05
 
     def test_zero_weights_rejected(self):
-        spec = SketchSpec(kind=COORD_ROW, distribution=NORM_PROPORTIONAL)
-        with pytest.raises(ValueError):
-            draw_sketch(spec, (3, 3), make_rng(0), weights=[0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="positive finite sum"):
+            index_cdf([0.0, 0.0, 0.0])
 
     def test_oversized_block_rejected(self):
         spec = SketchSpec(kind=COL_SUBSET, block_size=4)
@@ -82,13 +82,14 @@ class TestDraws:
 
     @given(seed=st.integers(0, 10_000))
     def test_reproducible(self, seed):
-        for spec, w in [
-            (SketchSpec(kind=COORD_ROW, distribution=NORM_PROPORTIONAL), [1.0, 2.0, 3.0]),
+        for spec, cdf in [
+            (SketchSpec(kind=COORD_ROW, distribution=NORM_PROPORTIONAL),
+             index_cdf([1.0, 2.0, 3.0])),
             (SketchSpec(kind=ROW_SUBSET, block_size=2), None),
             (SketchSpec(kind=GAUSS_MATRIX, block_size=2, axis="cols"), None),
         ]:
-            d1 = draw_sketch(spec, (3, 3), make_rng(seed), weights=w)
-            d2 = draw_sketch(spec, (3, 3), make_rng(seed), weights=w)
+            d1 = draw_sketch(spec, (3, 3), make_rng(seed), cdf)
+            d2 = draw_sketch(spec, (3, 3), make_rng(seed), cdf)
             if d1.indices is not None:
                 assert np.array_equal(d1.indices, d2.indices)
             else:
@@ -100,6 +101,86 @@ class TestDraws:
         c = rng_from_keys(5, 0, 0).standard_normal(4)
         assert np.array_equal(a, c)
         assert not np.array_equal(a, b)
+
+
+class TestProportionalSampling:
+    """Weights are checked once, when their CDF is built; a draw is one
+    uniform searched in that CDF."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            index_cdf([1.0, bad, 2.0])
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            index_cdf([1.0, -0.5, 2.0])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("w", [[], [1e308, 1e308]])
+    def test_empty_or_overflowing_sum_rejected(self, w):
+        with pytest.raises(ValueError, match="positive finite sum"):
+            index_cdf(w)
+
+    def test_wrong_length_rejected(self):
+        spec = SketchSpec(kind=COORD_ROW, distribution=NORM_PROPORTIONAL)
+        with pytest.raises(ValueError, match="index_cdf of 4 weights"):
+            draw_sketch(spec, (4, 2), make_rng(0), index_cdf([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("sampler", [None, [1.0, 2.0, 3.0],
+                                         np.array([1.0, 2.0, 3.0])])
+    def test_raw_weights_rejected(self, sampler):
+        spec = SketchSpec(kind=COORD_COL, distribution=NORM_PROPORTIONAL)
+        with pytest.raises(ValueError, match="index_cdf"):
+            draw_sketch(spec, (2, 3), make_rng(0), sampler)
+
+    def test_cdf_is_read_only(self):
+        with pytest.raises(ValueError):
+            index_cdf([1.0, 2.0]).cdf[0] = 0.5
+
+    @pytest.mark.parametrize("d, draws", [(1, 200), (2, 2000), (50, 2000),
+                                          (20000, 300)])
+    @pytest.mark.parametrize("seed", [0, 7, 31337])
+    def test_stream_equals_rng_choice(self, d, draws, seed):
+        # pins the contract with numpy: a CDF draw consumes the one uniform
+        # rng.choice(d, p=...) consumes and lands on the same index, so a
+        # change to Generator.choice fails here rather than in a replay
+        w = rng_from_keys(seed, d).random(d)
+        if d > 1:
+            w[::7] = 0.0  # zero-weight indices are never drawn by either
+        spec = SketchSpec(kind=COORD_ROW, distribution=NORM_PROPORTIONAL)
+        cdf = index_cdf(w)
+        mine, ref = make_rng(seed), make_rng(seed)
+        got = [int(draw_sketch(spec, (d, 1), mine, cdf).indices[0])
+               for _ in range(draws)]
+        want = [int(ref.choice(d, p=w / w.sum())) for _ in range(draws)]
+        assert got == want
+        assert mine.bit_generator.state == ref.bit_generator.state
+
+    def test_single_index_draw_skips_distinct_check(self):
+        d = SketchDraw(kind=COORD_ROW, indices=np.array([3]))
+        assert d.width == 1
+        with pytest.raises(ValueError, match="distinct"):
+            SketchDraw(kind=ROW_SUBSET, indices=np.array([2, 2]))
+
+
+class TestSamplingWeights:
+    @pytest.mark.parametrize("sid, dist, axis", [
+        ("K1", NORM_PROPORTIONAL, 1), ("C1", NORM_PROPORTIONAL, 0),
+        ("S1", TRACE_PROPORTIONAL, None)])
+    def test_cdf_of_the_paper_weights(self, sid, dist, axis):
+        a = random_spd(4, 9)
+        scheme = schemes.make_scheme(sid, distribution=dist)
+        w = np.diag(a) if axis is None else (a * a).sum(axis=axis)
+        got = schemes.sampling_weights(scheme, a)
+        assert np.array_equal(got.cdf, index_cdf(w).cdf)
+
+    def test_nan_matrix_fails_at_setup(self):
+        a = np.eye(3)
+        a[1, 2] = np.nan
+        scheme = schemes.make_scheme("K1", distribution=NORM_PROPORTIONAL)
+        with pytest.raises(ValueError, match="finite"):
+            schemes.sampling_weights(scheme, a)
 
 
 class TestRealize:
