@@ -214,7 +214,8 @@ def maintains_residual(scheme: Scheme) -> bool:
 
     Column and symmetric updates move the residual by ``A Z d``, an O(m l)
     product; a row update would need a full O(mn) matvec, as much as
-    recomputing the residual, so K schemes keep none.
+    recomputing the residual, so K schemes keep none (the solver reads
+    their residual norms from an anchor and ``A^T A`` instead).
     """
     # scheme ids are validated on construction; this runs on every step
     return scheme.id[0] != "K"
@@ -258,7 +259,7 @@ def step(scheme: Scheme, a: np.ndarray, b: np.ndarray,
         denom = float(u @ u)
         if denom <= 0.0:
             raise SkipStep("sketched row vanished")
-        return x + ((w @ (b - a @ x)) / denom) * u
+        return x + ((w @ b - u @ x) / denom) * u
 
     if sid == "C1":
         j = draw.indices[0]
@@ -311,14 +312,23 @@ def step(scheme: Scheme, a: np.ndarray, b: np.ndarray,
 
 def _row_block(a, b, x, draw, g):
     """K3-K6: the sketched rows ``ay = Y^T A`` and ``Z = ay^T`` (``G ay^T``
-    when weighted); returns ``x + Z (ay Z)^+ Y^T r``."""
+    when weighted); returns ``x + Z (ay Z)^+ Y^T r``.
+
+    ``Y^T r`` is ``Y^T b - ay x`` for both sketches, so no step forms
+    ``b - A x``: for a Gaussian ``W`` that is ``W^T b - U^T x`` with
+    ``U = A^T W`` (K2 does the same with one column), an O(mn) matvec fewer
+    per step. The cancellation costs no accuracy. With ``g_k = k eps``,
+    ``W^T (b - A x)`` rounds by up to ``g_(m+n) |W|^T (|b| + |A| |x|)``. Here
+    ``W^T b`` rounds by ``g_m |W|^T |b|``, ``U`` by ``g_m |A|^T |W|``, and
+    ``U^T x`` by ``g_n |U|^T |x|`` on top, where ``|U|^T |x| <= |W|^T |A| |x|``:
+    the same bound."""
     rows, w = draw.indices, draw.dense
     if rows is not None:
         ay = a[rows, :]
         ytr = b[rows] - ay @ x
     else:
         ay = (a.T @ w).T
-        ytr = w.T @ (b - a @ x)
+        ytr = w.T @ b - ay @ x
     z = ay.T if g is None else g @ ay.T
     return x + z @ (pseudoinverse(ay @ z) @ ytr)
 

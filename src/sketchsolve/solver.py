@@ -4,23 +4,36 @@ The loop is deliberately dumb: one sketch draw per iteration, one update,
 and a residual record at trace points only (every iteration for block
 schemes, every tenth by default for the scalar ones).
 
-What a record reads depends on the family. Column and symmetric schemes
-(:func:`schemes.maintains_residual`) carry ``r = b - A x`` through their
-updates, so their records read ``||r||`` in O(m). Row schemes keep no
-residual and recompute ``b - A x`` from scratch at every record, an O(mn)
-matvec. A maintained residual is checked against an exact recompute every
-``EXACT_EVERY`` records, on the final record at ``itmax``, and whenever it
-reads below the tolerance; that record carries the exact value, so
-``Converged`` is only ever returned on an exact residual. If the maintained
-residual has drifted from the exact one by more than ``DRIFT_RTOL * ||b||``
-the run stops with status ``Drift``: the incremental updates lost track of
-the iterate, which roundoff alone does not do.
+Every record takes one path: read a tracked residual norm, recompute
+``b - A x`` exactly when a rule fires, check the drift, resync. Column and
+symmetric schemes (:func:`schemes.maintains_residual`) track ``r = b - A x``
+through their updates and read ``||r||`` in O(m). Row schemes on systems
+tall and large enough that an O(mn) recompute costs well over an O(n^2)
+read (``ANCHOR_MIN_RATIO``, ``ANCHOR_MIN_SIZE``) read ``||b - A x||`` from
+the last exact residual and ``A^T A`` (:class:`_ResidualAnchor`,
+:attr:`Problem.gram`); elsewhere every row-scheme record is exact.
+
+A read comes with two bounds: its own rounding, and a floor for how far the
+rounding of ``b - A x`` itself can move a recompute (both first order in
+``(m + n) eps``; the maintained residual has no cheap bound and reads 0 for
+both). The exact residual is recomputed every ``EXACT_EVERY`` records, on
+the record at ``itmax``, whenever the value read minus both bounds is not
+above the tolerance, and whenever the rounding exceeds ``RECORD_RTOL`` of
+the value. That record carries the exact value and the tracker restarts
+from it, so ``Converged`` is only ever returned on an exact residual, and
+a row scheme stops on the record where exact records would have stopped
+it, up to second-order rounding. If the tracked value is further from the
+exact one than both bounds plus ``DRIFT_RTOL * ||b||``, the run stops with
+status ``Drift``: the incremental updates lost track of the iterate, which
+roundoff alone does not do.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,17 +46,39 @@ MAX_ITERS = "MaxIters"
 DRIFT = "Drift"
 
 CONSISTENCY_RTOL = 1e-8
-# records between exact recomputes of a maintained residual
+# records between exact recomputes of a tracked residual
 EXACT_EVERY = 100
-# largest tolerated ||r_maintained - (b - A x)|| / ||b||; roundoff measured
-# on the benchmark problems stays below 1e-14 over 30 000 steps
+# largest tolerated gap between a tracked and the exact residual, relative to
+# ||b||; roundoff measured on the benchmark problems stays below 1e-14 over
+# 30 000 steps
 DRIFT_RTOL = 1e-10
+# largest rounding bound of a record's own arithmetic, relative to the value
+# read, that the record may carry without an exact recompute
+RECORD_RTOL = 1e-6
+# row schemes read records from an anchor only where an O(mn) recompute costs
+# well over an O(n^2) read plus its fixed ~10 us: measured on dense problems
+# with n = 100, 250, 500, the anchor made K1 and K3 solves faster at every
+# shape with m >= 4 n and m n >= 2**17, and lost at some smaller ones
+ANCHOR_MIN_RATIO = 4
+ANCHOR_MIN_SIZE = 2 ** 17
+
+
+def _read_only(v: np.ndarray) -> np.ndarray:
+    v = v.view()
+    v.flags.writeable = False
+    return v
 
 
 @dataclass
 class Problem:
     """A linear system A x = b, optionally with a known solution for error
-    traces. When ``x_star`` is given the system must be consistent."""
+    traces. When ``x_star`` is given the system must be consistent.
+
+    ``a`` and ``b`` are read-only views of the arrays passed in, not copies,
+    so only writes through them are blocked. What the problem derives from
+    them and keeps (:attr:`gram`, :attr:`spd_error`) assumes they never
+    change: writing to the original arrays, or assigning new ones, after
+    construction leaves it stale, so build a new problem instead."""
 
     a: np.ndarray
     b: np.ndarray
@@ -51,8 +86,8 @@ class Problem:
     stats: "object | None" = None
 
     def __post_init__(self):
-        self.a = as_matrix(self.a)
-        self.b = as_vector(self.b)
+        self.a = _read_only(as_matrix(self.a))
+        self.b = _read_only(as_vector(self.b))
         m, n = self.a.shape
         if self.b.shape[0] != m:
             raise ValueError(f"b has length {self.b.shape[0]}, expected {m}")
@@ -70,6 +105,20 @@ class Problem:
     @property
     def shape(self) -> tuple[int, int]:
         return self.a.shape
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """``A^T A`` (read-only), formed on first use, O(m n^2), and kept."""
+        return _read_only(self.a.T @ self.a)
+
+    @cached_property
+    def spd_error(self) -> ValueError | None:
+        """Why ``A`` is not SPD, or None; the check runs once per problem."""
+        try:
+            SpdMatrix(self.a)
+        except ValueError as exc:
+            return exc
+        return None
 
 
 @dataclass(frozen=True)
@@ -124,15 +173,96 @@ def check_compatible(problem: Problem, scheme: schemes.Scheme):
         if m != n:
             raise ValueError(f"scheme {scheme.id} needs a square system, "
                              f"got {m}x{n}")
-        try:
-            SpdMatrix(problem.a)
-        except ValueError as exc:
+        exc = problem.spd_error
+        if exc is not None:
             raise ValueError(f"scheme {scheme.id} needs an SPD system: {exc}") from exc
     if scheme.g is not None:
         want = n if schemes.family(scheme.id) == "K" else m
         if scheme.g.n != want:
             raise ValueError(f"scheme {scheme.id} needs a {want}x{want} weight "
                              f"matrix, got {scheme.g.n}x{scheme.g.n}")
+
+
+class _MaintainedResidual:
+    """C and S schemes: ``r = b - A x``, moved in place by every
+    :func:`schemes.step`; a record reads ``||r||`` in O(m)."""
+
+    def __init__(self, r: np.ndarray, denom: float):
+        self.r, self.denom = r, denom
+
+    def read(self, x: np.ndarray) -> tuple[float, float, float]:
+        """The relative residual at ``x``, a bound on the rounding of the
+        read, and one on how far a recompute's own rounding can move it."""
+        return float(np.linalg.norm(self.r)) / self.denom, 0.0, 0.0
+
+    def resync(self, x: np.ndarray, exact: np.ndarray) -> float:
+        """Restart from the exact residual at ``x``; returns the relative
+        gap the tracked residual had from it."""
+        gap = float(np.linalg.norm(self.r - exact)) / self.denom
+        self.r[:] = exact
+        return gap
+
+
+class _ResidualAnchor:
+    """K schemes: ``||b - A x||^2`` read from the last exact residual ``r_a``
+    at ``x_a`` as ``||r_a||^2 - 2 d^T s_a + d^T G d``, with ``d = x - x_a``,
+    ``s_a = A^T r_a`` and ``G = A^T A``, in O(n^2) instead of O(mn).
+
+    The bound on a read is first order in ``u = (m + n) eps``, which covers
+    every dot product involved (length m in ``||r_a||^2``, ``s_a`` and ``G``,
+    length n in the read). ``s_a`` rounds by ``u |A|^T |r_a|``, which does not
+    shrink as ``A^T r_a`` does, and ``|d|^T |A|^T |r_a| <= ||A||_F ||d||
+    ||r_a||``; ``G`` rounds by ``u |A|^T |A|``, and ``|d|^T |A|^T |A| |d| <=
+    ||A||_F^2 ||d||^2``. So the three terms round by at most ``u (||r_a|| +
+    ||A||_F ||d||)^2``, the read's ``rounding``. Its ``floor`` is how far
+    the read can still be from a recompute at ``x`` because both recomputes
+    round: ``b - A x`` by ``u (|b| + |A| |x|)`` per entry, at ``x_a`` and at
+    ``x``, and its norm by ``u ||r||``. Without ``G`` it reads nothing, so
+    every record is exact."""
+
+    def __init__(self, a: np.ndarray, gram: np.ndarray | None,
+                 x: np.ndarray, r: np.ndarray, norm_b: float, denom: float):
+        self.a, self.gram, self.norm_b, self.denom = a, gram, norm_b, denom
+        if gram is not None:
+            m, n = a.shape
+            self.unit = (m + n) * np.finfo(float).eps
+            self.norm_a = math.sqrt(float(np.trace(gram)))  # ||A||_F
+            self._anchor(x, r)
+
+    def _anchor(self, x: np.ndarray, r: np.ndarray):
+        # s_a = A^T r_a waits for the first read: a final record needs none
+        self.x_a, self.r_a, self.s_a = x.copy(), r, None
+        self.q_a = float(r @ r)
+        self.floor_a = self.norm_b + self.norm_a * float(np.linalg.norm(x))
+
+    def read(self, x: np.ndarray) -> tuple[float, float, float]:
+        """The relative residual at ``x``, a bound on the rounding of the
+        read, and one on how far a recompute's own rounding can move it."""
+        if self.gram is None:
+            return 0.0, math.inf, 0.0
+        if self.s_a is None:
+            self.s_a = self.a.T @ self.r_a
+        d = x - self.x_a
+        q = self.q_a - 2.0 * float(d @ self.s_a) + float(d @ (self.gram @ d))
+        err = self.unit * (math.sqrt(self.q_a)
+                           + self.norm_a * float(np.linalg.norm(d))) ** 2
+        q = max(q, 0.0)
+        norm = math.sqrt(q)
+        rounding = max(norm - math.sqrt(max(q - err, 0.0)),
+                       math.sqrt(q + err) - norm)
+        floor = self.unit * (self.floor_a + self.norm_b + norm
+                             + self.norm_a * float(np.linalg.norm(x)))
+        self.last = norm / self.denom
+        return self.last, rounding / self.denom, floor / self.denom
+
+    def resync(self, x: np.ndarray, exact: np.ndarray) -> float:
+        """Re-anchor at the exact residual at ``x``; returns the relative
+        gap the last read had from it."""
+        if self.gram is None:
+            return 0.0
+        gap = abs(self.last - float(np.linalg.norm(exact)) / self.denom)
+        self._anchor(x, exact)
+        return gap
 
 
 def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
@@ -185,7 +315,12 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
     if record(0, rel_norm(r)) < stop.tol:
         trace.status = CONVERGED
         return x, trace
-    if not schemes.maintains_residual(scheme):
+    if schemes.maintains_residual(scheme):
+        tracked = _MaintainedResidual(r, res_denom)
+    else:
+        anchored = m >= ANCHOR_MIN_RATIO * n and m * n >= ANCHOR_MIN_SIZE
+        tracked = _ResidualAnchor(a, problem.gram if anchored else None, x, r,
+                                  norm_b, res_denom)
         r = None
 
     for k in range(1, stop.itmax + 1):
@@ -195,19 +330,18 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
         except schemes.SkipStep:
             trace.skip_count += 1
         if k % trace_every == 0 or k == stop.itmax:
-            if r is None:
-                rel_res = rel_norm(exact_residual())
-            else:
-                rel_res = rel_norm(r)
-                if (rel_res < stop.tol or k == stop.itmax
-                        or len(trace.records) % EXACT_EVERY == 0):
-                    exact = exact_residual()
-                    drift = rel_norm(r - exact)
-                    r, rel_res = exact, rel_norm(exact)
-                    if drift > DRIFT_RTOL:
-                        record(k, rel_res)
-                        trace.status = DRIFT
-                        return x, trace
+            rel_res, rounding, floor = tracked.read(x)
+            # a NaN bound fails its test, so it is recomputed too
+            if (k == stop.itmax or len(trace.records) % EXACT_EVERY == 0
+                    or rel_res - rounding - floor <= stop.tol
+                    or not rounding <= RECORD_RTOL * rel_res):
+                exact = exact_residual()
+                rel_res = rel_norm(exact)
+                # drift is a gap that rounding cannot explain
+                if tracked.resync(x, exact) > DRIFT_RTOL + rounding + floor:
+                    record(k, rel_res)
+                    trace.status = DRIFT
+                    return x, trace
             if record(k, rel_res) < stop.tol:
                 trace.status = CONVERGED
                 return x, trace

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from helpers import gaussian, ls_solution_oracle, random_spd
-from sketchsolve import schemes
+from sketchsolve import problems, schemes, solver
+from sketchsolve.linalg import SpdMatrix
 from sketchsolve.schemes import SkipStep, error_propagator, make_scheme, step
 from sketchsolve.sketch import draw_sketch, make_rng
 from sketchsolve.solver import (CONVERGED, DRIFT, EXACT_EVERY, MAX_ITERS,
@@ -44,6 +45,67 @@ class TestValidation:
         bad = make_scheme("K5", block_size=2, g=SpdMatrix(np.eye(6)))  # needs 3x3
         with pytest.raises(ValueError):
             solve(prob, bad, StopRule(), make_rng(0))
+
+
+class TestProblemCache:
+    def test_arrays_are_read_only_views(self):
+        a = gaussian(23, 5, 3)
+        b = a @ np.ones(3)
+        prob = Problem(a=a, b=b)
+        with pytest.raises(ValueError):
+            prob.a[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            prob.b[0] = 1.0
+        assert np.shares_memory(prob.a, a) and np.shares_memory(prob.b, b)
+        assert a.flags.writeable and b.flags.writeable
+
+    def test_writes_to_the_callers_array_leave_the_cache_stale(self):
+        # documented: the views block writes through prob.a, not through a
+        a = gaussian(30, 20, 4)
+        prob = Problem(a=a, b=a @ np.ones(4))
+        gram = prob.gram.copy()
+        a[0, 0] += 1.0
+        assert prob.a[0, 0] == a[0, 0]
+        assert np.array_equal(prob.gram, gram)
+
+    def test_gram_formed_once(self):
+        prob = _consistent_problem(24, 9, 4)
+        gram = prob.gram
+        assert prob.gram is gram
+        assert not gram.flags.writeable
+        assert np.array_equal(gram, prob.a.T @ prob.a)
+
+    def test_spd_check_runs_once_per_problem(self, monkeypatch):
+        calls = []
+
+        def counting(mat):
+            calls.append(None)
+            return SpdMatrix(mat)
+
+        monkeypatch.setattr(solver, "SpdMatrix", counting)
+        a = random_spd(25, 12)
+        prob = Problem(a=a, b=a @ np.ones(12), x_star=np.ones(12))
+        for sid in ("S1", "S2", "S3", "S4"):
+            for trial in range(2):
+                solve(prob, make_scheme(sid, block_size=3),
+                      StopRule(itmax=200, tol=1e-6), make_rng(trial))
+        assert len(calls) == 1
+
+    def test_non_spd_fails_every_solve(self, monkeypatch):
+        calls = []
+
+        def counting(mat):
+            calls.append(None)
+            return SpdMatrix(mat)
+
+        monkeypatch.setattr(solver, "SpdMatrix", counting)
+        prob = _consistent_problem(26, 5, 5)
+        for sid in ("S1", "S3", "S1"):
+            with pytest.raises(ValueError, match=f"scheme {sid} needs an SPD "
+                               "system: matrix is not symmetric"):
+                solve(prob, make_scheme(sid, block_size=2), StopRule(),
+                      make_rng(0))
+        assert len(calls) == 1
 
 
 class TestSolve:
@@ -198,6 +260,143 @@ class TestReplay:
         assert trace.status == DRIFT
         assert trace.final.rel_residual == \
             np.linalg.norm(prob.b - prob.a @ x) / np.linalg.norm(prob.b)
+
+
+def _sparse_normal(rc: float) -> Problem:
+    return problems.generate(problems.ProblemSpec(
+        kind="SparseNormal", m=200, n=20, rc=rc, seed=5))
+
+
+def _least_squares_problem() -> Problem:
+    """Tall and inconsistent: b leaves range(A) by 1e-7 ||b||, so a step onto
+    all rows at once takes the residual from ||b|| to 1e-7 ||b||."""
+    a = gaussian(18, 40, 6)
+    b0 = a @ np.ones(6)
+    z = np.random.default_rng(18).standard_normal(40)
+    perp = z - a @ ls_solution_oracle(a, z)
+    return Problem(a=a, b=b0 + 1e-7 * np.linalg.norm(b0) / np.linalg.norm(perp) * perp)
+
+
+def _noisy_problem(seed: int, m: int, n: int, noise: float) -> Problem:
+    """Tall and inconsistent: ``b = A 1 + e`` with ``||e|| = noise ||A 1||``."""
+    a = gaussian(seed, m, n)
+    b0 = a @ np.ones(n)
+    e = np.random.default_rng(seed).standard_normal(m)
+    return Problem(a=a, b=b0 + noise * np.linalg.norm(b0) / np.linalg.norm(e) * e)
+
+
+class TestAnchoredRecords:
+    """Row schemes on tall systems read their records from an exact anchor
+    and A^T A; each record must still agree with a recompute, and the run
+    must stop where exact records would have stopped it. The problems here
+    are smaller than ANCHOR_MIN_SIZE, so the anchor is switched on for them."""
+
+    @pytest.fixture(autouse=True)
+    def _anchor_small_problems(self, monkeypatch):
+        monkeypatch.setattr(solver, "ANCHOR_MIN_SIZE", 0)
+
+    @pytest.mark.parametrize("sid, make, block, tol, itmax", [
+        pytest.param("K1", lambda: _sparse_normal(1e-3), 1, 1e-3, 20_000,
+                     id="K1-sparse-rc1e-3"),
+        pytest.param("K1", lambda: _sparse_normal(1e-3), 1, 1e-4, 3000,
+                     id="K1-sparse-rc1e-3-itmax"),
+        pytest.param("K3", lambda: _sparse_normal(1e-3), 8, 1e-3, 20_000,
+                     id="K3-sparse-rc1e-3"),
+        pytest.param("K4", lambda: _sparse_normal(1e-3), 4, 1e-3, 20_000,
+                     id="K4-sparse-rc1e-3"),
+        pytest.param("K3", lambda: _sparse_normal(1e-1), 4, 1e-8, 20_000,
+                     id="K3-sparse-rc1e-1"),
+        pytest.param("K1", lambda: _consistent_problem(19, 150, 20), 1, 1e-10,
+                     20_000, id="K1-gaussian"),
+        # the residual falls so fast that reads from an old anchor lose their
+        # digits long before tol: without the RECORD_RTOL guard they are off
+        # by ~1e-10
+        pytest.param("K3", lambda: _consistent_problem(27, 200, 20), 16, 1e-13,
+                     100, id="K3-fast"),
+        # one step leaves 1e-14 of ||r_a||^2, below the read's rounding bound
+        pytest.param("K3", _least_squares_problem, 40, 1e-9, 6,
+                     id="K3-all-rows-least-squares"),
+        # m / n = 50 and inconsistent: A^T r shrinks near the least-squares
+        # solution while the rounding of s_a = A^T r_a does not
+        pytest.param("K1", lambda: _noisy_problem(28, 2000, 40, 0.3), 1,
+                     0.2, 3000, id="K1-least-squares-m/n=50"),
+        pytest.param("K3", lambda: _noisy_problem(28, 2000, 40, 0.3), 40,
+                     0.2, 300, id="K3-least-squares-m/n=50"),
+    ])
+    def test_records_match_replay(self, sid, make, block, tol, itmax):
+        prob = make()
+        scheme = make_scheme(sid, block_size=block)
+        seed = 77
+        stop = StopRule(itmax=itmax, tol=tol)
+        x_final, trace = solve(prob, scheme, stop, make_rng(seed))
+        every = solver.default_trace_every(scheme)
+        # some records read the anchor, and the first and last are exact
+        assert 2 <= trace.exact_recomputes < len(trace.records)
+
+        rng = make_rng(seed)
+        a, b = prob.a, prob.b
+        sampler = schemes.sampling_weights(scheme, a)
+        norm_b = np.linalg.norm(b)
+        x = np.zeros(a.shape[1])
+        replayed = [(0, np.linalg.norm(b) / norm_b)]
+        for k in range(1, trace.iterations + 1):
+            draw = draw_sketch(scheme.spec, a.shape, rng, sampler)
+            try:
+                x = step(scheme, a, b, x, draw)
+            except SkipStep:
+                pass
+            if k % every == 0 or k == itmax:
+                replayed.append((k, np.linalg.norm(b - a @ x) / norm_b))
+        assert [rec.k for rec in trace.records] == [k for k, _ in replayed]
+        for rec, (_, recomputed) in zip(trace.records, replayed):
+            assert abs(rec.rel_residual - recomputed) <= 1e-12
+        below = [k for k, res in replayed if res < tol]
+        if trace.status == CONVERGED:
+            assert trace.iterations == below[0]
+        else:
+            assert trace.status == MAX_ITERS and not below
+        assert trace.final.rel_residual == np.linalg.norm(b - a @ x_final) / norm_b
+
+    def test_full_block_converges_in_one_step_on_exact_record(self):
+        prob = _consistent_problem(20, 24, 5)
+        x, trace = solve(prob, make_scheme("K3", block_size=24),
+                         StopRule(itmax=10, tol=1e-10), make_rng(0))
+        assert trace.status == CONVERGED
+        assert trace.iterations == 1
+        assert trace.exact_recomputes == 2
+        assert trace.final.rel_residual == \
+            np.linalg.norm(prob.b - prob.a @ x) / np.linalg.norm(prob.b)
+
+    def test_perturbed_gram_stops_with_drift(self, monkeypatch):
+        prob = _consistent_problem(21, 60, 8)
+        monkeypatch.setattr(prob, "gram", prob.gram * (1.0 + 1e-6))
+        x, trace = solve(prob, make_scheme("K1"),
+                         StopRule(itmax=5000, tol=1e-14), make_rng(0))
+        assert trace.status == DRIFT
+        assert trace.final.rel_residual == \
+            np.linalg.norm(prob.b - prob.a @ x) / np.linalg.norm(prob.b)
+
+    @pytest.mark.parametrize("m, n", [(12, 12), (8, 12), (30, 12)])
+    def test_square_wide_and_near_square_records_are_exact(self, m, n):
+        prob = _consistent_problem(22, m, n)
+        for sid, block in (("K1", 1), ("K3", 3)):
+            _, trace = solve(prob, make_scheme(sid, block_size=block),
+                             StopRule(itmax=3000, tol=1e-8), make_rng(1))
+            assert len(trace.records) > 2
+            assert trace.exact_recomputes == len(trace.records)
+
+
+class TestAnchorPolicy:
+    @pytest.mark.parametrize("m, n, anchored", [
+        (120, 24, False),  # m / n = 5 but m n < ANCHOR_MIN_SIZE
+        (1024, 128, True),
+    ])
+    def test_anchor_only_on_large_tall_systems(self, m, n, anchored):
+        prob = _consistent_problem(29, m, n)
+        _, trace = solve(prob, make_scheme("K1"), StopRule(tol=1e-3),
+                         make_rng(2))
+        assert trace.status == CONVERGED
+        assert (trace.exact_recomputes < len(trace.records)) == anchored
 
 
 class TestLeastSquares:
