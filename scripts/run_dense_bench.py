@@ -9,10 +9,9 @@ scalar-vs-block comparison figures.
 import argparse
 import json
 import sys
-import tempfile
 from pathlib import Path
 
-from sketchsolve.cli import main as cli_main
+from sketchsolve.cli import run_bench
 
 
 def main() -> int:
@@ -32,10 +31,7 @@ def main() -> int:
         "seed": args.seed,
         "output_dir": args.out,
     }
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(config, fh)
-        cfg_path = fh.name
-    code = cli_main(["bench", "--config", cfg_path])
+    code = run_bench(config)
     if code == 0:
         summary = json.loads((Path(args.out) / "summary.json").read_text())
         for entry in summary["per_scheme"]:

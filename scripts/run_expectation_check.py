@@ -8,19 +8,13 @@ inverse for the coordinate partition.
 import argparse
 import json
 import sys
-import tempfile
 from pathlib import Path
 
-from sketchsolve.cli import main as cli_main
+from sketchsolve.cli import run_verify_expectation
 
 
 def _run(config: dict) -> dict:
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(config, fh)
-        cfg_path = fh.name
-    code = cli_main(["verify-expectation", "--config", cfg_path])
-    if code != 0:
-        raise SystemExit(code)
+    run_verify_expectation(config)
     return json.loads((Path(config["output_dir"]) / "expectation.json").read_text())
 
 

@@ -10,17 +10,13 @@ tolerance, mirroring the `sketchsolve rates` subcommand.
 import argparse
 import json
 import sys
-import tempfile
 from pathlib import Path
 
-from sketchsolve.cli import main as cli_main
+from sketchsolve.cli import run_rates
 
 
 def _run(config: dict) -> int:
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(config, fh)
-        cfg_path = fh.name
-    code = cli_main(["rates", "--config", cfg_path])
+    code = run_rates(config)
     payload = json.loads((Path(config["output_dir"]) / "rates.json").read_text())
     for report in payload["reports"]:
         print(f"{report['scheme']} ({report['norm_used']} norm): "

@@ -1,13 +1,13 @@
 """Randomized sketch-and-project solvers for consistent linear systems."""
 
 from .linalg import SpdMatrix, extremal_eigs, frobenius_norm_sq, \
-    pseudoinverse, spd_sqrt, weighted_norm
+    pseudoinverse, spd_sqrt
 from .problems import ProblemSpec, ProblemStats, generate, load_matrixmarket, \
     save_matrixmarket
 from .schemes import ALL_SCHEMES, Scheme, SkipStep, error_propagator, \
     make_scheme, realize_sketch, reduction_discrepancy, step, step_generic
 from .sketch import SketchDraw, SketchSpec, draw_sketch, make_rng, rng_from_keys
-from .solver import Problem, SolveTrace, StopRule, solve, solve_with_ls_residual
+from .solver import Problem, SolveTrace, StopRule, solve
 from .theory import ExpectationEstimate, RateReport, coordinate_partition, \
     estimate_mean_propagator, fit_empirical_rate, mean_sketched_inverse, \
     rate_gaussian_bound, rate_norm_sampling, rate_trace_sampling
@@ -21,6 +21,6 @@ __all__ = [
     "load_matrixmarket", "make_rng", "make_scheme", "mean_sketched_inverse",
     "pseudoinverse", "rate_gaussian_bound", "rate_norm_sampling",
     "rate_trace_sampling", "realize_sketch", "reduction_discrepancy",
-    "rng_from_keys", "save_matrixmarket", "solve", "solve_with_ls_residual",
-    "spd_sqrt", "step", "step_generic", "weighted_norm",
+    "rng_from_keys", "save_matrixmarket", "solve", "spd_sqrt", "step",
+    "step_generic",
 ]

@@ -255,9 +255,12 @@ def run_rates(cfg: dict) -> int:
         norm_used = cfg.get("norm_used") or (
             theory.NORM_GINV if (fam == "K" and scheme.g is not None)
             else _DEFAULT_RATE_NORM[fam])
-        report = theory.fit_empirical_rate(problem, scheme, trials=trials,
-                                           iterations=iterations,
-                                           norm_used=norm_used, seed=seed)
+        try:
+            report = theory.fit_empirical_rate(problem, scheme, trials=trials,
+                                               iterations=iterations,
+                                               norm_used=norm_used, seed=seed)
+        except ValueError as exc:  # e.g. an S scheme on a non-SPD matrix
+            raise ConfigError(f"rates for {sid}: {exc}") from exc
         reports.append(report.to_json_dict())
         if (math.isfinite(report.rho_theory) and not report.degenerate
                 and math.isfinite(report.rho_fit)

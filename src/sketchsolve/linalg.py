@@ -111,16 +111,6 @@ class SpdMatrix:
         return f"SpdMatrix(n={self.n})"
 
 
-def weighted_norm(v, w: SpdMatrix) -> float:
-    """Energetic norm sqrt(v^T W v) for SPD weight W."""
-    v = as_vector(v)
-    if v.shape[0] != w.n:
-        raise ValueError(f"vector length {v.shape[0]} does not match "
-                         f"weight dimension {w.n}")
-    q = float(v @ w.mat @ v)
-    return float(np.sqrt(max(q, 0.0)))
-
-
 def spd_sqrt(w: SpdMatrix) -> np.ndarray:
     """Symmetric square root S with S @ S = W, via the eigendecomposition."""
     vals, vecs = np.linalg.eigh(w.mat)

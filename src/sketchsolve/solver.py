@@ -26,12 +26,17 @@ it, up to second-order rounding. If the tracked value is further from the
 exact one than both bounds plus ``DRIFT_RTOL * ||b||``, the run stops with
 status ``Drift``: the incremental updates lost track of the iterate, which
 roundoff alone does not do.
+
+This is the only loop that runs the iteration: rate fits
+(:func:`theory.fit_empirical_rate`) run their trials through :func:`solve`
+and read the iterate after every step through its ``observe`` hook.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -97,7 +102,10 @@ class Problem:
                 raise ValueError(f"x_star has length {self.x_star.shape[0]}, "
                                  f"expected {n}")
             gap = float(np.linalg.norm(self.a @ self.x_star - self.b))
-            if gap > CONSISTENCY_RTOL * float(np.linalg.norm(self.b)):
+            # a NaN gap fails every comparison, and an infinite one can pass
+            # against an infinite ||b||: non-finite input is refused here
+            if not (math.isfinite(gap)
+                    and gap <= CONSISTENCY_RTOL * float(np.linalg.norm(self.b))):
                 raise ValueError(f"x_star does not solve the system "
                                  f"(residual {gap:.3e}); pass x_star=None for "
                                  f"inconsistent right-hand sides")
@@ -181,6 +189,15 @@ def check_compatible(problem: Problem, scheme: schemes.Scheme):
         if scheme.g.n != want:
             raise ValueError(f"scheme {scheme.id} needs a {want}x{want} weight "
                              f"matrix, got {scheme.g.n}x{scheme.g.n}")
+
+
+def initial_iterate(problem: Problem, x0: np.ndarray | None) -> np.ndarray:
+    """A fresh copy of ``x0``, or zeros, checked against the problem."""
+    n = problem.shape[1]
+    x = np.zeros(n) if x0 is None else as_vector(x0).copy()
+    if x.shape[0] != n:
+        raise ValueError(f"x0 has length {x.shape[0]}, expected {n}")
+    return x
 
 
 class _MaintainedResidual:
@@ -267,13 +284,19 @@ class _ResidualAnchor:
 
 def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
           rng: np.random.Generator, x0: np.ndarray | None = None,
-          trace_every: int | None = None) -> tuple[np.ndarray, SolveTrace]:
+          trace_every: int | None = None,
+          observe: Callable[[int, np.ndarray], None] | None = None,
+          ) -> tuple[np.ndarray, SolveTrace]:
     """Iterate ``scheme`` on ``problem`` until the stop rule fires.
 
     Exactly one sketch is drawn from ``rng`` per iteration, so a run is
     reproducible (and replayable step by step) from its seed. Returns the
     final iterate and the trace; the trace holds a record for k = 0, every
     ``trace_every``-th iteration, and the final iterate.
+
+    If given, ``observe(k, x)`` is called after each update k = 1, 2, ...,
+    skipped steps included, before that iteration's record; it must not
+    modify ``x``. Rate fits read their per-step errors through it.
     """
     check_compatible(problem, scheme)
     a, b = problem.a, problem.b
@@ -283,10 +306,7 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
     if trace_every < 1:
         raise ValueError("trace_every must be >= 1")
 
-    x = np.zeros(n) if x0 is None else as_vector(x0).copy()
-    if x.shape[0] != n:
-        raise ValueError(f"x0 has length {x.shape[0]}, expected {n}")
-
+    x = initial_iterate(problem, x0)
     sampler = schemes.sampling_weights(scheme, a)
     norm_b = float(np.linalg.norm(b))
     res_denom = norm_b if norm_b > 0.0 else 1.0
@@ -329,6 +349,8 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
             x = schemes.step(scheme, a, b, x, draw, r=r)
         except schemes.SkipStep:
             trace.skip_count += 1
+        if observe is not None:
+            observe(k, x)
         if k % trace_every == 0 or k == stop.itmax:
             rel_res, rounding, floor = tracked.read(x)
             # a NaN bound fails its test, so it is recomputed too
@@ -349,22 +371,3 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
     trace.status = MAX_ITERS
     return x, trace
 
-
-def solve_with_ls_residual(problem: Problem, scheme: schemes.Scheme,
-                           stop: StopRule, rng: np.random.Generator,
-                           x0: np.ndarray | None = None,
-                           trace_every: int | None = None,
-                           ) -> tuple[np.ndarray, SolveTrace, float]:
-    """Like :func:`solve`, additionally reporting the least-squares
-    optimality residual ||A^T (A x - b)|| / ||A^T b|| at the final iterate.
-
-    Column-action schemes drive this to zero even on inconsistent systems;
-    row-action schemes hover around the least-squares solution and leave it
-    stalled, which is what this diagnostic is for.
-    """
-    x, trace = solve(problem, scheme, stop, rng, x0=x0, trace_every=trace_every)
-    atb = problem.a.T @ problem.b
-    denom = float(np.linalg.norm(atb))
-    num = float(np.linalg.norm(problem.a.T @ (problem.a @ x - problem.b)))
-    normal_eq_residual = num / (denom if denom > 0.0 else 1.0)
-    return x, trace, normal_eq_residual

@@ -16,20 +16,22 @@ module also estimates those expectations directly: by Monte-Carlo with
 bootstrap error bars for Gaussian sketches (:func:`estimate_mean_propagator`)
 and by exact enumeration for finite sketch families
 (:func:`mean_sketched_inverse`). :func:`fit_empirical_rate` closes the loop
-by fitting the observed contraction of solver runs against the theory value.
+by fitting the observed contraction of solver runs against the theory value;
+its trials are :func:`solver.solve` runs, so a fit gets the same input
+validation as a solve (SPD systems for S schemes, weight and ``x0`` sizes).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import schemes, sketch
 from .linalg import (SpdMatrix, as_matrix, extremal_eigs, finite_or_none,
                      frobenius_norm_sq, pseudoinverse, spd_sqrt)
-from .solver import Problem
+from .solver import Problem, StopRule, check_compatible, initial_iterate, solve
 
 NORM_EUCLID = "euclid"
 NORM_GINV = "ginv"
@@ -329,55 +331,53 @@ def fit_empirical_rate(problem: Problem, scheme: schemes.Scheme, trials: int,
     """Run ``trials`` independent fixed-length solves and fit the observed
     per-step contraction of the mean squared error in ``norm_used``.
 
-    Each trial gets its own RNG stream derived from ``seed``, so the report
-    does not depend on execution order. Needs a known solution; starting at
-    the solution makes the error identically zero and is reported as
-    degenerate rather than fitted.
+    Each trial is a :func:`solver.solve` run of ``iterations`` steps on its
+    own RNG stream derived from ``seed``, so the report does not depend on
+    execution order, and the problem, scheme and ``x0`` are validated as for
+    a solve. Needs a known solution. A start with zero error (at the
+    solution) or with an exactly zero residual (from which no step moves)
+    is reported as degenerate rather than fitted.
     """
     if problem.x_star is None:
         raise ValueError("empirical rate fitting needs a known solution")
+    if trials < 1 or iterations < 1:
+        raise ValueError("trials and iterations must be >= 1")
+    check_compatible(problem, scheme)
+    x_start = initial_iterate(problem, x0)
     a = problem.a
-    m, n = a.shape
     wmat = _norm_matrix(norm_used, a, scheme.g)
-    sampler = schemes.sampling_weights(scheme, a)
-    x_start = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
 
     def err_sq(e: np.ndarray) -> float:
         if wmat is None:
             return float(e @ e)
         return float(e @ wmat @ e)
 
+    report = RateReport(scheme=scheme.id, rho_theory=_theory_rate(scheme, a),
+                        rho_fit=math.nan, trials=trials,
+                        iterations=iterations, norm_used=norm_used,
+                        degenerate=True)
+    if err_sq(x_start - problem.x_star) <= 0.0:
+        return report
+
+    # a tolerance below every positive residual: only b - A x = 0 stops a trial
+    stop = StopRule(itmax=iterations, tol=math.ulp(0.0))
     sq = np.zeros((trials, iterations + 1))
-    mean_err = np.zeros((iterations + 1, n))
-    for t in range(trials):
-        rng = sketch.rng_from_keys(seed, t)
-        x = x_start.copy()
-        r = problem.b - a @ x if schemes.maintains_residual(scheme) else None
+    mean_err = np.zeros((iterations + 1, a.shape[1]))
+
+    def observe(k: int, x: np.ndarray):
         e = x - problem.x_star
-        sq[t, 0] = err_sq(e)
-        mean_err[0] += e
-        for k in range(1, iterations + 1):
-            draw = sketch.draw_sketch(scheme.spec, (m, n), rng, sampler)
-            try:
-                x = schemes.step(scheme, a, problem.b, x, draw, r=r)
-            except schemes.SkipStep:
-                pass
-            e = x - problem.x_star
-            sq[t, k] = err_sq(e)
-            mean_err[k] += e
+        sq[t, k] = err_sq(e)
+        mean_err[k] += e
 
-    msq = sq.mean(axis=0)
+    for t in range(trials):
+        observe(0, x_start)
+        _, trace = solve(problem, scheme, stop, sketch.rng_from_keys(seed, t),
+                         x0=x_start, trace_every=iterations, observe=observe)
+        if trace.iterations < iterations:
+            return report
+
     mean_err /= trials
-    rho_theory = _theory_rate(scheme, a)
-    if msq[0] <= 0.0:
-        return RateReport(scheme=scheme.id, rho_theory=rho_theory,
-                          rho_fit=math.nan, trials=trials,
-                          iterations=iterations, norm_used=norm_used,
-                          degenerate=True)
-
-    mean_sq_of_mean = np.array([err_sq(mean_err[k]) for k in range(iterations + 1)])
-    return RateReport(scheme=scheme.id, rho_theory=rho_theory,
-                      rho_fit=_fit_contraction(msq), trials=trials,
-                      iterations=iterations, norm_used=norm_used,
-                      rho_fit_norm_of_mean=_fit_contraction(mean_sq_of_mean),
-                      degenerate=False)
+    mean_sq_of_mean = np.array([err_sq(e) for e in mean_err])
+    return replace(report, rho_fit=_fit_contraction(sq.mean(axis=0)),
+                   rho_fit_norm_of_mean=_fit_contraction(mean_sq_of_mean),
+                   degenerate=False)

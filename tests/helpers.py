@@ -52,3 +52,10 @@ def check_moore_penrose(m: np.ndarray, pinv: np.ndarray, tol_scale: float = 1e-1
 def ls_solution_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Least-squares solution via the normal equations, solved directly."""
     return np.linalg.solve(a.T @ a, a.T @ b)
+
+
+def ls_residual(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
+    """Least-squares optimality ||A^T (b - A x)|| / ||A^T b||: zero exactly
+    at a least-squares solution, consistent or not."""
+    denom = float(np.linalg.norm(a.T @ b))
+    return float(np.linalg.norm(a.T @ (b - a @ x))) / (denom if denom > 0.0 else 1.0)

@@ -170,6 +170,23 @@ class TestRates:
         payload = json.loads((out / "rates.json").read_text())
         assert payload["violations"] == ["S1"]
 
+    def test_symmetric_scheme_on_non_spd_file_is_config_error(self, tmp_path,
+                                                               capsys):
+        mtx = tmp_path / "A.mtx"
+        save_matrixmarket(mtx, make_rng(2).standard_normal((6, 6)))
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path, "rates.json", {
+            "problem": {"kind": "FromFile", "path": str(mtx)},
+            "schemes": ["S1"],
+            "trials": 3,
+            "iterations": 20,
+            "output_dir": str(out),
+        })
+        assert main(["rates", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "S1 needs an SPD system" in err
+        assert not (out / "rates.json").exists()
+
 
 class TestVerifyExpectation:
     def test_propagator_target(self, tmp_path):

@@ -5,8 +5,7 @@ from hypothesis import given
 
 from helpers import check_moore_penrose, eigs_via_charpoly, gaussian, random_spd
 from sketchsolve.linalg import (SpdMatrix, extremal_eigs, frobenius_norm_sq,
-                                pseudoinverse, spd_sqrt, squared_norms,
-                                weighted_norm)
+                                pseudoinverse, spd_sqrt, squared_norms)
 
 
 class TestPseudoinverse:
@@ -65,29 +64,6 @@ class TestExtremalEigs:
             v /= np.linalg.norm(v)
             q = v @ sym @ v
             assert lo - 1e-8 <= q <= hi + 1e-8
-
-
-class TestWeightedNorm:
-    def test_euclidean_case(self):
-        assert weighted_norm([3.0, 4.0], SpdMatrix(np.eye(2))) == pytest.approx(5.0)
-
-    def test_zero_vector(self):
-        assert weighted_norm([0.0, 0.0], SpdMatrix(np.eye(2))) == 0.0
-
-    def test_diagonal_weight(self):
-        out = weighted_norm([1.0, 1.0], SpdMatrix(np.diag([2.0, 3.0])))
-        assert out == pytest.approx(np.sqrt(5.0))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            weighted_norm([1.0, 2.0, 3.0], SpdMatrix(np.eye(2)))
-
-    @given(seed=st.integers(0, 10_000), n=st.integers(1, 8))
-    def test_identity_weight_matches_euclid(self, seed, n):
-        v = np.random.default_rng(seed).standard_normal(n)
-        got = weighted_norm(v, SpdMatrix(np.eye(n)))
-        want = float(np.linalg.norm(v))
-        assert abs(got - want) <= 1e-14 * max(want, 1.0)
 
 
 class TestFrobenius:

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import gaussian, ls_solution_oracle, random_spd
+from helpers import gaussian, ls_residual, ls_solution_oracle, random_spd
 from sketchsolve import problems, schemes, solver
 from sketchsolve.linalg import SpdMatrix
 from sketchsolve.schemes import SkipStep, error_propagator, make_scheme, step
 from sketchsolve.sketch import draw_sketch, make_rng
 from sketchsolve.solver import (CONVERGED, DRIFT, EXACT_EVERY, MAX_ITERS,
-                                Problem, StopRule, solve,
-                                solve_with_ls_residual)
+                                Problem, StopRule, solve)
 
 
 def _consistent_problem(seed: int, m: int, n: int) -> Problem:
@@ -27,6 +26,21 @@ class TestValidation:
     def test_problem_rejects_inconsistent_known_solution(self):
         with pytest.raises(ValueError):
             Problem(a=np.eye(2), b=np.array([1.0, 1.0]), x_star=np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("where", ["a", "b", "x_star"])
+    def test_problem_rejects_non_finite_input_with_known_solution(self, where):
+        # NaN in A or x_star gives a NaN gap, Inf in b an Inf gap against an
+        # Inf bound: neither may pass the consistency check
+        a, x_star = np.eye(2), np.ones(2)
+        b = a @ x_star
+        if where == "a":
+            a[0, 1] = np.nan
+        elif where == "b":
+            b[1] = np.inf
+        else:
+            x_star[0] = np.nan
+        with pytest.raises(ValueError, match="does not solve"):
+            Problem(a=a, b=b, x_star=x_star)
 
     def test_stop_rule_checks(self):
         with pytest.raises(ValueError):
@@ -179,6 +193,33 @@ class TestSolve:
         _, trace = solve(prob, make_scheme("K1"), StopRule(itmax=200, tol=1e-10),
                          make_rng(1))
         assert trace.skip_count > 0
+
+    @pytest.mark.parametrize("sid", ["K1", "C3", "S3"])
+    def test_observe_sees_every_step_and_changes_nothing(self, sid):
+        a = random_spd(9, 6)
+        prob = Problem(a=a, b=a @ np.ones(6), x_star=np.ones(6))
+        scheme = make_scheme(sid, block_size=2)
+        stop = StopRule(itmax=60, tol=1e-300)
+        seen = []
+        x, trace = solve(prob, scheme, stop, make_rng(3), trace_every=7,
+                         observe=lambda k, x: seen.append((k, x.copy())))
+        x_plain, plain = solve(prob, scheme, stop, make_rng(3), trace_every=7)
+        assert [k for k, _ in seen] == list(range(1, 61))
+        assert np.array_equal(seen[-1][1], x) and np.array_equal(x, x_plain)
+        assert [(r.k, r.rel_residual, r.rel_error) for r in trace.records] == \
+            [(r.k, r.rel_residual, r.rel_error) for r in plain.records]
+        for rec in trace.records[1:]:
+            err = float(np.linalg.norm(seen[rec.k - 1][1] - prob.x_star))
+            assert rec.rel_error == err / float(np.linalg.norm(prob.x_star))
+
+    def test_observe_sees_skipped_steps(self):
+        a = np.vstack([np.zeros((1, 3)), gaussian(8, 5, 3)])
+        prob = Problem(a=a, b=a @ np.ones(3), x_star=np.ones(3))
+        ks = []
+        _, trace = solve(prob, make_scheme("K1"), StopRule(itmax=200, tol=1e-300),
+                         make_rng(1), observe=lambda k, x: ks.append(k))
+        assert trace.skip_count > 0
+        assert ks == list(range(1, 201))
 
 
 class TestReplay:
@@ -411,24 +452,23 @@ class TestLeastSquares:
 
     def test_column_scheme_reaches_ls_solution(self):
         prob, a, b = self._inconsistent_problem(13, 50, 5, noise=0.3)
-        x, trace, neq = solve_with_ls_residual(
-            prob, make_scheme("C1"), StopRule(itmax=20_000, tol=1e-12), make_rng(5))
-        assert neq <= 1e-4
+        x, trace = solve(prob, make_scheme("C1"), StopRule(itmax=20_000, tol=1e-12),
+                         make_rng(5))
+        assert ls_residual(a, b, x) <= 1e-4
         x_ls = ls_solution_oracle(a, b)
         assert np.linalg.norm(x - x_ls) <= 1e-3 * np.linalg.norm(x_ls)
 
     def test_row_scheme_hovers(self):
         prob, a, b = self._inconsistent_problem(13, 50, 5, noise=0.3)
-        x, trace, neq = solve_with_ls_residual(
-            prob, make_scheme("K1"), StopRule(itmax=20_000, tol=1e-12), make_rng(5))
+        x, trace = solve(prob, make_scheme("K1"), StopRule(itmax=20_000, tol=1e-12),
+                         make_rng(5))
         assert trace.status == MAX_ITERS
-        assert neq > 1e-4
+        assert ls_residual(a, b, x) > 1e-4
 
     def test_consistent_limit(self):
         prob = _consistent_problem(14, 40, 5)
         for sid in ("C1", "K1"):
-            _, trace, neq = solve_with_ls_residual(
-                prob, make_scheme(sid), StopRule(itmax=50_000, tol=1e-10),
-                make_rng(6))
+            x, trace = solve(prob, make_scheme(sid),
+                             StopRule(itmax=50_000, tol=1e-10), make_rng(6))
             assert trace.status == CONVERGED
-            assert neq <= 1e-8
+            assert ls_residual(prob.a, prob.b, x) <= 1e-8

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from helpers import eigs_via_charpoly, gaussian, random_orthogonal, random_spd
+from sketchsolve import schemes, theory
 from sketchsolve.linalg import SpdMatrix
 from sketchsolve.schemes import make_scheme
-from sketchsolve.sketch import NORM_PROPORTIONAL, TRACE_PROPORTIONAL, make_rng
+from sketchsolve.sketch import (NORM_PROPORTIONAL, TRACE_PROPORTIONAL, UNIFORM,
+                                draw_sketch, make_rng, rng_from_keys)
 from sketchsolve.solver import Problem
 from sketchsolve.theory import (ExpectationEstimate, coordinate_partition,
                                 estimate_mean_propagator, fit_empirical_rate,
@@ -169,6 +171,37 @@ class TestMeanSketchedInverse:
             mean_sketched_inverse(np.eye(2), None, [(np.eye(2), 0.5)])
 
 
+def _replay_fit(problem, scheme, trials, iterations, norm_used, seed):
+    """A fit's trials written out: per step one draw and one update, with the
+    residual maintained for the column and symmetric schemes; the error norm
+    and the fitted contraction are the fit's own."""
+    a, b, x_star = problem.a, problem.b, problem.x_star
+    wmat = theory._norm_matrix(norm_used, a, scheme.g)
+
+    def err_sq(e):
+        return float(e @ e) if wmat is None else float(e @ wmat @ e)
+
+    sampler = schemes.sampling_weights(scheme, a)
+    sq = np.zeros((trials, iterations + 1))
+    mean_err = np.zeros((iterations + 1, a.shape[1]))
+    for t in range(trials):
+        rng = rng_from_keys(seed, t)
+        x = np.zeros(a.shape[1])
+        r = b - a @ x if schemes.maintains_residual(scheme) else None
+        for k in range(iterations + 1):
+            if k > 0:
+                draw = draw_sketch(scheme.spec, a.shape, rng, sampler)
+                try:
+                    x = schemes.step(scheme, a, b, x, draw, r=r)
+                except schemes.SkipStep:
+                    pass
+            sq[t, k] = err_sq(x - x_star)
+            mean_err[k] += x - x_star
+    mean_err /= trials
+    return (theory._fit_contraction(sq.mean(axis=0)),
+            theory._fit_contraction(np.array([err_sq(e) for e in mean_err])))
+
+
 class TestEmpiricalRate:
     def test_identity_system_exact_factor(self):
         n = 10
@@ -242,6 +275,50 @@ class TestEmpiricalRate:
                                      seed=35)
             assert rep.rho_fit <= rep.rho_theory + 0.02, sid
             assert rep.rho_theory >= rep.rho_fit - 0.02, sid
+
+    @pytest.mark.parametrize("sid, dist, block, norm", [
+        ("K1", NORM_PROPORTIONAL, 1, "euclid"),
+        ("C1", NORM_PROPORTIONAL, 1, "ghat"),
+        ("S1", TRACE_PROPORTIONAL, 1, "a"),
+        ("S4", UNIFORM, 3, "a"),
+    ])
+    def test_matches_a_replay_of_its_trials(self, sid, dist, block, norm):
+        prob = _consistent(gaussian(17, 30, 12) if sid in ("K1", "C1")
+                           else random_spd(19, 12, lo=0.1, hi=2.0))
+        scheme = make_scheme(sid, block_size=block, distribution=dist)
+        report = fit_empirical_rate(prob, scheme, trials=3, iterations=50,
+                                    norm_used=norm, seed=41)
+        assert not report.degenerate
+        assert (report.rho_fit, report.rho_fit_norm_of_mean) == \
+            _replay_fit(prob, scheme, 3, 50, norm, 41)
+
+    @pytest.mark.parametrize("norm", ["euclid", "a"])
+    def test_symmetric_scheme_needs_spd_system(self, norm):
+        prob = _consistent(gaussian(2, 6, 6))
+        with pytest.raises(ValueError, match="S1 needs an SPD system"):
+            fit_empirical_rate(prob, make_scheme("S1"), trials=2, iterations=5,
+                               norm_used=norm, seed=0)
+
+    def test_x0_length_checked(self):
+        prob = _consistent(gaussian(16, 8, 4))
+        with pytest.raises(ValueError, match="x0 has length 3"):
+            fit_empirical_rate(prob, make_scheme("K1"), trials=2, iterations=5,
+                               norm_used="euclid", seed=0, x0=np.zeros(3))
+
+    def test_zero_iterations_refused(self):
+        prob = _consistent(gaussian(16, 8, 4))
+        with pytest.raises(ValueError, match="iterations must be >= 1"):
+            fit_empirical_rate(prob, make_scheme("K1"), trials=2, iterations=0,
+                               norm_used="euclid", seed=0)
+
+    def test_zero_start_residual_is_degenerate(self):
+        # b - A x0 = 0 but x0 != x_star: no step moves the iterate
+        prob = Problem(a=np.array([[1.0, 0.0]]), b=np.zeros(1),
+                       x_star=np.array([0.0, 1.0]))
+        report = fit_empirical_rate(prob, make_scheme("K1"), trials=3,
+                                    iterations=10, norm_used="euclid", seed=0)
+        assert report.degenerate
+        assert math.isnan(report.rho_fit)
 
     def test_needs_known_solution(self):
         prob = Problem(a=np.eye(2), b=np.ones(2))
