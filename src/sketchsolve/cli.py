@@ -76,6 +76,22 @@ def _problem_spec(cfg: dict) -> problems.ProblemSpec:
         raise ConfigError(f"bad problem spec: {exc}")
 
 
+def _config_int(node: dict, key: str, default: int | None,
+                minimum: int) -> int | None:
+    """``node[key]`` as an integer of at least ``minimum``; a missing key
+    gives ``default``, and so does null where the default is None."""
+    value = node.get(key, default)
+    if value is None and default is None:
+        return None
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if isinstance(value, bool) or out is None or out < minimum:
+        raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
+    return out
+
+
 def _resolve_block_size(value, n: int) -> int:
     if value in (None, "sqrt"):
         return max(1, int(math.floor(math.sqrt(n))))
@@ -167,15 +183,13 @@ def run_bench(cfg: dict) -> int:
     _check_spd_compat(spec.kind, ids)
     stop_cfg = cfg.get("stop", {})
     try:
-        stop = solver.StopRule(itmax=int(stop_cfg.get("itmax", 100_000)),
+        stop = solver.StopRule(itmax=_config_int(stop_cfg, "itmax", 100_000, 1),
                                tol=float(stop_cfg.get("tol", 1e-6)))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad stop rule: {exc}")
-    trials = int(cfg.get("trials", 1))
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
-    seed = int(cfg.get("seed", 0))
-    trace_every = cfg.get("trace_every")
+    trials = _config_int(cfg, "trials", 1, 1)
+    seed = _config_int(cfg, "seed", 0, 0)
+    trace_every = _config_int(cfg, "trace_every", None, 1)
     distribution = cfg.get("distribution")
     out = _out_dir(cfg)
 
@@ -236,9 +250,9 @@ def run_rates(cfg: dict) -> int:
     spec = _problem_spec(cfg)
     ids = _scheme_list(cfg)
     _check_spd_compat(spec.kind, ids)
-    trials = int(cfg.get("trials", 100))
-    iterations = int(cfg.get("iterations", 500))
-    seed = int(cfg.get("seed", 0))
+    trials = _config_int(cfg, "trials", 100, 1)
+    iterations = _config_int(cfg, "iterations", 500, 1)
+    seed = _config_int(cfg, "seed", 0, 0)
     tolerance = float(cfg.get("tolerance", 0.02))
     out = _out_dir(cfg)
 
@@ -282,7 +296,7 @@ def run_rates(cfg: dict) -> int:
 def run_verify_expectation(cfg: dict) -> int:
     spec = _problem_spec(cfg)
     target = cfg.get("target", "propagator")
-    seed = int(cfg.get("seed", 0))
+    seed = _config_int(cfg, "seed", 0, 0)
     out = _out_dir(cfg)
     problem = problems.generate(spec)
     a = problem.a
@@ -294,12 +308,12 @@ def run_verify_expectation(cfg: dict) -> int:
             raise ConfigError("propagator target supports schemes K2/K4/K6")
         block = _resolve_block_size(cfg.get("block_size", 1), a.shape[1])
         g = _weight_for(sid, g_mode, a) if sid == "K6" else None
-        samples = int(cfg.get("samples", 10_000))
+        samples = _config_int(cfg, "samples", 10_000, 2)
         est = theory.estimate_mean_propagator(a, g, sid, samples,
                                               sketch.make_rng(seed),
                                               block_size=block)
     elif target == "sketched_inverse":
-        block = int(cfg.get("partition_block", 1))
+        block = _config_int(cfg, "partition_block", 1, 1)
         g = None
         if g_mode == "identity":
             g = SpdMatrix(np.eye(a.shape[0]))

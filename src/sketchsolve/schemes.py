@@ -25,14 +25,16 @@ where the pair (Y, Z) is rebuilt from a fresh random draw every step:
     S3  column subset C          Y = Z = I_C                 (randomized Newton / block CD)
     S4  Gaussian matrix W (nxl)  Y = Z = W
 
-:func:`step` applies the cheap specialized update: closed forms for the
-scalar ids, and for the block ids one kernel per side of A. The row kernel
-(K3-K6) works on the sketched rows Y^T A, the column kernel (C3-C6, S3, S4)
-on the sketched columns A Z; the weighted ids only multiply in the SPD
-factor G, and S3/S4 are the column update with Y = Z. The column and
-symmetric families carry the residual ``b - A x`` along in place
-(:func:`maintains_residual`); :func:`step_generic` assembles (Y, Z)
-explicitly, the oracle the specialized updates are tested against.
+:func:`step` applies the cheap specialized update, one kernel per side of
+A for all sixteen ids. The row kernel (K) works on the sketched rows Y^T A,
+the column kernel (C, S) on the sketched columns A Z; the weighted ids only
+multiply in the SPD factor G, and S is the column update with Y = Z. The
+scalar ids (K1, K2, C1, C2, S1, S2) are the one-column case, whose 1 x 1
+sketched system is solved in closed form; the block ids solve theirs with
+the pseudoinverse. The column and symmetric families carry the residual
+``b - A x`` along in place (:func:`maintains_residual`); :func:`step_generic`
+assembles (Y, Z) explicitly, the oracle the specialized updates are tested
+against.
 """
 
 from __future__ import annotations
@@ -65,8 +67,8 @@ _KIND_FOR = {
 
 
 class SkipStep(Exception):
-    """Raised when a draw hits a degenerate denominator (zero row/column);
-    the solver keeps the iterate unchanged and counts the step."""
+    """Raised when a scalar id's draw hits a degenerate denominator (zero
+    row/column); the solver keeps the iterate unchanged and counts the step."""
 
 
 def family(scheme_id: str) -> str:
@@ -226,11 +228,14 @@ def step(scheme: Scheme, a: np.ndarray, b: np.ndarray,
          r: np.ndarray | None = None) -> np.ndarray:
     """One iteration via the specialized update for ``scheme``.
 
-    Scalar schemes use their closed-form denominators and raise
-    :class:`SkipStep` when the drawn row/column is degenerate; block schemes
-    go through the row kernel (K) or the column kernel (C, S), which factor
-    through the small l x l sketched system only, with G as a factor of Z
-    (K5, K6) or of Y (C5, C6).
+    K ids go through the row kernel and C and S ids through the column
+    kernel, which factor through the small l x l sketched system only, with
+    G as a factor of Z (K5, K6) or of Y (C5, C6). The scalar ids (K1, K2,
+    C1, C2, S1, S2) are the kernels' one-column case: their draw is unpacked
+    to one index or one vector, the sketched system is 1 x 1 and solved in
+    closed form, and :class:`SkipStep` is raised when its entry is not
+    positive (a zero row or column, a nonpositive diagonal entry). The block
+    ids solve through the pseudoinverse, also at l = 1, and never skip.
 
     For schemes that :func:`maintains_residual`, ``r`` may carry the current
     residual ``b - A x``; the update then reads ``Y^T r`` from it and
@@ -238,91 +243,46 @@ def step(scheme: Scheme, a: np.ndarray, b: np.ndarray,
     :class:`SkipStep` is raised). Without ``r`` the residual is formed here.
     """
     _check_draw(scheme, draw)
-    sid = scheme.id
     if maintains_residual(scheme):
         if r is None:
             r = b - a @ x
     elif r is not None:
-        raise ValueError(f"scheme {sid} does not maintain a residual")
-
-    if sid == "K1":
-        i = draw.indices[0]
-        row = a[i, :]
-        denom = float(row @ row)
-        if denom <= 0.0:
-            raise SkipStep(f"zero row {i}")
-        return x + ((b[i] - row @ x) / denom) * row
-
-    if sid == "K2":
-        w = draw.dense[:, 0]
-        u = a.T @ w
-        denom = float(u @ u)
-        if denom <= 0.0:
-            raise SkipStep("sketched row vanished")
-        return x + ((w @ b - u @ x) / denom) * u
-
-    if sid == "C1":
-        j = draw.indices[0]
-        col = a[:, j]
-        denom = float(col @ col)
-        if denom <= 0.0:
-            raise SkipStep(f"zero column {j}")
-        delta = (col @ r) / denom
-        r -= delta * col
-        out = x.copy()
-        out[j] += delta
-        return out
-
-    if sid == "C2":
-        w = draw.dense[:, 0]
-        v = a @ w
-        denom = float(v @ v)
-        if denom <= 0.0:
-            raise SkipStep("sketched column vanished")
-        delta = (v @ r) / denom
-        r -= delta * v
-        return x + delta * w
-
-    if sid == "S1":
-        i = draw.indices[0]
-        denom = float(a[i, i])
-        if denom <= 0.0:
-            raise SkipStep(f"nonpositive diagonal entry {i}")
-        delta = r[i] / denom
-        r -= delta * a[:, i]
-        out = x.copy()
-        out[i] += delta
-        return out
-
-    if sid == "S2":
-        w = draw.dense[:, 0]
-        v = a @ w
-        denom = float(w @ v)
-        if denom <= 0.0:
-            raise SkipStep("nonpositive sketched quadratic form")
-        delta = (w @ r) / denom
-        r -= delta * v
-        return x + delta * w
-
+        raise ValueError(f"scheme {scheme.id} does not maintain a residual")
+    idx, w = draw.indices, draw.dense
+    scalar = scheme.id in SCALAR_SCHEMES
+    if scalar:
+        # an int index or a 1-D w: every gather below is then a 1-D view
+        idx, w = (idx[0], None) if w is None else (None, w[:, 0])
     g = scheme.g.mat if scheme.g is not None else None
-    if sid[0] == "K":
-        return _row_block(a, b, x, draw, g)
-    return _col_block(sid[0], a, x, r, draw, g)
+    if scheme.id[0] == "K":
+        return _row_kernel(a, b, x, idx, w, g, scalar)
+    return _col_kernel(scheme.id[0], a, x, r, idx, w, g, scalar)
 
 
-def _row_block(a, b, x, draw, g):
-    """K3-K6: the sketched rows ``ay = Y^T A`` and ``Z = ay^T`` (``G ay^T``
+def _solve(e, ytr, scalar):
+    """The step ``d = E^+ Y^T r`` in Z's coordinates: ``ytr / e`` for the
+    scalar ids, which skip a degenerate draw, ``pseudoinverse(e) @ ytr``
+    for the block ids. The kernels multiply a scalar ``d`` in as ``d * z``
+    (``np.dot(z, d)`` would serve both ranks, but is slower on a scalar)."""
+    if not scalar:
+        return pseudoinverse(e) @ ytr
+    if e <= 0.0:
+        raise SkipStep(f"degenerate draw: sketched denominator {float(e)}")
+    return ytr / e
+
+
+def _row_kernel(a, b, x, rows, w, g, scalar):
+    """K1-K6: the sketched rows ``ay = Y^T A`` and ``Z = ay^T`` (``G ay^T``
     when weighted); returns ``x + Z (ay Z)^+ Y^T r``.
 
     ``Y^T r`` is ``Y^T b - ay x`` for both sketches, so no step forms
     ``b - A x``: for a Gaussian ``W`` that is ``W^T b - U^T x`` with
-    ``U = A^T W`` (K2 does the same with one column), an O(mn) matvec fewer
-    per step. The cancellation costs no accuracy. With ``g_k = k eps``,
-    ``W^T (b - A x)`` rounds by up to ``g_(m+n) |W|^T (|b| + |A| |x|)``. Here
-    ``W^T b`` rounds by ``g_m |W|^T |b|``, ``U`` by ``g_m |A|^T |W|``, and
-    ``U^T x`` by ``g_n |U|^T |x|`` on top, where ``|U|^T |x| <= |W|^T |A| |x|``:
-    the same bound."""
-    rows, w = draw.indices, draw.dense
+    ``U = A^T W``, an O(mn) matvec fewer per step. The cancellation costs no
+    accuracy. With ``g_k = k eps``, ``W^T (b - A x)`` rounds by up to
+    ``g_(m+n) |W|^T (|b| + |A| |x|)``. Here ``W^T b`` rounds by
+    ``g_m |W|^T |b|``, ``U`` by ``g_m |A|^T |W|``, and ``U^T x`` by
+    ``g_n |U|^T |x|`` on top, where ``|U|^T |x| <= |W|^T |A| |x|``: the
+    same bound."""
     if rows is not None:
         ay = a[rows, :]
         ytr = b[rows] - ay @ x
@@ -330,15 +290,20 @@ def _row_block(a, b, x, draw, g):
         ay = (a.T @ w).T
         ytr = w.T @ b - ay @ x
     z = ay.T if g is None else g @ ay.T
-    return x + z @ (pseudoinverse(ay @ z) @ ytr)
+    d = _solve(ay @ z, ytr, scalar)
+    return x + (d * z if scalar else z @ d)
 
 
-def _col_block(fam, a, x, r, draw, g):
-    """C3-C6, S3, S4: the sketched columns ``az = A Z`` give ``Y = az``
+def _col_kernel(fam, a, x, r, cols, w, g, scalar):
+    """C1-C6, S1-S4: the sketched columns ``az = A Z`` give ``Y = az``
     (``G az`` when weighted) for C and ``Y = Z`` for S; solves for the step
     ``d`` in Z's coordinates and moves ``r`` by ``az d`` in place."""
-    cols, w = draw.indices, draw.dense
-    az = a @ w if cols is None else np.take(a, cols, axis=1)
+    if cols is None:
+        az = a @ w
+    else:
+        # one column stays a strided view: a contiguous copy can round its
+        # dot products differently
+        az = a[:, cols] if scalar else np.take(a, cols, axis=1)
     if fam == "C":
         y = az if g is None else g @ az
         e, ytr = az.T @ y, y.T @ r
@@ -346,10 +311,10 @@ def _col_block(fam, a, x, r, draw, g):
         e, ytr = az[cols], r[cols]
     else:
         e, ytr = w.T @ az, w.T @ r
-    d = pseudoinverse(e) @ ytr
-    r -= az @ d
+    d = _solve(e, ytr, scalar)
+    r -= d * az if scalar else az @ d
     if cols is None:
-        return x + w @ d
+        return x + (d * w if scalar else w @ d)
     out = x.copy()
     out[cols] += d
     return out

@@ -9,9 +9,10 @@ Every record takes one path: read a tracked residual norm, recompute
 symmetric schemes (:func:`schemes.maintains_residual`) track ``r = b - A x``
 through their updates and read ``||r||`` in O(m). Row schemes on systems
 tall and large enough that an O(mn) recompute costs well over an O(n^2)
-read (``ANCHOR_MIN_RATIO``, ``ANCHOR_MIN_SIZE``) read ``||b - A x||`` from
-the last exact residual and ``A^T A`` (:class:`_ResidualAnchor`,
-:attr:`Problem.gram`); elsewhere every row-scheme record is exact.
+read (``ANCHOR_MIN_RATIO``, ``ANCHOR_MIN_SIZE``), in runs that record
+before ``itmax``, read ``||b - A x||`` from the last exact residual and
+``A^T A`` (:class:`_ResidualAnchor`, :attr:`Problem.gram`); elsewhere every
+row-scheme record is exact.
 
 A read comes with two bounds: its own rounding, and a floor for how far the
 rounding of ``b - A x`` itself can move a recompute (both first order in
@@ -77,7 +78,8 @@ def _read_only(v: np.ndarray) -> np.ndarray:
 @dataclass
 class Problem:
     """A linear system A x = b, optionally with a known solution for error
-    traces. When ``x_star`` is given the system must be consistent.
+    traces. When ``x_star`` is given the system must be consistent. Non-finite
+    entries in A, b or ``x_star`` are refused.
 
     ``a`` and ``b`` are read-only views of the arrays passed in, not copies,
     so only writes through them are blocked. What the problem derives from
@@ -96,14 +98,18 @@ class Problem:
         m, n = self.a.shape
         if self.b.shape[0] != m:
             raise ValueError(f"b has length {self.b.shape[0]}, expected {m}")
-        if self.x_star is not None:
+        if self.x_star is None:
+            if not (np.isfinite(self.a).all() and np.isfinite(self.b).all()):
+                raise ValueError("A and b must be finite")
+        else:
             self.x_star = as_vector(self.x_star)
             if self.x_star.shape[0] != n:
                 raise ValueError(f"x_star has length {self.x_star.shape[0]}, "
                                  f"expected {n}")
             gap = float(np.linalg.norm(self.a @ self.x_star - self.b))
             # a NaN gap fails every comparison, and an infinite one can pass
-            # against an infinite ||b||: non-finite input is refused here
+            # against an infinite ||b||: non-finite input is refused here,
+            # with no separate O(mn) pass
             if not (math.isfinite(gap)
                     and gap <= CONSISTENCY_RTOL * float(np.linalg.norm(self.b))):
                 raise ValueError(f"x_star does not solve the system "
@@ -192,11 +198,14 @@ def check_compatible(problem: Problem, scheme: schemes.Scheme):
 
 
 def initial_iterate(problem: Problem, x0: np.ndarray | None) -> np.ndarray:
-    """A fresh copy of ``x0``, or zeros, checked against the problem."""
+    """A fresh copy of ``x0``, or zeros, checked against the problem (length,
+    finite entries)."""
     n = problem.shape[1]
     x = np.zeros(n) if x0 is None else as_vector(x0).copy()
     if x.shape[0] != n:
         raise ValueError(f"x0 has length {x.shape[0]}, expected {n}")
+    if not np.isfinite(x).all():
+        raise ValueError("x0 must be finite")
     return x
 
 
@@ -338,7 +347,10 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
     if schemes.maintains_residual(scheme):
         tracked = _MaintainedResidual(r, res_denom)
     else:
-        anchored = m >= ANCHOR_MIN_RATIO * n and m * n >= ANCHOR_MIN_SIZE
+        # with no record between k = 0 and the exact one at itmax, as in
+        # rate fits, nothing would read the anchor
+        anchored = (m >= ANCHOR_MIN_RATIO * n and m * n >= ANCHOR_MIN_SIZE
+                    and trace_every < stop.itmax)
         tracked = _ResidualAnchor(a, problem.gram if anchored else None, x, r,
                                   norm_b, res_denom)
         r = None

@@ -2,6 +2,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from sketchsolve.cli import main
 from sketchsolve.problems import load_matrixmarket, save_matrixmarket
@@ -239,3 +240,66 @@ class TestGenProblem:
         assert np.array_equal(b[:, 0], a @ np.ones(12))
         meta = json.loads((out / "meta.json").read_text())
         assert meta["problem_stats"]["achieved_rc"] is not None
+
+
+class TestIntegerOptions:
+    """Every integer option is checked up front: a bad value is a config
+    error (exit 1) naming the key, not a traceback or a failed scheme."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("stop", {"itmax": 0}), ("stop", {"itmax": "x"}), ("trials", "x"),
+        ("trials", 0), ("seed", -1), ("seed", 1.5e400), ("trace_every", 0),
+        ("trace_every", "x"), ("trace_every", True),
+    ])
+    def test_bench(self, tmp_path, capsys, key, value):
+        out = tmp_path / "out"
+        cfg = _bench_config(tmp_path, out, **{key: value})
+        assert main(["bench", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and ("itmax" if key == "stop" else key) in err
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("trace_every", [None, 7])
+    def test_bench_trace_every_null_or_positive(self, tmp_path, trace_every):
+        out = tmp_path / "out"
+        cfg = _bench_config(tmp_path, out, trace_every=trace_every,
+                            schemes=["K1"], stop={"itmax": 50, "tol": 1e-6})
+        assert main(["bench", "--config", cfg]) == 0
+        rows = _read_csv(out / "K1_trial0.csv")
+        assert [int(row[0]) for row in rows[1:3]] == [0, trace_every or 10]
+
+    @pytest.mark.parametrize("key, value", [
+        ("trials", "x"), ("trials", 0), ("iterations", 0),
+        ("iterations", [5]), ("seed", "x"),
+    ])
+    def test_rates(self, tmp_path, capsys, key, value):
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path, "rates.json", {
+            "problem": {"kind": "SparseSpd", "m": 8, "n": 8, "seed": 6},
+            "schemes": ["S1"],
+            "trials": 2,
+            "iterations": 5,
+            key: value,
+            "output_dir": str(out),
+        })
+        assert main(["rates", "--config", cfg]) == 1
+        assert key in capsys.readouterr().err
+        assert not (out / "rates.json").exists()
+
+    @pytest.mark.parametrize("target, key, value", [
+        ("propagator", "samples", 1), ("propagator", "seed", -3),
+        ("sketched_inverse", "partition_block", 0),
+        ("sketched_inverse", "partition_block", "x"),
+    ])
+    def test_verify_expectation(self, tmp_path, capsys, target, key, value):
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path, "exp.json", {
+            "target": target,
+            "problem": {"kind": "UniformDense", "m": 8, "n": 4, "seed": 8},
+            "samples": 50,
+            key: value,
+            "output_dir": str(out),
+        })
+        assert main(["verify-expectation", "--config", cfg]) == 1
+        assert key in capsys.readouterr().err
+        assert not (out / "expectation.json").exists()

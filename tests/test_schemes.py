@@ -185,6 +185,27 @@ class TestDegenerateDraws:
             step(make_scheme(sid), a, b, x, draw, r=r)
         assert np.array_equal(r, r_before)
 
+    @pytest.mark.parametrize("sid, a", [
+        ("K3", np.array([[0.0, 0.0], [1.0, 2.0]])),  # zero row 0
+        ("C3", np.array([[0.0, 1.0], [0.0, 2.0]])),  # zero column 0
+        ("S3", np.diag([0.0, 2.0])),  # zero diagonal entry 0
+    ])
+    def test_block_ids_at_width_one_do_not_skip(self, sid, a):
+        # the closed form and SkipStep belong to the scalar ids, not to any
+        # width-1 draw: a block id at l = 1 solves through the pseudoinverse,
+        # which leaves x where it is on the degenerate index
+        kind = ROW_SUBSET if sid == "K3" else COL_SUBSET
+        draw = SketchDraw(kind=kind, indices=np.array([0]))
+        scheme = make_scheme(sid, block_size=1)
+        b = np.array([1.0, -1.0])
+        x = np.array([0.5, 0.25])
+        r = b - a @ x if schemes.maintains_residual(scheme) else None
+        got = step(scheme, a, b, x, draw, r=r)
+        assert np.array_equal(got, step_generic(scheme, a, b, x, draw))
+        assert np.array_equal(got, x)
+        if r is not None:
+            assert np.array_equal(r, b - a @ x)
+
     def test_skip_is_not_a_value_error(self):
         assert not issubclass(SkipStep, ValueError)
 

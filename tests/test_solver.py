@@ -42,6 +42,24 @@ class TestValidation:
         with pytest.raises(ValueError, match="does not solve"):
             Problem(a=a, b=b, x_star=x_star)
 
+    @pytest.mark.parametrize("where", ["a", "b"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_problem_rejects_non_finite_input_without_known_solution(
+            self, where, bad):
+        a, b = np.eye(2), np.ones(2)
+        (a[0] if where == "a" else b)[1] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            Problem(a=a, b=b)
+
+    @pytest.mark.parametrize("sid", ["K1", "C1", "S3"])
+    def test_non_finite_x0_refused(self, sid):
+        prob = Problem(a=random_spd(3, 4), b=np.ones(4))
+        x0 = np.zeros(4)
+        x0[2] = np.nan
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            solve(prob, make_scheme(sid, block_size=2), StopRule(itmax=10),
+                  make_rng(0), x0=x0)
+
     def test_stop_rule_checks(self):
         with pytest.raises(ValueError):
             StopRule(itmax=0)
@@ -438,6 +456,18 @@ class TestAnchorPolicy:
                          make_rng(2))
         assert trace.status == CONVERGED
         assert (trace.exact_recomputes < len(trace.records)) == anchored
+
+    @pytest.mark.parametrize("trace_every, anchored", [(50, False), (49, True)])
+    def test_no_anchor_without_a_record_before_itmax(self, monkeypatch,
+                                                     trace_every, anchored):
+        # a run whose only records are k = 0 and the exact one at itmax, as
+        # in a rate fit, reads no anchor and must not form A^T A for one
+        monkeypatch.setattr(solver, "ANCHOR_MIN_SIZE", 0)
+        prob = _consistent_problem(29, 120, 24)
+        _, trace = solve(prob, make_scheme("K1"), StopRule(itmax=50, tol=1e-12),
+                         make_rng(2), trace_every=trace_every)
+        assert trace.status == MAX_ITERS
+        assert ("gram" in prob.__dict__) == anchored
 
 
 class TestLeastSquares:

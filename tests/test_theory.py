@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import eigs_via_charpoly, gaussian, random_orthogonal, random_spd
-from sketchsolve import schemes, theory
+from sketchsolve import schemes, solver, theory
 from sketchsolve.linalg import SpdMatrix
 from sketchsolve.schemes import make_scheme
 from sketchsolve.sketch import (NORM_PROPORTIONAL, TRACE_PROPORTIONAL, UNIFORM,
@@ -304,6 +304,22 @@ class TestEmpiricalRate:
         with pytest.raises(ValueError, match="x0 has length 3"):
             fit_empirical_rate(prob, make_scheme("K1"), trials=2, iterations=5,
                                norm_used="euclid", seed=0, x0=np.zeros(3))
+
+    def test_non_finite_x0_refused(self):
+        prob = _consistent(gaussian(16, 8, 4))
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            fit_empirical_rate(prob, make_scheme("K1"), trials=2, iterations=5,
+                               norm_used="euclid", seed=0,
+                               x0=np.array([0.0, np.inf, 0.0, 0.0]))
+
+    def test_fit_forms_no_gram(self, monkeypatch):
+        # a trial records only at k = 0 and, exactly, at k = iterations, so
+        # a row scheme on a tall system keeps no anchor and needs no A^T A
+        monkeypatch.setattr(solver, "ANCHOR_MIN_SIZE", 0)
+        prob = _consistent(gaussian(17, 40, 5))
+        fit_empirical_rate(prob, make_scheme("K1"), trials=2, iterations=30,
+                           norm_used="euclid", seed=0)
+        assert "gram" not in prob.__dict__
 
     def test_zero_iterations_refused(self):
         prob = _consistent(gaussian(16, 8, 4))
