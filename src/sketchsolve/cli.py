@@ -92,6 +92,18 @@ def _config_int(node: dict, key: str, default: int | None,
     return out
 
 
+def _config_float(node: dict, key: str, default: float) -> float:
+    """``node[key]`` as a finite float; a missing key gives ``default``."""
+    value = node.get(key, default)
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        out = math.nan
+    if isinstance(value, bool) or not math.isfinite(out):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return out
+
+
 def _resolve_block_size(value, n: int) -> int:
     if value in (None, "sqrt"):
         return max(1, int(math.floor(math.sqrt(n))))
@@ -182,9 +194,11 @@ def run_bench(cfg: dict) -> int:
     ids = _scheme_list(cfg)
     _check_spd_compat(spec.kind, ids)
     stop_cfg = cfg.get("stop", {})
+    if not isinstance(stop_cfg, dict):
+        raise ConfigError(f"stop must be an object, got {stop_cfg!r}")
     try:
         stop = solver.StopRule(itmax=_config_int(stop_cfg, "itmax", 100_000, 1),
-                               tol=float(stop_cfg.get("tol", 1e-6)))
+                               tol=_config_float(stop_cfg, "tol", 1e-6))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad stop rule: {exc}")
     trials = _config_int(cfg, "trials", 1, 1)
@@ -253,7 +267,7 @@ def run_rates(cfg: dict) -> int:
     trials = _config_int(cfg, "trials", 100, 1)
     iterations = _config_int(cfg, "iterations", 500, 1)
     seed = _config_int(cfg, "seed", 0, 0)
-    tolerance = float(cfg.get("tolerance", 0.02))
+    tolerance = _config_float(cfg, "tolerance", 0.02)
     out = _out_dir(cfg)
 
     problem = problems.generate(spec)

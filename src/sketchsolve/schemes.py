@@ -35,6 +35,13 @@ the pseudoinverse. The column and symmetric families carry the residual
 ``b - A x`` along in place (:func:`maintains_residual`); :func:`step_generic`
 assembles (Y, Z) explicitly, the oracle the specialized updates are tested
 against.
+
+C1-C4 also have a Gram-space form. With ``Y = A Z`` their update is
+``d = (Z^T G Z)^+ Z^T s``, ``s -= G Z d``, ``x += Z d`` for ``G = A^T A``
+and ``s = A^T (b - A x)``: the symmetric update (S1-S4) on the normal
+equations ``G x = A^T b``, which is randomized (block) coordinate descent.
+Given ``G``, :func:`step` runs them that way, in O(n l) or O(n^2 l) per step
+instead of O(m l) or O(m n l), and carries ``s`` in place of the residual.
 """
 
 from __future__ import annotations
@@ -129,8 +136,9 @@ def make_scheme(scheme_id: str, block_size: int = 1,
 
 def sampling_weights(scheme: Scheme, a: np.ndarray) -> sketch.IndexCdf | None:
     """The :func:`sketch.index_cdf` handed to :func:`sketch.draw_sketch` for
-    proportional sampling, built once per solve from the squared row/column
-    norms, or the diagonal for trace-proportional draws; None for uniform."""
+    proportional sampling, built from the squared row/column norms, or the
+    diagonal for trace-proportional draws; None for uniform. Solves take it
+    from :meth:`solver.Problem.sampler`, which builds it once per problem."""
     dist = scheme.spec.distribution
     if dist == sketch.UNIFORM:
         return None
@@ -217,7 +225,9 @@ def maintains_residual(scheme: Scheme) -> bool:
     Column and symmetric updates move the residual by ``A Z d``, an O(m l)
     product; a row update would need a full O(mn) matvec, as much as
     recomputing the residual, so K schemes keep none (the solver reads
-    their residual norms from an anchor and ``A^T A`` instead).
+    their residual norms from an anchor and ``A^T A`` instead). In Gram
+    space (``step(..., gram=G)``, C1-C4) the vector carried is
+    ``s = A^T (b - A x)``, moved by ``G Z d``.
     """
     # scheme ids are validated on construction; this runs on every step
     return scheme.id[0] != "K"
@@ -225,7 +235,8 @@ def maintains_residual(scheme: Scheme) -> bool:
 
 def step(scheme: Scheme, a: np.ndarray, b: np.ndarray,
          x: np.ndarray, draw: SketchDraw,
-         r: np.ndarray | None = None) -> np.ndarray:
+         r: np.ndarray | None = None,
+         gram: np.ndarray | None = None) -> np.ndarray:
     """One iteration via the specialized update for ``scheme``.
 
     K ids go through the row kernel and C and S ids through the column
@@ -241,11 +252,19 @@ def step(scheme: Scheme, a: np.ndarray, b: np.ndarray,
     residual ``b - A x``; the update then reads ``Y^T r`` from it and
     overwrites it in place with ``b - A x_next`` (left untouched when
     :class:`SkipStep` is raised). Without ``r`` the residual is formed here.
+
+    Given ``gram``, the exactly symmetric ``G = A^T A``, an unweighted
+    column id (C1-C4) runs in Gram space: the column kernel's symmetric
+    path on ``G``, with ``r`` holding ``s = A^T (b - A x)`` and left
+    holding ``A^T (b - A x_next)``. Its draws and steps are those of the
+    A-space update, up to rounding.
     """
     _check_draw(scheme, draw)
+    if gram is not None and (scheme.id[0] != "C" or scheme.g is not None):
+        raise ValueError(f"scheme {scheme.id} has no Gram-space update")
     if maintains_residual(scheme):
         if r is None:
-            r = b - a @ x
+            r = b - a @ x if gram is None else a.T @ (b - a @ x)
     elif r is not None:
         raise ValueError(f"scheme {scheme.id} does not maintain a residual")
     idx, w = draw.indices, draw.dense
@@ -256,6 +275,9 @@ def step(scheme: Scheme, a: np.ndarray, b: np.ndarray,
     g = scheme.g.mat if scheme.g is not None else None
     if scheme.id[0] == "K":
         return _row_kernel(a, b, x, idx, w, g, scalar)
+    if gram is not None:
+        # G^T: its columns are G's contiguous rows
+        return _col_kernel("S", gram.T, x, r, idx, w, None, scalar)
     return _col_kernel(scheme.id[0], a, x, r, idx, w, g, scalar)
 
 
@@ -300,10 +322,13 @@ def _col_kernel(fam, a, x, r, cols, w, g, scalar):
     ``d`` in Z's coordinates and moves ``r`` by ``az d`` in place."""
     if cols is None:
         az = a @ w
-    else:
+    elif scalar or not a.flags.c_contiguous:
         # one column stays a strided view: a contiguous copy can round its
-        # dot products differently
-        az = a[:, cols] if scalar else np.take(a, cols, axis=1)
+        # dot products differently; and np.take would first copy an array
+        # that is not C-ordered, such as the Gram path's G^T, whole
+        az = a[:, cols]
+    else:
+        az = np.take(a, cols, axis=1)
     if fam == "C":
         y = az if g is None else g @ az
         e, ytr = az.T @ y, y.T @ r

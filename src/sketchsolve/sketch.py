@@ -5,7 +5,7 @@ index, a subset of columns, a Gaussian matrix, ...); :func:`draw_sketch`
 produces one realized :class:`SketchDraw` from it.
 
 Proportional draws search a CDF that :func:`index_cdf` validates and builds
-once per solve: O(log d) each, and the same indices and generator state as
+once per problem: O(log d) each, and the same indices and generator state as
 ``rng.choice(d, p=...)``.
 
 All randomness flows through ``numpy.random.Generator`` seeded with PCG64
@@ -158,7 +158,7 @@ def draw_sketch(spec: SketchSpec, dims: tuple[int, int], rng: np.random.Generato
 
     The proportional distributions need ``sampler``, the :func:`index_cdf`
     of the weights (squared row/column norms or diagonal entries), built once
-    per solve; a draw is then one uniform and an O(log d) search of the CDF.
+    per problem; a draw is then one uniform and an O(log d) search of the CDF.
     Subsets are drawn uniformly without replacement and returned sorted.
     """
     m, n = dims

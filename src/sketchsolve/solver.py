@@ -5,14 +5,23 @@ and a residual record at trace points only (every iteration for block
 schemes, every tenth by default for the scalar ones).
 
 Every record takes one path: read a tracked residual norm, recompute
-``b - A x`` exactly when a rule fires, check the drift, resync. Column and
-symmetric schemes (:func:`schemes.maintains_residual`) track ``r = b - A x``
-through their updates and read ``||r||`` in O(m). Row schemes on systems
-tall and large enough that an O(mn) recompute costs well over an O(n^2)
-read (``ANCHOR_MIN_RATIO``, ``ANCHOR_MIN_SIZE``), in runs that record
-before ``itmax``, read ``||b - A x||`` from the last exact residual and
-``A^T A`` (:class:`_ResidualAnchor`, :attr:`Problem.gram`); elsewhere every
-row-scheme record is exact.
+``b - A x`` exactly when a rule fires, check the drift, resync. Which
+tracker a run uses depends on one shape condition, "use G": the system is
+tall and large enough that an O(mn) product costs well over an O(n^2) one
+(``ANCHOR_MIN_RATIO``, ``ANCHOR_MIN_SIZE``), and the run records before
+``itmax``. There, :class:`_ResidualAnchor` reads ``||b - A x||`` from the
+last exact residual and ``G = A^T A`` (:attr:`Problem.gram`, formed once
+per problem):
+
+- row schemes (K1-K6) read it through ``G d`` in O(n^2);
+- unweighted column schemes (C1-C4) run in Gram space
+  (``schemes.step(..., gram=G)``): they carry ``s = A^T (b - A x)``, which
+  the anchor resyncs at every exact recompute, and read it in O(n).
+
+Everywhere else row-scheme records are exact, and column and symmetric
+schemes (:func:`schemes.maintains_residual`), including C5/C6 with their
+m x m weight and S1-S4, carry ``r = b - A x`` through their updates and
+read ``||r||`` in O(m) (:class:`_MaintainedResidual`).
 
 A read comes with two bounds: its own rounding, and a floor for how far the
 rounding of ``b - A x`` itself can move a recompute (both first order in
@@ -24,9 +33,10 @@ the value. That record carries the exact value and the tracker restarts
 from it, so ``Converged`` is only ever returned on an exact residual, and
 a row scheme stops on the record where exact records would have stopped
 it, up to second-order rounding. If the tracked value is further from the
-exact one than both bounds plus ``DRIFT_RTOL * ||b||``, the run stops with
-status ``Drift``: the incremental updates lost track of the iterate, which
-roundoff alone does not do.
+exact one than both bounds plus ``DRIFT_RTOL * ||b||``, or a carried ``s``
+further from ``A^T (b - A x)`` than that times ``||A||_F``, the run stops
+with status ``Drift``: the incremental updates lost track of the iterate,
+which roundoff alone does not do.
 
 This is the only loop that runs the iteration: rate fits
 (:func:`theory.fit_empirical_rate`) run their trials through :func:`solve`
@@ -45,7 +55,7 @@ import numpy as np
 
 from . import schemes
 from .linalg import SpdMatrix, as_matrix, as_vector
-from .sketch import draw_sketch
+from .sketch import IndexCdf, draw_sketch
 
 CONVERGED = "Converged"
 MAX_ITERS = "MaxIters"
@@ -61,10 +71,12 @@ DRIFT_RTOL = 1e-10
 # largest rounding bound of a record's own arithmetic, relative to the value
 # read, that the record may carry without an exact recompute
 RECORD_RTOL = 1e-6
-# row schemes read records from an anchor only where an O(mn) recompute costs
-# well over an O(n^2) read plus its fixed ~10 us: measured on dense problems
-# with n = 100, 250, 500, the anchor made K1 and K3 solves faster at every
-# shape with m >= 4 n and m n >= 2**17, and lost at some smaller ones
+# records read an anchor, and C1-C4 run in Gram space, only where an O(mn)
+# product costs well over an O(n^2) one plus its fixed ~10 us: measured on
+# dense problems with n = 100, 250, 500 (scripts/run_gram_sweep.py,
+# BENCH_8.json), using A^T A made K1, K3, C1 and C3 solves faster at every
+# shape with m >= 4 n and m n >= 2**17, and K1 and K3 lost at some smaller
+# ones
 ANCHOR_MIN_RATIO = 4
 ANCHOR_MIN_SIZE = 2 ** 17
 
@@ -83,9 +95,10 @@ class Problem:
 
     ``a`` and ``b`` are read-only views of the arrays passed in, not copies,
     so only writes through them are blocked. What the problem derives from
-    them and keeps (:attr:`gram`, :attr:`spd_error`) assumes they never
-    change: writing to the original arrays, or assigning new ones, after
-    construction leaves it stale, so build a new problem instead."""
+    them and keeps (:attr:`gram`, :attr:`spd_error`, :meth:`sampler`)
+    assumes they never change: writing to the original arrays, or assigning
+    new ones, after construction leaves it stale, so build a new problem
+    instead."""
 
     a: np.ndarray
     b: np.ndarray
@@ -122,8 +135,27 @@ class Problem:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """``A^T A`` (read-only), formed on first use, O(m n^2), and kept."""
-        return _read_only(self.a.T @ self.a)
+        """``A^T A`` (read-only), formed on first use, O(m n^2), and kept.
+        It is exactly symmetric, as the Gram-space column steps need: numpy
+        forms ``A^T A`` as one triangle, mirrored, which the average leaves
+        bit-identical, and the average symmetrizes any other product."""
+        g = self.a.T @ self.a
+        g += g.T
+        g *= 0.5
+        return _read_only(g)
+
+    @cached_property
+    def _samplers(self) -> dict:
+        return {}
+
+    def sampler(self, scheme: schemes.Scheme) -> IndexCdf | None:
+        """:func:`schemes.sampling_weights` for ``scheme``, built once per
+        distribution and axis and kept, so the trials of a rate fit share
+        one CDF."""
+        key = (scheme.spec.distribution, scheme.spec.resolved_axis)
+        if key not in self._samplers:
+            self._samplers[key] = schemes.sampling_weights(scheme, self.a)
+        return self._samplers[key]
 
     @cached_property
     def spd_error(self) -> ValueError | None:
@@ -230,9 +262,16 @@ class _MaintainedResidual:
 
 
 class _ResidualAnchor:
-    """K schemes: ``||b - A x||^2`` read from the last exact residual ``r_a``
-    at ``x_a`` as ``||r_a||^2 - 2 d^T s_a + d^T G d``, with ``d = x - x_a``,
-    ``s_a = A^T r_a`` and ``G = A^T A``, in O(n^2) instead of O(mn).
+    """K schemes, and C1-C4 in Gram space: ``||b - A x||^2`` read from the
+    last exact residual ``r_a`` at ``x_a`` as ``||r_a||^2 - 2 d^T s_a +
+    d^T G d``, with ``d = x - x_a``, ``s_a = A^T r_a`` and ``G = A^T A``, in
+    O(n^2) instead of O(mn).
+
+    In Gram space (``carry``) the anchor also holds :attr:`s`, the
+    ``A^T (b - A x)`` that every column step moves. As ``s = s_a - G d``, the
+    read is ``||r_a||^2 - d^T (s_a + s)``, O(n), with the same bounds; each
+    resync sets ``s`` to ``A^T`` of the exact residual, and reports a gap of
+    ``s`` from it in units of ``||A||_F``.
 
     The bound on a read is first order in ``u = (m + n) eps``, which covers
     every dot product involved (length m in ``||r_a||^2``, ``s_a`` and ``G``,
@@ -247,17 +286,23 @@ class _ResidualAnchor:
     every record is exact."""
 
     def __init__(self, a: np.ndarray, gram: np.ndarray | None,
-                 x: np.ndarray, r: np.ndarray, norm_b: float, denom: float):
+                 x: np.ndarray, r: np.ndarray, norm_b: float, denom: float,
+                 carry: bool = False):
         self.a, self.gram, self.norm_b, self.denom = a, gram, norm_b, denom
+        self.s = None
         if gram is not None:
             m, n = a.shape
             self.unit = (m + n) * np.finfo(float).eps
             self.norm_a = math.sqrt(float(np.trace(gram)))  # ||A||_F
-            self._anchor(x, r)
+            self._anchor(x, r, carry)
+            if carry:
+                self.s = self.s_a.copy()
 
-    def _anchor(self, x: np.ndarray, r: np.ndarray):
-        # s_a = A^T r_a waits for the first read: a final record needs none
-        self.x_a, self.r_a, self.s_a = x.copy(), r, None
+    def _anchor(self, x: np.ndarray, r: np.ndarray, carry: bool):
+        # s_a = A^T r_a waits for the first read, so a final K record forms
+        # none; a carried s needs it at once
+        self.x_a, self.r_a = x.copy(), r
+        self.s_a = self.a.T @ r if carry else None
         self.q_a = float(r @ r)
         self.floor_a = self.norm_b + self.norm_a * float(np.linalg.norm(x))
 
@@ -269,7 +314,10 @@ class _ResidualAnchor:
         if self.s_a is None:
             self.s_a = self.a.T @ self.r_a
         d = x - self.x_a
-        q = self.q_a - 2.0 * float(d @ self.s_a) + float(d @ (self.gram @ d))
+        if self.s is None:
+            q = self.q_a - 2.0 * float(d @ self.s_a) + float(d @ (self.gram @ d))
+        else:
+            q = self.q_a - float(d @ (self.s_a + self.s))
         err = self.unit * (math.sqrt(self.q_a)
                            + self.norm_a * float(np.linalg.norm(d))) ** 2
         q = max(q, 0.0)
@@ -283,11 +331,15 @@ class _ResidualAnchor:
 
     def resync(self, x: np.ndarray, exact: np.ndarray) -> float:
         """Re-anchor at the exact residual at ``x``; returns the relative
-        gap the last read had from it."""
+        gap the last read, and a carried ``s``, had from it."""
         if self.gram is None:
             return 0.0
         gap = abs(self.last - float(np.linalg.norm(exact)) / self.denom)
-        self._anchor(x, exact)
+        self._anchor(x, exact, self.s is not None)
+        if self.s is not None:
+            gap = max(gap, float(np.linalg.norm(self.s - self.s_a))
+                      / (self.norm_a * self.denom))
+            self.s[:] = self.s_a
         return gap
 
 
@@ -316,7 +368,7 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
         raise ValueError("trace_every must be >= 1")
 
     x = initial_iterate(problem, x0)
-    sampler = schemes.sampling_weights(scheme, a)
+    sampler = problem.sampler(scheme)
     norm_b = float(np.linalg.norm(b))
     res_denom = norm_b if norm_b > 0.0 else 1.0
     if problem.x_star is not None:
@@ -344,21 +396,24 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
     if record(0, rel_norm(r)) < stop.tol:
         trace.status = CONVERGED
         return x, trace
-    if schemes.maintains_residual(scheme):
+    # with no record between k = 0 and the exact one at itmax, as in rate
+    # fits, nothing would read the anchor
+    use_gram = (m >= ANCHOR_MIN_RATIO * n and m * n >= ANCHOR_MIN_SIZE
+                and trace_every < stop.itmax)
+    # C5/C6 carry an m x m weight, so only C1-C4 have a Gram-space step
+    gram_space = use_gram and scheme.id[0] == "C" and scheme.g is None
+    if schemes.maintains_residual(scheme) and not gram_space:
         tracked = _MaintainedResidual(r, res_denom)
     else:
-        # with no record between k = 0 and the exact one at itmax, as in
-        # rate fits, nothing would read the anchor
-        anchored = (m >= ANCHOR_MIN_RATIO * n and m * n >= ANCHOR_MIN_SIZE
-                    and trace_every < stop.itmax)
-        tracked = _ResidualAnchor(a, problem.gram if anchored else None, x, r,
-                                  norm_b, res_denom)
-        r = None
+        tracked = _ResidualAnchor(a, problem.gram if use_gram else None, x, r,
+                                  norm_b, res_denom, carry=gram_space)
+        r = tracked.s
+    gram = problem.gram if gram_space else None
 
     for k in range(1, stop.itmax + 1):
         draw = draw_sketch(scheme.spec, (m, n), rng, sampler)
         try:
-            x = schemes.step(scheme, a, b, x, draw, r=r)
+            x = schemes.step(scheme, a, b, x, draw, r=r, gram=gram)
         except schemes.SkipStep:
             trace.skip_count += 1
         if observe is not None:

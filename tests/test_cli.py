@@ -243,8 +243,9 @@ class TestGenProblem:
 
 
 class TestIntegerOptions:
-    """Every integer option is checked up front: a bad value is a config
-    error (exit 1) naming the key, not a traceback or a failed scheme."""
+    """Every integer and float option, and the stop object, is checked up
+    front: a bad value is a config error (exit 1) naming the key, not a
+    traceback or a failed scheme."""
 
     @pytest.mark.parametrize("key, value", [
         ("stop", {"itmax": 0}), ("stop", {"itmax": "x"}), ("trials", "x"),
@@ -259,6 +260,18 @@ class TestIntegerOptions:
         assert "config error" in err and ("itmax" if key == "stop" else key) in err
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("stop, key", [
+        (5, "stop"), ([1], "stop"), ({"tol": "x"}, "tol"),
+        ({"tol": float("nan")}, "tol"), ({"tol": True}, "tol"),
+    ])
+    def test_bench_stop_rule(self, tmp_path, capsys, stop, key):
+        out = tmp_path / "out"
+        cfg = _bench_config(tmp_path, out, stop=stop)
+        assert main(["bench", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+        assert not (out / "summary.json").exists()
+
     @pytest.mark.parametrize("trace_every", [None, 7])
     def test_bench_trace_every_null_or_positive(self, tmp_path, trace_every):
         out = tmp_path / "out"
@@ -270,7 +283,8 @@ class TestIntegerOptions:
 
     @pytest.mark.parametrize("key, value", [
         ("trials", "x"), ("trials", 0), ("iterations", 0),
-        ("iterations", [5]), ("seed", "x"),
+        ("iterations", [5]), ("seed", "x"), ("tolerance", "x"),
+        ("tolerance", None), ("tolerance", float("inf")),
     ])
     def test_rates(self, tmp_path, capsys, key, value):
         out = tmp_path / "out"

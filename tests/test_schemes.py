@@ -14,6 +14,10 @@ from sketchsolve.sketch import (COL_SUBSET, COORD_COL, COORD_ROW, GAUSS_MATRIX,
                                 draw_sketch, make_rng)
 
 
+# the column schemes with a Gram-space update
+GRAM_SCHEMES = ("C1", "C2", "C3", "C4")
+
+
 def _instance(sid: str, seed: int, block: int = 3):
     """A random (scheme, A, b, x, draw) tuple suited to the scheme family."""
     rng = np.random.default_rng(seed)
@@ -83,6 +87,27 @@ class TestUpdates:
             assert np.abs(got - want).max() <= 1e-10 * (1.0 + np.linalg.norm(x))
             assert np.linalg.norm(r - (b - a @ got)) <= 1e-12 * np.linalg.norm(b)
 
+    @pytest.mark.parametrize("sid", GRAM_SCHEMES)
+    def test_gram_space_matches_generic(self, sid):
+        # C1-C4 as the symmetric update on G x = A^T b, carrying s = A^T r
+        for seed in range(10):
+            scheme, a, b, x, draw = _instance(sid, 100 + seed)
+            gram = a.T @ a
+            s = a.T @ (b - a @ x)
+            got = step(scheme, a, b, x, draw, r=s, gram=gram)
+            want = step_generic(scheme, a, b, x, draw)
+            assert np.abs(got - want).max() <= 1e-10 * (1.0 + np.linalg.norm(x))
+            gap = np.linalg.norm(s - a.T @ (b - a @ got))
+            assert gap <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(b)
+            # without s the step forms it
+            assert np.array_equal(step(scheme, a, b, x, draw, gram=gram), got)
+
+    @pytest.mark.parametrize("sid", ("K1", "K3", "C5", "C6", "S1", "S3"))
+    def test_gram_space_only_for_unweighted_column_schemes(self, sid):
+        scheme, a, b, x, draw = _instance(sid, 600)
+        with pytest.raises(ValueError, match="no Gram-space update"):
+            step(scheme, a, b, x, draw, gram=a.T @ a)
+
     @pytest.mark.parametrize("sid", schemes.ROW_SCHEMES)
     def test_row_schemes_refuse_a_residual(self, sid):
         scheme, a, b, x, draw = _instance(sid, 500)
@@ -122,6 +147,9 @@ class TestUpdates:
         scheme, a, b, x, draw = _instance(sid, 900)
         step(scheme, a, b, x, draw)
         assert len(calls) == (0 if sid in schemes.SCALAR_SCHEMES else 1)
+        if sid in GRAM_SCHEMES:
+            step(scheme, a, b, x, draw, gram=a.T @ a)
+            assert len(calls) == (0 if sid in schemes.SCALAR_SCHEMES else 2)
 
 
 class TestMonotonicity:
@@ -237,6 +265,9 @@ class TestDegenerateDraws:
             if r is not None:
                 gap = np.linalg.norm(r - (b - a @ got))
                 assert gap <= 1e-12 * np.linalg.norm(b), sid
+            if sid in GRAM_SCHEMES:
+                got = step(scheme, a, b, x, draw, gram=a.T @ a)
+                assert np.abs(got - want).max() < 1e-10, sid
 
 
 class TestPropagator:

@@ -5,7 +5,7 @@ from helpers import gaussian, ls_residual, ls_solution_oracle, random_spd
 from sketchsolve import problems, schemes, solver
 from sketchsolve.linalg import SpdMatrix
 from sketchsolve.schemes import SkipStep, error_propagator, make_scheme, step
-from sketchsolve.sketch import draw_sketch, make_rng
+from sketchsolve.sketch import NORM_PROPORTIONAL, draw_sketch, make_rng
 from sketchsolve.solver import (CONVERGED, DRIFT, EXACT_EVERY, MAX_ITERS,
                                 Problem, StopRule, solve)
 
@@ -106,6 +106,17 @@ class TestProblemCache:
         assert prob.gram is gram
         assert not gram.flags.writeable
         assert np.array_equal(gram, prob.a.T @ prob.a)
+
+    def test_sampling_cdf_kept_per_distribution_and_axis(self):
+        prob = _consistent_problem(5, 12, 4)
+        k1 = make_scheme("K1", distribution=NORM_PROPORTIONAL)
+        c1 = make_scheme("C1", distribution=NORM_PROPORTIONAL)
+        assert prob.sampler(k1) is prob.sampler(k1)
+        assert len(prob.sampler(k1).cdf) == 12
+        assert len(prob.sampler(c1).cdf) == 4
+        assert np.array_equal(prob.sampler(c1).cdf,
+                              schemes.sampling_weights(c1, prob.a).cdf)
+        assert prob.sampler(make_scheme("K3", block_size=2)) is None
 
     def test_spd_check_runs_once_per_problem(self, monkeypatch):
         calls = []
@@ -306,8 +317,8 @@ class TestReplay:
         real_step = schemes.step
         calls = []
 
-        def perturbing_step(scheme, a, b, x, draw, r=None):
-            out = real_step(scheme, a, b, x, draw, r=r)
+        def perturbing_step(scheme, a, b, x, draw, r=None, **kw):
+            out = real_step(scheme, a, b, x, draw, r=r, **kw)
             calls.append(None)
             if len(calls) == 3:
                 r[0] += 1e-6 * np.linalg.norm(b)
@@ -345,10 +356,11 @@ def _noisy_problem(seed: int, m: int, n: int, noise: float) -> Problem:
 
 
 class TestAnchoredRecords:
-    """Row schemes on tall systems read their records from an exact anchor
-    and A^T A; each record must still agree with a recompute, and the run
-    must stop where exact records would have stopped it. The problems here
-    are smaller than ANCHOR_MIN_SIZE, so the anchor is switched on for them."""
+    """Row schemes, and C1-C4 in Gram space, on tall systems read their
+    records from an exact anchor and A^T A; each record must still agree
+    with a recompute along the A-space iteration, and the run must stop
+    where exact records would have stopped it. The problems here are
+    smaller than ANCHOR_MIN_SIZE, so the anchor is switched on for them."""
 
     @pytest.fixture(autouse=True)
     def _anchor_small_problems(self, monkeypatch):
@@ -381,6 +393,28 @@ class TestAnchoredRecords:
                      0.2, 3000, id="K1-least-squares-m/n=50"),
         pytest.param("K3", lambda: _noisy_problem(28, 2000, 40, 0.3), 40,
                      0.2, 300, id="K3-least-squares-m/n=50"),
+        # C1-C4 run in Gram space on these shapes, and their records read s;
+        # the normal equations lose accuracy like cond(A)^2
+        pytest.param("C1", lambda: _sparse_normal(1e-3), 1, 1e-3, 20_000,
+                     id="C1-sparse-rc1e-3"),
+        pytest.param("C1", lambda: _sparse_normal(1e-3), 1, 1e-9, 3000,
+                     id="C1-sparse-rc1e-3-itmax"),
+        pytest.param("C3", lambda: _sparse_normal(1e-3), 4, 1e-3, 20_000,
+                     id="C3-sparse-rc1e-3"),
+        pytest.param("C3", lambda: _sparse_normal(1e-3), 8, 1e-9, 600,
+                     id="C3-sparse-rc1e-3-itmax"),
+        pytest.param("C2", lambda: _sparse_normal(1e-3), 1, 1e-3, 20_000,
+                     id="C2-sparse-rc1e-3"),
+        pytest.param("C4", lambda: _sparse_normal(1e-3), 4, 1e-3, 20_000,
+                     id="C4-sparse-rc1e-3"),
+        pytest.param("C3", lambda: _consistent_problem(27, 200, 20), 8, 1e-13,
+                     300, id="C3-fast"),
+        # near the least-squares solution s = A^T r shrinks to rounding
+        # while r does not
+        pytest.param("C1", lambda: _noisy_problem(28, 2000, 40, 0.3), 1,
+                     0.2, 3000, id="C1-least-squares-m/n=50"),
+        pytest.param("C3", lambda: _noisy_problem(28, 2000, 40, 0.3), 8,
+                     0.2, 300, id="C3-least-squares-m/n=50"),
     ])
     def test_records_match_replay(self, sid, make, block, tol, itmax):
         prob = make()
@@ -391,6 +425,7 @@ class TestAnchoredRecords:
         every = solver.default_trace_every(scheme)
         # some records read the anchor, and the first and last are exact
         assert 2 <= trace.exact_recomputes < len(trace.records)
+        assert "gram" in prob.__dict__
 
         rng = make_rng(seed)
         a, b = prob.a, prob.b
@@ -435,6 +470,41 @@ class TestAnchoredRecords:
         assert trace.final.rel_residual == \
             np.linalg.norm(prob.b - prob.a @ x) / np.linalg.norm(prob.b)
 
+    def test_perturbed_gram_stops_c3_with_drift(self, monkeypatch):
+        prob = _consistent_problem(21, 60, 8)
+        monkeypatch.setattr(prob, "gram", prob.gram * (1.0 + 1e-6))
+        x, trace = solve(prob, make_scheme("C3", block_size=3),
+                         StopRule(itmax=5000, tol=1e-14), make_rng(0))
+        assert trace.status == DRIFT
+        assert trace.final.rel_residual == \
+            np.linalg.norm(prob.b - prob.a @ x) / np.linalg.norm(prob.b)
+
+    @pytest.mark.parametrize("sid, block", [("C1", 1), ("C3", 4)])
+    def test_exact_records_resync_s(self, monkeypatch, sid, block):
+        # the step after each exact record starts from s = A^T (b - A x),
+        # formed as the solver forms it, not from the s carried to it
+        prob = _noisy_problem(30, 400, 10, 0.3)
+        a, b = prob.a, prob.b
+        real_step = schemes.step
+        resynced = []
+
+        def spying_step(scheme, a_, b_, x, draw, r=None, gram=None):
+            assert gram is prob.gram
+            resynced.append(np.array_equal(r, a.T @ (b - a @ x)))
+            return real_step(scheme, a_, b_, x, draw, r=r, gram=gram)
+
+        monkeypatch.setattr(schemes, "step", spying_step)
+        _, trace = solve(prob, make_scheme(sid, block_size=block),
+                         StopRule(itmax=2000, tol=1e-3), make_rng(4),
+                         trace_every=5)
+        assert trace.status == MAX_ITERS
+        # exact at k = 0 and every EXACT_EVERY records, the last of them at
+        # itmax, which no step follows
+        assert trace.exact_recomputes == 2000 // (5 * EXACT_EVERY) + 1
+        assert sum(resynced) == trace.exact_recomputes - 1
+        for j in range(0, 2000, 5 * EXACT_EVERY):
+            assert resynced[j]
+
     @pytest.mark.parametrize("m, n", [(12, 12), (8, 12), (30, 12)])
     def test_square_wide_and_near_square_records_are_exact(self, m, n):
         prob = _consistent_problem(22, m, n)
@@ -456,6 +526,40 @@ class TestAnchorPolicy:
                          make_rng(2))
         assert trace.status == CONVERGED
         assert (trace.exact_recomputes < len(trace.records)) == anchored
+
+    @pytest.mark.parametrize("sid, m, n, trace_every, gram", [
+        ("C3", 120, 24, None, True),
+        ("C1", 120, 24, None, True),
+        ("C4", 120, 24, None, True),
+        # m x m weight: no Gram-space step
+        ("C5", 120, 24, None, False),
+        ("C6", 120, 24, None, False),
+        ("C3", 60, 24, None, False),  # m < ANCHOR_MIN_RATIO n
+        # records only at k = 0 and itmax, as in a rate fit's trials
+        ("C3", 120, 24, 50, False),
+        ("C1", 120, 24, 60, False),
+    ])
+    def test_column_schemes_in_gram_space_only_where_g_is_used(
+            self, monkeypatch, sid, m, n, trace_every, gram):
+        monkeypatch.setattr(solver, "ANCHOR_MIN_SIZE", 0)
+        prob = _consistent_problem(31, m, n)
+        g = SpdMatrix(np.eye(m)) if sid in schemes.WEIGHTED_SCHEMES else None
+        real_step = schemes.step
+        grams = set()
+
+        def spying_step(scheme, a, b, x, draw, r=None, gram=None):
+            # r carries b - A x in A space and A^T (b - A x) in Gram space
+            grams.add(gram is not None)
+            want = b - a @ x if gram is None else a.T @ (b - a @ x)
+            scale = np.linalg.norm(b) * (1.0 if gram is None else np.linalg.norm(a))
+            assert np.linalg.norm(r - want) <= 1e-12 * scale
+            return real_step(scheme, a, b, x, draw, r=r, gram=gram)
+
+        monkeypatch.setattr(schemes, "step", spying_step)
+        solve(prob, make_scheme(sid, block_size=4, g=g),
+              StopRule(itmax=50, tol=1e-12), make_rng(3), trace_every=trace_every)
+        assert grams == {gram}
+        assert ("gram" in prob.__dict__) == gram
 
     @pytest.mark.parametrize("trace_every, anchored", [(50, False), (49, True)])
     def test_no_anchor_without_a_record_before_itmax(self, monkeypatch,

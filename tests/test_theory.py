@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import eigs_via_charpoly, gaussian, random_orthogonal, random_spd
-from sketchsolve import schemes, solver, theory
+from sketchsolve import schemes, sketch, solver, theory
 from sketchsolve.linalg import SpdMatrix
 from sketchsolve.schemes import make_scheme
 from sketchsolve.sketch import (NORM_PROPORTIONAL, TRACE_PROPORTIONAL, UNIFORM,
@@ -320,6 +320,38 @@ class TestEmpiricalRate:
         fit_empirical_rate(prob, make_scheme("K1"), trials=2, iterations=30,
                            norm_used="euclid", seed=0)
         assert "gram" not in prob.__dict__
+
+    @pytest.mark.parametrize("sid", ["C1", "C3"])
+    def test_column_fit_stays_in_a_space(self, monkeypatch, sid):
+        # for the same reason a column scheme's trials carry b - A x, not
+        # A^T (b - A x), and form no A^T A
+        monkeypatch.setattr(solver, "ANCHOR_MIN_SIZE", 0)
+        prob = _consistent(gaussian(17, 40, 5))
+        fit_empirical_rate(prob, make_scheme(sid, block_size=2), trials=2,
+                           iterations=30, norm_used="euclid", seed=0)
+        assert "gram" not in prob.__dict__
+
+    def test_fit_builds_the_sampling_cdf_once(self, monkeypatch):
+        real_cdf = sketch.index_cdf
+        calls = []
+        monkeypatch.setattr(sketch, "index_cdf",
+                            lambda w: calls.append(None) or real_cdf(w))
+        scheme = make_scheme("K1", distribution=NORM_PROPORTIONAL)
+
+        def fit():
+            return fit_empirical_rate(_consistent(gaussian(17, 30, 12)), scheme,
+                                      trials=5, iterations=50,
+                                      norm_used="euclid", seed=43)
+
+        report = fit()
+        assert len(calls) == 1
+        # a CDF built for every trial gives the same fit, bit for bit
+        monkeypatch.setattr(Problem, "sampler",
+                            lambda self, s: schemes.sampling_weights(s, self.a))
+        again = fit()
+        assert len(calls) == 6
+        assert (again.rho_fit, again.rho_fit_norm_of_mean) == \
+            (report.rho_fit, report.rho_fit_norm_of_mean)
 
     def test_zero_iterations_refused(self):
         prob = _consistent(gaussian(16, 8, 4))
