@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import problems, schemes, sketch, solver, theory
-from .linalg import SpdMatrix
+from .linalg import SpdMatrix, as_int, json_dict
 
 SCHEMA_VERSION = 2
 
@@ -78,38 +78,37 @@ def _problem_spec(cfg: dict) -> problems.ProblemSpec:
 
 def _config_int(node: dict, key: str, default: int | None,
                 minimum: int) -> int | None:
-    """``node[key]`` as an integer of at least ``minimum``; a missing key
-    gives ``default``, and so does null where the default is None."""
+    """``node[key]`` as an integer of at least ``minimum``
+    (:func:`linalg.as_int`); a missing key gives ``default``, and so does
+    null where the default is None."""
     value = node.get(key, default)
     if value is None and default is None:
         return None
     try:
-        out = int(value)
-    except (TypeError, ValueError, OverflowError):
-        out = None
-    if isinstance(value, bool) or out is None or out < minimum:
-        raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
-    return out
+        return as_int(value, key, minimum)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
 def _config_float(node: dict, key: str, default: float) -> float:
-    """``node[key]`` as a finite float; a missing key gives ``default``."""
+    """``node[key]`` as a finite float, from a number that is not a bool; a
+    missing key gives ``default``."""
     value = node.get(key, default)
     try:
         out = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         out = math.nan
-    if isinstance(value, bool) or not math.isfinite(out):
+    if isinstance(value, (bool, str)) or not math.isfinite(out):
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
     return out
 
 
-def _resolve_block_size(value, n: int) -> int:
-    if value in (None, "sqrt"):
+def _resolve_block_size(cfg: dict, default, n: int) -> int:
+    """``block_size`` as an integer >= 1, with "sqrt" and null meaning
+    floor(sqrt(n))."""
+    if cfg.get("block_size", default) in (None, "sqrt"):
         return max(1, int(math.floor(math.sqrt(n))))
-    if isinstance(value, int) and value >= 1:
-        return value
-    raise ConfigError(f"block_size must be a positive integer or 'sqrt', got {value!r}")
+    return _config_int(cfg, "block_size", default, 1)
 
 
 def _weight_for(scheme_id: str, g_mode, a: np.ndarray) -> SpdMatrix | None:
@@ -117,7 +116,7 @@ def _weight_for(scheme_id: str, g_mode, a: np.ndarray) -> SpdMatrix | None:
         return None
     m, n = a.shape
     if g_mode == "identity":
-        return SpdMatrix(np.eye(n if schemes.family(scheme_id) == "K" else m))
+        return SpdMatrix(np.eye(schemes.weight_dim(scheme_id, a.shape)))
     if g_mode == "inverse":
         if m != n:
             raise ConfigError("g_mode 'inverse' needs a square system")
@@ -174,7 +173,14 @@ def _write_trace_csv(path: Path, trace: solver.SolveTrace):
             fh.write(f"{rec.k},{rec.rel_residual!r},{err},{rec.elapsed_s:.6f}\n")
 
 
-def _dump_json(path: Path, payload: dict):
+def _write_output(path: Path, cfg: dict, problem: solver.Problem | None,
+                  **body):
+    """Write one JSON output: ``schema_version``, ``config_echo``, ``body``
+    and, given a problem, its ``problem_stats``."""
+    payload = {"schema_version": SCHEMA_VERSION, "config_echo": cfg, **body}
+    if problem is not None:
+        payload["problem_stats"] = (json_dict(problem.stats)
+                                    if problem.stats is not None else None)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -209,7 +215,7 @@ def run_bench(cfg: dict) -> int:
 
     problem = problems.generate(spec)
     n = problem.shape[1]
-    block = _resolve_block_size(cfg.get("block_size"), n)
+    block = _resolve_block_size(cfg, None, n)
 
     per_scheme = []
     any_failed = False
@@ -241,14 +247,7 @@ def run_bench(cfg: dict) -> int:
                               "wall_s": time.perf_counter() - t0})
             per_scheme.append(entry)
 
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "config_echo": cfg,
-        "per_scheme": per_scheme,
-        "problem_stats": (problem.stats.to_json_dict()
-                          if problem.stats is not None else None),
-    }
-    _dump_json(out / "summary.json", summary)
+    _write_output(out / "summary.json", cfg, problem, per_scheme=per_scheme)
     return 2 if any_failed else 0
 
 
@@ -272,7 +271,7 @@ def run_rates(cfg: dict) -> int:
 
     problem = problems.generate(spec)
     n = problem.shape[1]
-    block = _resolve_block_size(cfg.get("block_size", 1), n)
+    block = _resolve_block_size(cfg, 1, n)
 
     reports = []
     violations = []
@@ -289,21 +288,14 @@ def run_rates(cfg: dict) -> int:
                                                norm_used=norm_used, seed=seed)
         except ValueError as exc:  # e.g. an S scheme on a non-SPD matrix
             raise ConfigError(f"rates for {sid}: {exc}") from exc
-        reports.append(report.to_json_dict())
+        reports.append(json_dict(report))
         if (math.isfinite(report.rho_theory) and not report.degenerate
                 and math.isfinite(report.rho_fit)
                 and report.rho_fit > report.rho_theory + tolerance):
             violations.append(sid)
 
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "config_echo": cfg,
-        "reports": reports,
-        "violations": violations,
-        "problem_stats": (problem.stats.to_json_dict()
-                          if problem.stats is not None else None),
-    }
-    _dump_json(out / "rates.json", payload)
+    _write_output(out / "rates.json", cfg, problem, reports=reports,
+                  violations=violations)
     return 3 if violations else 0
 
 
@@ -320,8 +312,8 @@ def run_verify_expectation(cfg: dict) -> int:
         sid = cfg.get("scheme", "K2")
         if sid not in ("K2", "K4", "K6"):
             raise ConfigError("propagator target supports schemes K2/K4/K6")
-        block = _resolve_block_size(cfg.get("block_size", 1), a.shape[1])
-        g = _weight_for(sid, g_mode, a) if sid == "K6" else None
+        block = _resolve_block_size(cfg, 1, a.shape[1])
+        g = _weight_for(sid, g_mode, a)
         samples = _config_int(cfg, "samples", 10_000, 2)
         est = theory.estimate_mean_propagator(a, g, sid, samples,
                                               sketch.make_rng(seed),
@@ -338,13 +330,8 @@ def run_verify_expectation(cfg: dict) -> int:
     else:
         raise ConfigError(f"unknown target {target!r}")
 
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "config_echo": cfg,
-        "target": target,
-        "report": est.to_json_dict(),
-    }
-    _dump_json(out / "expectation.json", payload)
+    _write_output(out / "expectation.json", cfg, None, target=target,
+                  report=json_dict(est))
     return 0
 
 
@@ -354,13 +341,7 @@ def run_gen_problem(cfg: dict) -> int:
     problem = problems.generate(spec)
     problems.save_matrixmarket(out / "A.mtx", problem.a, fmt="array")
     problems.save_matrixmarket(out / "b.mtx", problem.b.reshape(-1, 1), fmt="array")
-    meta = {
-        "schema_version": SCHEMA_VERSION,
-        "config_echo": cfg,
-        "problem_stats": (problem.stats.to_json_dict()
-                          if problem.stats is not None else None),
-    }
-    _dump_json(out / "meta.json", meta)
+    _write_output(out / "meta.json", cfg, problem)
     return 0
 
 

@@ -1,11 +1,14 @@
-"""Dense linear-algebra primitives shared by the solver and theory code.
+"""Dense linear-algebra primitives shared by the solver and theory code,
+and the input checks and JSON form of reports shared with the CLI.
 
 Everything operates on float64 numpy arrays. Matrices are 2-D, vectors 1-D.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import numbers
 
 import numpy as np
 
@@ -65,9 +68,32 @@ def extremal_eigs(s) -> tuple[float, float]:
     return float(w[0]), float(w[-1])
 
 
+def as_int(value, name: str, minimum: int) -> int:
+    """``value`` checked to be an integer of at least ``minimum``: not a bool,
+    a float or a string, whatever its value."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def finite_or_none(v):
     """``v``, or None when it is a non-finite float (JSON has no NaN/Inf)."""
     return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
+def json_dict(record) -> dict:
+    """A dataclass's fields as JSON values: arrays and tuples become lists,
+    non-finite floats None."""
+    out = {}
+    for f in dataclasses.fields(record):
+        v = getattr(record, f.name)
+        if isinstance(v, np.ndarray):
+            v = v.tolist()
+        elif isinstance(v, tuple):
+            v = list(v)
+        out[f.name] = finite_or_none(v)
+    return out
 
 
 def frobenius_norm_sq(m) -> float:

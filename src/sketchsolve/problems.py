@@ -16,17 +16,20 @@ pattern before reshaping and the achieved fraction is reported in
 :class:`ProblemStats` rather than enforced on the final matrix. Only
 ``SparseNormal`` takes a ``density``, only it and ``SparseSpd`` take an
 ``rc``, and ``FromFile`` takes no ``m``, ``n`` or ``seed`` (the file decides
-them); :class:`ProblemSpec` rejects any of them where the kind would ignore it.
+them); :class:`ProblemSpec` rejects any of them where the kind would ignore it,
+an ``m``, ``n`` or ``seed`` that is a bool or not an integer (or a negative
+seed), and a ``density`` or ``rc`` that is a bool or not a number in (0, 1].
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, finite_or_none
+from .linalg import as_int, as_matrix
 from .sketch import make_rng
 from .solver import Problem
 
@@ -55,16 +58,6 @@ class ProblemStats:
     achieved_rc: float | None = None
     structurally_deficient: bool = False  # too few nonzeros for full rank
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind, "m": self.m, "n": self.n,
-            "density": finite_or_none(self.density),
-            "pattern_density": finite_or_none(self.pattern_density),
-            "rc": finite_or_none(self.rc),
-            "achieved_rc": finite_or_none(self.achieved_rc),
-            "structurally_deficient": self.structurally_deficient,
-        }
-
 
 @dataclass
 class ProblemSpec:
@@ -85,8 +78,11 @@ class ProblemSpec:
                 continue
             if name not in _TAKES[self.kind]:
                 raise ValueError(f"{self.kind} problems take no {name}")
-            if name in ("density", "rc") and not (0.0 < v <= 1.0):
-                raise ValueError(f"{name} must lie in (0, 1], got {v}")
+            if name not in ("density", "rc"):
+                as_int(v, name, 0 if name == "seed" else 1)
+            elif (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                  or not 0.0 < v <= 1.0):
+                raise ValueError(f"{name} must be a number in (0, 1], got {v!r}")
         if self.kind == FROM_FILE:
             if not self.path:
                 raise ValueError("FromFile problems need a path")

@@ -46,7 +46,7 @@ instead of O(m l) or O(m n l), and carries ``s`` in place of the residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,46 +92,51 @@ def sketch_kind(scheme_id: str) -> str:
     return _KIND_FOR[scheme_id]
 
 
-def _gauss_axis(scheme_id: str) -> str:
-    # row-action schemes sketch the m equations; column/symmetric schemes
-    # sketch the n unknowns
-    return "rows" if family(scheme_id) == "K" else "cols"
+def weight_dim(scheme_id: str, shape: tuple[int, int]) -> int:
+    """The side of a weighted scheme's SPD weight G on an m x n system: n for
+    K5/K6, whose G multiplies ``A^T Y``; m for C5/C6, whose G multiplies
+    ``A Z``."""
+    return shape[1] if family(scheme_id) == "K" else shape[0]
 
 
 @dataclass(frozen=True, eq=False)
 class Scheme:
-    """One catalog entry: an identifier, its draw description, and the SPD
-    weight for the weighted variants (required for K5/K6/C5/C6, forbidden
-    otherwise; n x n for row schemes, m x m for column schemes)."""
+    """One catalog entry: an identifier, the width and sampling distribution
+    of its draws, and the SPD weight for the weighted variants (required for
+    K5/K6/C5/C6, forbidden otherwise; see :func:`weight_dim` for its size).
+
+    The id fixes everything else, derived once here: :attr:`spec`, the draw
+    (its kind; Gaussian draws on the rows for K and on the columns for C and
+    S; width 1 for the scalar ids), and :attr:`gram_form`, whether the
+    scheme has a Gram-space update: the unweighted C ids, C1-C4, as the
+    m x m weight of C5/C6 has no n x n form."""
 
     id: str
-    spec: SketchSpec
+    block_size: int = 1
+    distribution: str = sketch.UNIFORM
     g: SpdMatrix | None = None
+    spec: SketchSpec = field(init=False, repr=False)
+    gram_form: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.id not in ALL_SCHEMES:
-            raise ValueError(f"unknown scheme {self.id!r}")
-        if self.spec.kind != _KIND_FOR[self.id]:
-            raise ValueError(f"scheme {self.id} draws {_KIND_FOR[self.id]}, "
-                             f"got spec for {self.spec.kind}")
+        kind = sketch_kind(self.id)
+        if self.id in SCALAR_SCHEMES:
+            object.__setattr__(self, "block_size", 1)
+        axis = None
+        if kind in (GAUSS_VECTOR, GAUSS_MATRIX):
+            axis = "rows" if self.id[0] == "K" else "cols"
+        object.__setattr__(self, "spec", SketchSpec(
+            kind=kind, block_size=self.block_size,
+            distribution=self.distribution, axis=axis))
         if (self.g is not None) != (self.id in WEIGHTED_SCHEMES):
             want = "requires" if self.id in WEIGHTED_SCHEMES else "forbids"
             raise ValueError(f"scheme {self.id} {want} a weight matrix G")
+        object.__setattr__(self, "gram_form",
+                           self.id[0] == "C" and self.g is None)
 
 
-def make_scheme(scheme_id: str, block_size: int = 1,
-                distribution: str = sketch.UNIFORM,
-                g: SpdMatrix | None = None) -> Scheme:
-    """Build a scheme with the matching sketch description."""
-    kind = _KIND_FOR.get(scheme_id)
-    if kind is None:
-        raise ValueError(f"unknown scheme {scheme_id!r}")
-    if scheme_id in SCALAR_SCHEMES:
-        block_size = 1
-    axis = _gauss_axis(scheme_id) if kind in (GAUSS_VECTOR, GAUSS_MATRIX) else None
-    spec = SketchSpec(kind=kind, block_size=block_size,
-                      distribution=distribution, axis=axis)
-    return Scheme(id=scheme_id, spec=spec, g=g)
+# the name the library's callers build schemes by
+make_scheme = Scheme
 
 
 def sampling_weights(scheme: Scheme, a: np.ndarray) -> sketch.IndexCdf | None:
@@ -260,7 +265,7 @@ def step(scheme: Scheme, a: np.ndarray, b: np.ndarray,
     A-space update, up to rounding.
     """
     _check_draw(scheme, draw)
-    if gram is not None and (scheme.id[0] != "C" or scheme.g is not None):
+    if gram is not None and not scheme.gram_form:
         raise ValueError(f"scheme {scheme.id} has no Gram-space update")
     if maintains_residual(scheme):
         if r is None:

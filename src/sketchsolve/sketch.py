@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import as_int
+
 # sketch kinds
 COORD_ROW = "coord_row"
 COORD_COL = "coord_col"
@@ -74,8 +76,7 @@ class SketchSpec:
             raise ValueError(f"unknown sketch kind {self.kind!r}")
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}")
-        if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
+        as_int(self.block_size, "block_size", 1)
         if self.distribution == NORM_PROPORTIONAL and self.kind not in (COORD_ROW, COORD_COL):
             raise ValueError("norm-proportional sampling applies only to single "
                              "row/column draws")

@@ -223,7 +223,7 @@ def check_compatible(problem: Problem, scheme: schemes.Scheme):
         if exc is not None:
             raise ValueError(f"scheme {scheme.id} needs an SPD system: {exc}") from exc
     if scheme.g is not None:
-        want = n if schemes.family(scheme.id) == "K" else m
+        want = schemes.weight_dim(scheme.id, (m, n))
         if scheme.g.n != want:
             raise ValueError(f"scheme {scheme.id} needs a {want}x{want} weight "
                              f"matrix, got {scheme.g.n}x{scheme.g.n}")
@@ -400,8 +400,7 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
     # fits, nothing would read the anchor
     use_gram = (m >= ANCHOR_MIN_RATIO * n and m * n >= ANCHOR_MIN_SIZE
                 and trace_every < stop.itmax)
-    # C5/C6 carry an m x m weight, so only C1-C4 have a Gram-space step
-    gram_space = use_gram and scheme.id[0] == "C" and scheme.g is None
+    gram_space = use_gram and scheme.gram_form
     if schemes.maintains_residual(scheme) and not gram_space:
         tracked = _MaintainedResidual(r, res_denom)
     else:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import schemes, sketch
-from .linalg import (SpdMatrix, as_matrix, extremal_eigs, finite_or_none,
+from .linalg import (SpdMatrix, as_matrix, extremal_eigs,
                      frobenius_norm_sq, pseudoinverse, spd_sqrt)
 from .solver import Problem, StopRule, check_compatible, initial_iterate, solve
 
@@ -64,18 +64,6 @@ class RateReport:
     rho_fit_norm_of_mean: float = math.nan
     degenerate: bool = False
 
-    def to_json_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "rho_theory": finite_or_none(self.rho_theory),
-            "rho_fit": finite_or_none(self.rho_fit),
-            "rho_fit_norm_of_mean": finite_or_none(self.rho_fit_norm_of_mean),
-            "trials": self.trials,
-            "iterations": self.iterations,
-            "norm_used": self.norm_used,
-            "degenerate": self.degenerate,
-        }
-
 
 @dataclass
 class ExpectationEstimate:
@@ -100,18 +88,17 @@ class ExpectationEstimate:
     positive_definite: bool | None = None
     violated_assumptions: tuple[str, ...] = field(default_factory=tuple)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "matrix": self.matrix.tolist(),
-            "samples": self.samples,
-            "bound_matrix": self.bound_matrix.tolist(),
-            "max_violation": finite_or_none(self.max_violation),
-            "max_violation_se": finite_or_none(self.max_violation_se),
-            "lambda_min": finite_or_none(self.lambda_min),
-            "spectral_rate": finite_or_none(self.spectral_rate),
-            "positive_definite": self.positive_definite,
-            "violated_assumptions": list(self.violated_assumptions),
-        }
+
+def _col_gram(a: np.ndarray, g: SpdMatrix | None) -> np.ndarray:
+    """``A^T G A``, the column schemes' G-hat, or ``A^T A`` without G."""
+    return a.T @ a if g is None else a.T @ g.mat @ a
+
+
+def _row_gram(a: np.ndarray, g_half: np.ndarray | None) -> np.ndarray:
+    """``G^{1/2} A^T A G^{1/2}`` for the row schemes, or ``A^T A`` without
+    G: n x n, with the nonzero spectrum of the m x m ``A G A^T``."""
+    s = a.T @ a
+    return s if g_half is None else g_half @ s @ g_half
 
 
 def _rank_deficient(eig_min: float, eig_max: float, dim: int) -> bool:
@@ -150,24 +137,19 @@ def rate_gaussian_bound(a, fam: str, g: SpdMatrix | None = None
     a = as_matrix(a)
     m, n = a.shape
     if fam == "K":
-        gh = spd_sqrt(g) if g is not None else np.eye(n)
-        s = gh @ (a.T @ a) @ gh
-        lo, hi = extremal_eigs(0.5 * (s + s.T))
-        if _rank_deficient(lo, hi, max(m, n)):
-            return 1.0, True
-        return 1.0 - lo / (m * hi), False
-    if fam == "C":
-        gmat = g.mat if g is not None else np.eye(m)
-        s = a.T @ gmat @ a
-        lo, hi = extremal_eigs(0.5 * (s + s.T))
-        if _rank_deficient(lo, hi, max(m, n)):
-            return 1.0, True
-        return 1.0 - lo / (n * hi), False
-    if fam == "S":
+        s, dim = _row_gram(a, spd_sqrt(g) if g is not None else None), m
+    elif fam == "C":
+        s, dim = _col_gram(a, g), n
+    elif fam == "S":
         spd = a if isinstance(a, SpdMatrix) else SpdMatrix(a)
         lo, hi = extremal_eigs(spd.mat)
         return 1.0 - lo / (n * hi), False
-    raise ValueError(f"unknown family {fam!r}")
+    else:
+        raise ValueError(f"unknown family {fam!r}")
+    lo, hi = extremal_eigs(0.5 * (s + s.T))
+    if _rank_deficient(lo, hi, max(m, n)):
+        return 1.0, True
+    return 1.0 - lo / (dim * hi), False
 
 
 def estimate_mean_propagator(a, g: SpdMatrix | None, scheme_id: str,
@@ -190,9 +172,8 @@ def estimate_mean_propagator(a, g: SpdMatrix | None, scheme_id: str,
                          f"schemes K2/K4/K6, not {scheme_id!r}")
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    gmat = g.mat if g is not None else np.eye(n)
-    g_half = spd_sqrt(g) if g is not None else np.eye(n)
-    g_half_inv = np.linalg.inv(g_half) if g is not None else np.eye(n)
+    g_half = spd_sqrt(g) if g is not None else None
+    g_half_inv = np.linalg.inv(g_half) if g is not None else None
 
     scheme = schemes.make_scheme(scheme_id, block_size=block_size,
                                  g=g if scheme_id == "K6" else None)
@@ -201,12 +182,13 @@ def estimate_mean_propagator(a, g: SpdMatrix | None, scheme_id: str,
     for s in range(samples):
         draw = sketch.draw_sketch(scheme.spec, (m, n), rng)
         t = schemes.error_propagator(scheme, a, draw)
-        th = g_half_inv @ t @ g_half
+        th = t if g is None else g_half_inv @ t @ g_half
         draws[s] = 0.5 * (th + th.T)
 
     estimate = draws.mean(axis=0)
-    hi = extremal_eigs(a @ gmat @ a.T)[1]
-    bound = np.eye(n) - (g_half @ (a.T @ a) @ g_half) / (m * hi)
+    ghat = _row_gram(a, g_half)
+    hi = extremal_eigs(ghat)[1]  # lam_max(A G A^T)
+    bound = np.eye(n) - ghat / (m * hi)
     bound = 0.5 * (bound + bound.T)
 
     def lam_max_gap(mat: np.ndarray) -> float:
@@ -238,15 +220,14 @@ def mean_sketched_inverse(a, g: SpdMatrix | None,
     Violations are recorded in ``violated_assumptions``, not raised.
     """
     a = as_matrix(a)
-    m, n = a.shape
+    n = a.shape[1]
     probs = np.array([p for _, p in members], dtype=float)
     if (probs <= 0).any():
         raise ValueError("member probabilities must be positive")
     if abs(probs.sum() - 1.0) > 1e-12:
         raise ValueError(f"member probabilities sum to {probs.sum()!r}, not 1")
 
-    gmat = g.mat if g is not None else np.eye(m)
-    ghat = a.T @ gmat @ a
+    ghat = _col_gram(a, g)
 
     violated = []
     total = np.zeros((n, n))
@@ -290,8 +271,7 @@ def _norm_matrix(norm_used: str, a: np.ndarray,
     if norm_used == NORM_GINV:
         return np.linalg.inv(g.mat) if g is not None else None
     if norm_used == NORM_GHAT:
-        gmat = g.mat if g is not None else np.eye(a.shape[0])
-        return a.T @ gmat @ a
+        return _col_gram(a, g)
     if norm_used == NORM_A:
         return SpdMatrix(a).mat
     raise ValueError(f"unknown norm {norm_used!r}")

@@ -243,14 +243,16 @@ class TestGenProblem:
 
 
 class TestIntegerOptions:
-    """Every integer and float option, and the stop object, is checked up
-    front: a bad value is a config error (exit 1) naming the key, not a
-    traceback or a failed scheme."""
+    """Every integer and float option, the stop object, ``block_size`` and
+    the problem's numbers are checked up front: a bad value is a config
+    error (exit 1) naming the key, not a traceback or a failed scheme."""
 
     @pytest.mark.parametrize("key, value", [
         ("stop", {"itmax": 0}), ("stop", {"itmax": "x"}), ("trials", "x"),
-        ("trials", 0), ("seed", -1), ("seed", 1.5e400), ("trace_every", 0),
-        ("trace_every", "x"), ("trace_every", True),
+        ("trials", 0), ("trials", 2.5), ("seed", -1), ("seed", 1.5e400),
+        ("trace_every", 0), ("trace_every", "x"), ("trace_every", True),
+        ("block_size", True), ("block_size", 0), ("block_size", 2.5),
+        ("block_size", "x"),
     ])
     def test_bench(self, tmp_path, capsys, key, value):
         out = tmp_path / "out"
@@ -263,6 +265,7 @@ class TestIntegerOptions:
     @pytest.mark.parametrize("stop, key", [
         (5, "stop"), ([1], "stop"), ({"tol": "x"}, "tol"),
         ({"tol": float("nan")}, "tol"), ({"tol": True}, "tol"),
+        ({"tol": "1e-6"}, "tol"), ({"tol": 10 ** 400}, "tol"),
     ])
     def test_bench_stop_rule(self, tmp_path, capsys, stop, key):
         out = tmp_path / "out"
@@ -270,6 +273,20 @@ class TestIntegerOptions:
         assert main(["bench", "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and key in err
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("m", 2.5), ("m", True), ("n", "24"), ("seed", -1), ("seed", 1.0),
+        ("rc", True), ("rc", "0.5"), ("density", True), ("density", [0.5]),
+    ])
+    def test_bench_problem(self, tmp_path, capsys, key, value):
+        out = tmp_path / "out"
+        problem = {"kind": "SparseNormal", "m": 120, "n": 24, "seed": 4,
+                   key: value}
+        cfg = _bench_config(tmp_path, out, problem=problem)
+        assert main(["bench", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{key} must be" in err
         assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize("trace_every", [None, 7])

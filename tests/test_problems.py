@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sketchsolve.linalg import SpdMatrix
+from sketchsolve.linalg import SpdMatrix, json_dict
 from sketchsolve.problems import (MatrixMarketError, ProblemSpec, generate,
                                   load_matrixmarket, save_matrixmarket,
                                   sparse_pattern)
@@ -53,10 +53,25 @@ class TestSpecValidation:
             with pytest.raises(ValueError):
                 ProblemSpec(kind=kind, m=4, n=4, **params)
 
+    @pytest.mark.parametrize("param, value", [
+        ("m", 2.5), ("m", True), ("m", 4.0), ("n", "4"), ("seed", -1),
+        ("seed", 1.0), ("seed", False), ("rc", True), ("rc", "0.5"),
+        ("rc", float("nan")), ("density", True), ("density", [0.5]),
+    ])
+    def test_numbers_are_checked(self, param, value):
+        # a bool is refused although Python counts it as an int
+        with pytest.raises(ValueError, match=f"{param} must be"):
+            ProblemSpec(kind="SparseNormal", **{"m": 4, "n": 4, param: value})
+
+    def test_numpy_integers_are_integers(self):
+        spec = ProblemSpec(kind="SparseNormal", m=np.int64(4), n=4,
+                           seed=np.int32(2), rc=np.float64(0.5))
+        assert generate(spec).a.shape == (4, 4)
+
     def test_spd_reports_no_density(self):
         prob = generate(ProblemSpec(kind="SparseSpd", m=6, n=6, rc=0.5, seed=1))
         assert prob.stats.density is None
-        assert prob.stats.to_json_dict()["density"] is None
+        assert json_dict(prob.stats)["density"] is None
         assert prob.stats.rc == 0.5
 
     def test_defaults(self):

@@ -6,11 +6,11 @@ from hypothesis import given
 from helpers import gaussian, random_spd
 from sketchsolve import schemes
 from sketchsolve.linalg import SpdMatrix, pseudoinverse
-from sketchsolve.schemes import (SkipStep, error_propagator, make_scheme,
-                                 realize_sketch, reduction_discrepancy, step,
-                                 step_generic)
+from sketchsolve.schemes import (Scheme, SkipStep, error_propagator,
+                                 make_scheme, realize_sketch,
+                                 reduction_discrepancy, step, step_generic)
 from sketchsolve.sketch import (COL_SUBSET, COORD_COL, COORD_ROW, GAUSS_MATRIX,
-                                GAUSS_VECTOR, ROW_SUBSET, SketchDraw,
+                                GAUSS_VECTOR, ROW_SUBSET, UNIFORM, SketchDraw,
                                 draw_sketch, make_rng)
 
 
@@ -327,6 +327,39 @@ class TestSchemeValidation:
     def test_unknown_id(self):
         with pytest.raises(ValueError):
             make_scheme("K9")
+
+    # each id's draw: the catalog table in the schemes module docstring
+    DRAWS = {
+        "K1": (COORD_ROW, "rows"), "K2": (GAUSS_VECTOR, "rows"),
+        "K3": (ROW_SUBSET, "rows"), "K4": (GAUSS_MATRIX, "rows"),
+        "K5": (ROW_SUBSET, "rows"), "K6": (GAUSS_MATRIX, "rows"),
+        "C1": (COORD_COL, "cols"), "C2": (GAUSS_VECTOR, "cols"),
+        "C3": (COL_SUBSET, "cols"), "C4": (GAUSS_MATRIX, "cols"),
+        "C5": (COL_SUBSET, "cols"), "C6": (GAUSS_MATRIX, "cols"),
+        "S1": (COORD_ROW, "rows"), "S2": (GAUSS_VECTOR, "cols"),
+        "S3": (COL_SUBSET, "cols"), "S4": (GAUSS_MATRIX, "cols"),
+    }
+
+    @pytest.mark.parametrize("sid", schemes.ALL_SCHEMES)
+    def test_spec_and_family_rules_follow_from_the_id(self, sid):
+        weighted = sid in schemes.WEIGHTED_SCHEMES
+        g = SpdMatrix(np.eye(3)) if weighted else None
+        scheme = make_scheme(sid, block_size=3, g=g)
+        kind, axis = self.DRAWS[sid]
+        spec = scheme.spec
+        assert (spec.kind, spec.resolved_axis, spec.distribution) == (
+            kind, axis, UNIFORM)
+        # only a Gaussian draw carries its axis; an index kind implies it
+        gauss = kind in (GAUSS_VECTOR, GAUSS_MATRIX)
+        assert spec.axis == (axis if gauss else None)
+        width = 1 if sid in schemes.SCALAR_SCHEMES else 3
+        assert spec.block_size == scheme.block_size == width
+        assert scheme.gram_form == (sid in GRAM_SCHEMES)
+        if weighted:
+            assert schemes.weight_dim(sid, (7, 5)) == (5 if sid[0] == "K" else 7)
+        # the draw is derived, never passed in
+        with pytest.raises(TypeError):
+            Scheme(sid, spec=spec, g=g)
 
     def test_serialized_ids(self):
         assert schemes.ALL_SCHEMES == (

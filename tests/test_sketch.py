@@ -30,6 +30,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SketchSpec(kind=ROW_SUBSET, block_size=0)
 
+    @pytest.mark.parametrize("block_size", [2.5, True, "3"])
+    def test_block_size_integer(self, block_size):
+        # a float or bool width would fail only at the first draw
+        with pytest.raises(ValueError, match="block_size must be an integer"):
+            SketchSpec(kind=ROW_SUBSET, block_size=block_size)
+
 
 class TestDraws:
     def test_single_row_dimension_one(self):

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import eigs_via_charpoly, gaussian, random_orthogonal, random_spd
 from sketchsolve import schemes, sketch, solver, theory
-from sketchsolve.linalg import SpdMatrix
+from sketchsolve.linalg import SpdMatrix, json_dict
 from sketchsolve.schemes import make_scheme
 from sketchsolve.sketch import (NORM_PROPORTIONAL, TRACE_PROPORTIONAL, UNIFORM,
                                 draw_sketch, make_rng, rng_from_keys)
@@ -378,13 +378,13 @@ class TestEmpiricalRate:
         prob = _consistent(gaussian(16, 8, 4))
         report = fit_empirical_rate(prob, make_scheme("K1"), trials=5,
                                     iterations=10, norm_used="euclid", seed=0)
-        payload = report.to_json_dict()
+        payload = json_dict(report)
         assert payload["scheme"] == "K1"
         assert payload["rho_theory"] is None  # uniform sampling has no closed form
 
     def test_expectation_json_dict(self):
         est = ExpectationEstimate(matrix=np.eye(2), samples=3,
                                   bound_matrix=np.eye(2), max_violation=0.0)
-        payload = est.to_json_dict()
+        payload = json_dict(est)
         assert payload["samples"] == 3
         assert payload["max_violation_se"] is None
