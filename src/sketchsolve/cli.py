@@ -320,13 +320,11 @@ def run_verify_expectation(cfg: dict) -> int:
                                               block_size=block)
     elif target == "sketched_inverse":
         block = _config_int(cfg, "partition_block", 1, 1)
-        g = None
-        if g_mode == "identity":
-            g = SpdMatrix(np.eye(a.shape[0]))
-        elif g_mode is not None:
+        if g_mode not in (None, "identity"):
             raise ConfigError("sketched_inverse supports g_mode null or 'identity'")
+        # G = I: A^T I A is A^T A, so no m x m identity is built or checked
         members = theory.coordinate_partition(a.shape[1], block)
-        est = theory.mean_sketched_inverse(a, g, members)
+        est = theory.mean_sketched_inverse(a, None, members)
     else:
         raise ConfigError(f"unknown target {target!r}")
 

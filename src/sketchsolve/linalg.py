@@ -6,6 +6,7 @@ Everything operates on float64 numpy arrays. Matrices are 2-D, vectors 1-D.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import numbers
@@ -13,6 +14,7 @@ import numbers
 import numpy as np
 
 SYM_RTOL = 1e-12
+_INV_BOUND_SQ = 1.0 / np.finfo(float).eps  # (eps^-1/2)^2, see pseudoinverse
 
 
 def as_matrix(a) -> np.ndarray:
@@ -30,12 +32,21 @@ def as_vector(v) -> np.ndarray:
 
 
 def pseudoinverse(m) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD.
+    """Moore-Penrose pseudoinverse.
 
-    Singular values sigma <= max(rows, cols) * sigma_max * eps are treated
-    as zero, so rank-deficient and zero matrices are handled without error.
+    A square matrix with ``||M||_F ||M^-1||_F <= eps^-1/2``, a bound on
+    cond_2 far below the SVD cutoff, is returned as its LU inverse. All else
+    goes through the SVD: singular values sigma <= max(rows, cols) *
+    sigma_max * eps are treated as zero, so rank-deficient and zero matrices
+    are handled without error.
     """
     m = as_matrix(m)
+    if m.shape[0] == m.shape[1]:
+        with contextlib.suppress(np.linalg.LinAlgError):
+            inv = np.linalg.inv(m)
+            # squared, in Python floats: overflow gives inf, inf * 0 nan; both fail
+            if float(np.vdot(m, m)) * float(np.vdot(inv, inv)) <= _INV_BOUND_SQ:
+                return inv
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((m.shape[1], m.shape[0]))

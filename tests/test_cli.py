@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sketchsolve.cli import main
+from sketchsolve.linalg import SpdMatrix
 from sketchsolve.problems import load_matrixmarket, save_matrixmarket
 from sketchsolve.sketch import make_rng
 
@@ -217,6 +218,38 @@ class TestVerifyExpectation:
         assert main(["verify-expectation", "--config", cfg]) == 0
         payload = json.loads((out / "expectation.json").read_text())
         assert payload["report"]["positive_definite"] is True
+
+    def test_sketched_inverse_identity_g_is_no_g(self, tmp_path, monkeypatch):
+        # G = I gives A^T I A = A^T A: the same report, without an m x m
+        # identity built and validated as an SpdMatrix
+        built = []
+        init = SpdMatrix.__init__
+
+        def recording(self, mat):
+            built.append(np.shape(mat))
+            init(self, mat)
+
+        monkeypatch.setattr(SpdMatrix, "__init__", recording)
+        reports = {}
+        for g_mode in (None, "identity"):
+            out = tmp_path / str(g_mode)
+            cfg = _write_config(tmp_path, "exp.json", {
+                "target": "sketched_inverse",
+                "problem": {"kind": "UniformDense", "m": 40, "n": 6, "seed": 8},
+                "partition_block": 2, "g_mode": g_mode,
+                "output_dir": str(out),
+            })
+            assert main(["verify-expectation", "--config", cfg]) == 0
+            reports[g_mode] = json.loads((out / "expectation.json").read_text())["report"]
+        assert (40, 40) not in built
+        plain, identity = reports[None], reports["identity"]
+        assert plain.keys() == identity.keys()
+        for key, value in plain.items():
+            if isinstance(value, (bool, str)) or value is None or key == "violated_assumptions":
+                assert identity[key] == value, key
+            else:
+                np.testing.assert_allclose(identity[key], value, rtol=1e-12,
+                                           atol=1e-12, err_msg=key)
 
     def test_unknown_target(self, tmp_path):
         cfg = _write_config(tmp_path, "exp.json", {

@@ -3,7 +3,8 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given
 
-from helpers import check_moore_penrose, eigs_via_charpoly, gaussian, random_spd
+from helpers import (check_moore_penrose, eigs_via_charpoly, gaussian,
+                     random_orthogonal, random_spd)
 from sketchsolve.linalg import (SpdMatrix, extremal_eigs, frobenius_norm_sq,
                                 pseudoinverse, spd_sqrt, squared_norms)
 
@@ -32,6 +33,63 @@ class TestPseudoinverse:
         else:
             mat = rng.standard_normal((m, n))
         check_moore_penrose(mat, pseudoinverse(mat))
+
+
+def _pinv_oracle(m):
+    # numpy's SVD pseudoinverse with the same s > max(shape) s_max eps cutoff
+    return np.linalg.pinv(m, rcond=max(m.shape) * np.finfo(float).eps)
+
+
+class TestPseudoinverseInverseFastPath:
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 22),
+           kind=st.sampled_from(["general", "psd"]))
+    def test_square_agrees_with_svd_oracle(self, seed, n, kind):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((n, n))
+        if kind == "psd":
+            m = m.T @ m
+        cond = np.linalg.cond(m)
+        oracle = _pinv_oracle(m)
+        err = np.abs(pseudoinverse(m) - oracle).max()
+        assert err <= 1e-12 * cond * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 20, 22])
+    def test_well_conditioned_square_is_its_inverse(self, n):
+        m = random_spd(n, n, lo=0.5, hi=3.0)
+        np.testing.assert_array_equal(pseudoinverse(m), np.linalg.inv(m))
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_truncating_svd_is_kept(self, rotated):
+        # cond 1e17 is past the SVD cutoff: the small singular value is
+        # dropped, where an inverse would carry 1e17
+        m = np.diag([1.0, 1e-17])
+        if rotated:
+            q = random_orthogonal(np.random.default_rng(3), 2)
+            m = q @ m @ q.T
+        out = pseudoinverse(m)
+        assert np.abs(out).max() < 2.0
+        np.testing.assert_allclose(out, _pinv_oracle(m), rtol=0, atol=1e-12)
+
+    def test_singular_gram_meets_moore_penrose(self):
+        a = gaussian(11, 12, 5)
+        a[:, 4] = a[:, 1]
+        g = a.T @ a
+        check_moore_penrose(g, pseudoinverse(g))
+
+    def test_rectangular_is_the_svd_pseudoinverse(self):
+        m = gaussian(12, 7, 4)
+        np.testing.assert_allclose(pseudoinverse(m), _pinv_oracle(m),
+                                   rtol=1e-12, atol=1e-14)
+
+    def test_nan_entry_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            pseudoinverse([[1.0, np.nan], [0.0, 1.0]])
+
+    def test_inf_entry_gives_zeros(self):
+        # an infinite sigma_max sends every singular value under the cutoff;
+        # LU alone would return the finite "inverse" diag(0, 1)
+        out = pseudoinverse([[np.inf, 0.0], [0.0, 1.0]])
+        assert np.all(out == 0.0)
 
 
 class TestExtremalEigs:
