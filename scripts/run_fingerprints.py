@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""Print one digest per cell of a fixed set of runs, so that two checkouts
+that must run bit-identically can be compared with ``diff``.
+
+The cells are:
+- solves of all sixteen ids (block ids at l = 5), uniform sampling plus
+  K1/C1 norm-proportional and S1 trace-proportional, with ``itmax`` 3000
+  and ``tol`` 1e-8, at seeds 1 and 2, on UniformDense 400x100 (K records
+  exact), UniformDense 2000x100 (anchored K records, C1-C4 in Gram space)
+  and SparseSpd 60; the S ids run on SparseSpd only;
+- three rate fits: K1 and C1 norm-proportional on UniformDense 400x100, S1
+  trace-proportional on SparseSpd 60;
+- one K4 propagator estimate on UniformDense 400x100.
+
+A solve's digest covers the bytes of the final ``x``, the status, the
+iteration, skip and exact-recompute counts and every record's ``k`` and
+residual and error values; timings are left out. A fit's digest covers
+its report's repr, a propagator's the estimate's matrices and figures. Only
+the public ``sketchsolve`` API is read. BLAS is pinned to one thread.
+
+    PYTHONPATH=src python scripts/run_fingerprints.py > change.txt
+    # the same in a checkout of the parent, then
+    diff parent.txt change.txt
+"""
+
+import hashlib
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+import sketchsolve as ss  # noqa: E402
+from sketchsolve import schemes, theory  # noqa: E402
+
+SEEDS = (1, 2)
+BLOCK = 5
+STOP = ss.StopRule(itmax=3000, tol=1e-8)
+PROBLEMS = {
+    "dense-400x100": ss.ProblemSpec(kind="UniformDense", m=400, n=100, seed=3),
+    "dense-2000x100": ss.ProblemSpec(kind="UniformDense", m=2000, n=100, seed=4),
+    "spd-60": ss.ProblemSpec(kind="SparseSpd", m=60, n=60, seed=5),
+}
+PROPORTIONAL = {"K1": "norm_proportional", "C1": "norm_proportional",
+                "S1": "trace_proportional"}
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.tobytes() if isinstance(part, np.ndarray)
+                 else repr(part).encode())
+    return h.hexdigest()[:16]
+
+
+def _weight(sid: str, shape) -> ss.SpdMatrix | None:
+    if sid not in schemes.WEIGHTED_SCHEMES:
+        return None
+    d = schemes.weight_dim(sid, shape)
+    return ss.SpdMatrix(np.diag(1.0 + ss.make_rng(d).random(d)))
+
+
+def _solve_cells(name: str, problem: ss.Problem):
+    square = problem.shape[0] == problem.shape[1]
+    for sid in ss.ALL_SCHEMES:
+        if sid[0] == "S" and name != "spd-60":
+            continue
+        for dist in ("uniform", PROPORTIONAL.get(sid)):
+            if dist is None or (dist == "trace_proportional" and not square):
+                continue
+            scheme = ss.make_scheme(sid, block_size=BLOCK, distribution=dist,
+                                    g=_weight(sid, problem.shape))
+            for seed in SEEDS:
+                x, trace = ss.solve(problem, scheme, STOP, ss.make_rng(seed))
+                values = [(r.k, r.rel_residual, r.rel_error)
+                          for r in trace.records]
+                yield (f"solve {name} {sid} {dist} seed={seed} "
+                       f"{trace.status} k={trace.iterations} "
+                       f"skips={trace.skip_count} "
+                       f"exact={trace.exact_recomputes}",
+                       _digest(x, trace.status, trace.iterations,
+                               trace.skip_count, trace.exact_recomputes,
+                               values))
+
+
+def _fit_cells(probs):
+    fits = (("K1", "dense-400x100", theory.NORM_EUCLID),
+            ("C1", "dense-400x100", theory.NORM_GHAT),
+            ("S1", "spd-60", theory.NORM_A))
+    for sid, name, norm in fits:
+        scheme = ss.make_scheme(sid, distribution=PROPORTIONAL[sid])
+        report = ss.fit_empirical_rate(probs[name], scheme, trials=5,
+                                       iterations=200, norm_used=norm, seed=7)
+        yield (f"fit {name} {sid} rho_fit={report.rho_fit!r}",
+               _digest(report))
+
+
+def _propagator_cell(probs):
+    est = ss.estimate_mean_propagator(probs["dense-400x100"].a, None, "K4",
+                                      samples=50, rng=ss.make_rng(11),
+                                      block_size=3, bootstrap=20)
+    yield (f"propagator dense-400x100 K4 "
+           f"max_violation={est.max_violation!r}",
+           _digest(est.matrix, est.bound_matrix, est.max_violation,
+                   est.max_violation_se, est.spectral_rate))
+
+
+def main() -> int:
+    probs = {name: ss.generate(spec) for name, spec in PROBLEMS.items()}
+    cells = [cell for name, prob in probs.items()
+             for cell in _solve_cells(name, prob)]
+    cells += [*_fit_cells(probs), *_propagator_cell(probs)]
+    for label, digest in cells:
+        print(f"{digest}  {label}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

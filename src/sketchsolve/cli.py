@@ -251,10 +251,6 @@ def run_bench(cfg: dict) -> int:
     return 2 if any_failed else 0
 
 
-_DEFAULT_RATE_DIST = {"K1": sketch.NORM_PROPORTIONAL,
-                      "C1": sketch.NORM_PROPORTIONAL,
-                      "S1": sketch.TRACE_PROPORTIONAL}
-
 _DEFAULT_RATE_NORM = {"K": theory.NORM_EUCLID, "C": theory.NORM_GHAT,
                       "S": theory.NORM_A}
 
@@ -276,7 +272,7 @@ def run_rates(cfg: dict) -> int:
     reports = []
     violations = []
     for sid in ids:
-        dist = cfg.get("distribution") or _DEFAULT_RATE_DIST.get(sid)
+        dist = cfg.get("distribution") or theory.CLOSED_FORM_SAMPLING.get(sid)
         scheme = _build_scheme(sid, block, dist, cfg.get("g_mode"), problem.a)
         fam = schemes.family(sid)
         norm_used = cfg.get("norm_used") or (

@@ -25,6 +25,9 @@ where the pair (Y, Z) is rebuilt from a fresh random draw every step:
     S3  column subset C          Y = Z = I_C                 (randomized Newton / block CD)
     S4  Gaussian matrix W (nxl)  Y = Z = W
 
+A :class:`Scheme` is one id's entry and the only description of its draw,
+which :func:`sketch.draw_sketch` reads: its kind, axis, width, distribution.
+
 :func:`step` applies the cheap specialized update, one kernel per side of
 A for all sixteen ids. The row kernel (K) works on the sketched rows Y^T A,
 the column kernel (C, S) on the sketched columns A Z; the weighted ids only
@@ -51,9 +54,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sketch
-from .linalg import SpdMatrix, pseudoinverse, squared_norms
+from .linalg import SpdMatrix, as_int, pseudoinverse, squared_norms
 from .sketch import (COL_SUBSET, COORD_COL, COORD_ROW, GAUSS_MATRIX,
-                     GAUSS_VECTOR, ROW_SUBSET, SketchDraw, SketchSpec)
+                     GAUSS_VECTOR, ROW_SUBSET, SketchDraw)
 
 ROW_SCHEMES = ("K1", "K2", "K3", "K4", "K5", "K6")
 COL_SCHEMES = ("C1", "C2", "C3", "C4", "C5", "C6")
@@ -105,29 +108,38 @@ class Scheme:
     of its draws, and the SPD weight for the weighted variants (required for
     K5/K6/C5/C6, forbidden otherwise; see :func:`weight_dim` for its size).
 
-    The id fixes everything else, derived once here: :attr:`spec`, the draw
-    (its kind; Gaussian draws on the rows for K and on the columns for C and
-    S; width 1 for the scalar ids), and :attr:`gram_form`, whether the
-    scheme has a Gram-space update: the unweighted C ids, C1-C4, as the
-    m x m weight of C5/C6 has no n x n form."""
+    The id fixes the rest, derived once here: :attr:`kind`, the draw kind;
+    :attr:`axis`, "rows" (length m) for K1-K6 and S1, whose index is a
+    row's, "cols" (length n) otherwise; the width ``block_size``, 1 for the
+    scalar ids; and :attr:`gram_form`, whether the scheme has a Gram-space
+    update: the unweighted C ids, C1-C4, as the m x m weight of C5/C6 has
+    no n x n form."""
 
     id: str
     block_size: int = 1
     distribution: str = sketch.UNIFORM
     g: SpdMatrix | None = None
-    spec: SketchSpec = field(init=False, repr=False)
+    kind: str = field(init=False, repr=False)
+    axis: str = field(init=False, repr=False)
     gram_form: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         kind = sketch_kind(self.id)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "axis", "rows" if self.id[0] == "K"
+                           or kind == COORD_ROW else "cols")
         if self.id in SCALAR_SCHEMES:
             object.__setattr__(self, "block_size", 1)
-        axis = None
-        if kind in (GAUSS_VECTOR, GAUSS_MATRIX):
-            axis = "rows" if self.id[0] == "K" else "cols"
-        object.__setattr__(self, "spec", SketchSpec(
-            kind=kind, block_size=self.block_size,
-            distribution=self.distribution, axis=axis))
+        if self.distribution not in sketch.DISTRIBUTIONS:
+            raise ValueError(f"unknown distribution {self.distribution!r}")
+        as_int(self.block_size, "block_size", 1)
+        if (self.distribution == sketch.NORM_PROPORTIONAL
+                and kind not in (COORD_ROW, COORD_COL)):
+            raise ValueError("norm-proportional sampling applies only to single "
+                             "row/column draws")
+        if self.distribution == sketch.TRACE_PROPORTIONAL and kind != COORD_ROW:
+            raise ValueError("trace-proportional sampling applies only to single "
+                             "row draws on square SPD systems")
         if (self.g is not None) != (self.id in WEIGHTED_SCHEMES):
             want = "requires" if self.id in WEIGHTED_SCHEMES else "forbids"
             raise ValueError(f"scheme {self.id} {want} a weight matrix G")
@@ -144,12 +156,12 @@ def sampling_weights(scheme: Scheme, a: np.ndarray) -> sketch.IndexCdf | None:
     proportional sampling, built from the squared row/column norms, or the
     diagonal for trace-proportional draws; None for uniform. Solves take it
     from :meth:`solver.Problem.sampler`, which builds it once per problem."""
-    dist = scheme.spec.distribution
+    dist = scheme.distribution
     if dist == sketch.UNIFORM:
         return None
     if dist == sketch.TRACE_PROPORTIONAL:
         return sketch.index_cdf(np.diag(a))
-    return sketch.index_cdf(squared_norms(a, 1 if scheme.spec.kind == COORD_ROW else 0))
+    return sketch.index_cdf(squared_norms(a, 1 if scheme.axis == "rows" else 0))
 
 
 def _selection(dim: int, idx: np.ndarray) -> np.ndarray:
@@ -160,8 +172,7 @@ def _selection(dim: int, idx: np.ndarray) -> np.ndarray:
 
 
 def _check_draw(scheme: Scheme, draw: SketchDraw):
-    want = scheme.spec.kind
-    got = draw.kind
+    want, got = scheme.kind, draw.kind
     # a width-1 Gaussian block is interchangeable with a Gaussian vector
     gauss = (GAUSS_VECTOR, GAUSS_MATRIX)
     if want == got or (want in gauss and got in gauss and

@@ -1,8 +1,8 @@
 """Random draw machinery for the iterative schemes.
 
-A :class:`SketchSpec` describes what gets drawn each iteration (one row
-index, a subset of columns, a Gaussian matrix, ...); :func:`draw_sketch`
-produces one realized :class:`SketchDraw` from it.
+:func:`draw_sketch` realizes one draw of a :class:`schemes.Scheme`, which is
+the only description of a draw (one row index, a subset of columns, a
+Gaussian matrix, ...), as a :class:`SketchDraw`.
 
 Proportional draws search a CDF that :func:`index_cdf` validates and builds
 once per problem: O(log d) each, and the same indices and generator state as
@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_int
-
 # sketch kinds
 COORD_ROW = "coord_row"
 COORD_COL = "coord_col"
@@ -27,8 +25,6 @@ ROW_SUBSET = "row_subset"
 COL_SUBSET = "col_subset"
 GAUSS_VECTOR = "gauss_vector"
 GAUSS_MATRIX = "gauss_matrix"
-
-KINDS = (COORD_ROW, COORD_COL, ROW_SUBSET, COL_SUBSET, GAUSS_VECTOR, GAUSS_MATRIX)
 
 # sampling distributions for the index-based kinds
 UNIFORM = "uniform"
@@ -38,9 +34,6 @@ TRACE_PROPORTIONAL = "trace_proportional"
 DISTRIBUTIONS = (UNIFORM, NORM_PROPORTIONAL, TRACE_PROPORTIONAL)
 
 _GAUSS_KINDS = (GAUSS_VECTOR, GAUSS_MATRIX)
-_SUBSET_KINDS = (ROW_SUBSET, COL_SUBSET)
-_ROW_SIDE = (COORD_ROW, ROW_SUBSET)
-_COL_SIDE = (COORD_COL, COL_SUBSET)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -55,47 +48,6 @@ def rng_from_keys(seed: int, *keys: int) -> np.random.Generator:
     results do not depend on execution order.
     """
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, keys)]))
-
-
-@dataclass(frozen=True)
-class SketchSpec:
-    """Description of one random draw.
-
-    ``axis`` selects which dimension a Gaussian draw lives on ("rows" for
-    row-space sketches of length m, "cols" for column-space sketches of
-    length n); for index-based kinds it is implied by the kind.
-    """
-
-    kind: str
-    block_size: int = 1
-    distribution: str = UNIFORM
-    axis: str | None = None
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown sketch kind {self.kind!r}")
-        if self.distribution not in DISTRIBUTIONS:
-            raise ValueError(f"unknown distribution {self.distribution!r}")
-        as_int(self.block_size, "block_size", 1)
-        if self.distribution == NORM_PROPORTIONAL and self.kind not in (COORD_ROW, COORD_COL):
-            raise ValueError("norm-proportional sampling applies only to single "
-                             "row/column draws")
-        if self.distribution == TRACE_PROPORTIONAL and self.kind != COORD_ROW:
-            raise ValueError("trace-proportional sampling applies only to single "
-                             "row draws on square SPD systems")
-        if self.kind in _GAUSS_KINDS:
-            if self.axis not in ("rows", "cols"):
-                raise ValueError("Gaussian sketches need axis='rows' or 'cols'")
-        elif self.axis is not None and self.axis != self.resolved_axis:
-            raise ValueError(f"axis {self.axis!r} contradicts kind {self.kind!r}")
-
-    @property
-    def resolved_axis(self) -> str:
-        if self.kind in _ROW_SIDE:
-            return "rows"
-        if self.kind in _COL_SIDE:
-            return "cols"
-        return self.axis  # type: ignore[return-value]
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,34 +105,34 @@ def index_cdf(weights) -> IndexCdf:
     return IndexCdf(cdf)
 
 
-def draw_sketch(spec: SketchSpec, dims: tuple[int, int], rng: np.random.Generator,
+def draw_sketch(scheme, dims: tuple[int, int], rng: np.random.Generator,
                 sampler: IndexCdf | None = None) -> SketchDraw:
-    """Realize one draw of ``spec`` against an m x n system.
+    """Realize one draw of ``scheme`` against an m x n system, as its
+    ``kind``, ``axis``, ``block_size`` and ``distribution`` say.
 
     The proportional distributions need ``sampler``, the :func:`index_cdf`
     of the weights (squared row/column norms or diagonal entries), built once
     per problem; a draw is then one uniform and an O(log d) search of the CDF.
     Subsets are drawn uniformly without replacement and returned sorted.
     """
-    m, n = dims
-    dim = m if spec.resolved_axis == "rows" else n
-    width = 1 if spec.kind in (COORD_ROW, COORD_COL, GAUSS_VECTOR) else spec.block_size
+    kind, width = scheme.kind, scheme.block_size
+    dim = dims[0] if scheme.axis == "rows" else dims[1]
     if width > dim:
-        raise ValueError(f"block_size {spec.block_size} exceeds dimension {dim}")
+        raise ValueError(f"block_size {width} exceeds dimension {dim}")
 
-    if spec.kind in (COORD_ROW, COORD_COL):
-        if spec.distribution == UNIFORM:
+    if kind in (COORD_ROW, COORD_COL):
+        if scheme.distribution == UNIFORM:
             idx = int(rng.integers(dim))
         else:
             if not isinstance(sampler, IndexCdf) or len(sampler.cdf) != dim:
-                raise ValueError(f"{spec.distribution} sampling needs the "
+                raise ValueError(f"{scheme.distribution} sampling needs the "
                                  f"index_cdf of {dim} weights")
             idx = int(sampler.cdf.searchsorted(rng.random(), side="right"))
-        return SketchDraw(kind=spec.kind, indices=np.array([idx]))
+        return SketchDraw(kind=kind, indices=np.array([idx]))
 
-    if spec.kind in _SUBSET_KINDS:
+    if kind in (ROW_SUBSET, COL_SUBSET):
         idx = np.sort(rng.choice(dim, size=width, replace=False))
-        return SketchDraw(kind=spec.kind, indices=idx)
+        return SketchDraw(kind=kind, indices=idx)
 
     # Gaussian kinds: fresh i.i.d. standard-normal entries every draw
-    return SketchDraw(kind=spec.kind, dense=rng.standard_normal((dim, width)))
+    return SketchDraw(kind=kind, dense=rng.standard_normal((dim, width)))

@@ -152,7 +152,7 @@ class Problem:
         """:func:`schemes.sampling_weights` for ``scheme``, built once per
         distribution and axis and kept, so the trials of a rate fit share
         one CDF."""
-        key = (scheme.spec.distribution, scheme.spec.resolved_axis)
+        key = (scheme.distribution, scheme.axis)
         if key not in self._samplers:
             self._samplers[key] = schemes.sampling_weights(scheme, self.a)
         return self._samplers[key]
@@ -410,7 +410,7 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
     gram = problem.gram if gram_space else None
 
     for k in range(1, stop.itmax + 1):
-        draw = draw_sketch(scheme.spec, (m, n), rng, sampler)
+        draw = draw_sketch(scheme, (m, n), rng, sampler)
         try:
             x = schemes.step(scheme, a, b, x, draw, r=r, gram=gram)
         except schemes.SkipStep:

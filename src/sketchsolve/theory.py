@@ -40,6 +40,11 @@ NORM_A = "a"
 
 NORMS = (NORM_EUCLID, NORM_GINV, NORM_GHAT, NORM_A)
 
+# the samplings whose rate has a closed form: by squared norms, by the diagonal
+CLOSED_FORM_SAMPLING = {"K1": sketch.NORM_PROPORTIONAL,
+                        "C1": sketch.NORM_PROPORTIONAL,
+                        "S1": sketch.TRACE_PROPORTIONAL}
+
 POSITIVITY_TOL = 1e-10
 _NOISE_FLOOR = 100.0 * np.finfo(float).eps
 
@@ -180,7 +185,7 @@ def estimate_mean_propagator(a, g: SpdMatrix | None, scheme_id: str,
 
     draws = np.empty((samples, n, n))
     for s in range(samples):
-        draw = sketch.draw_sketch(scheme.spec, (m, n), rng)
+        draw = sketch.draw_sketch(scheme, (m, n), rng)
         t = schemes.error_propagator(scheme, a, draw)
         th = t if g is None else g_half_inv @ t @ g_half
         draws[s] = 0.5 * (th + th.T)
@@ -279,11 +284,10 @@ def _norm_matrix(norm_used: str, a: np.ndarray,
 
 def _theory_rate(scheme: schemes.Scheme, a: np.ndarray) -> float:
     sid = scheme.id
-    dist = scheme.spec.distribution
-    if sid in ("K1", "C1") and dist == sketch.NORM_PROPORTIONAL:
+    if scheme.distribution == CLOSED_FORM_SAMPLING.get(sid):
+        if scheme.distribution == sketch.TRACE_PROPORTIONAL:
+            return rate_trace_sampling(SpdMatrix(a))
         return rate_norm_sampling(a)[0]
-    if sid == "S1" and dist == sketch.TRACE_PROPORTIONAL:
-        return rate_trace_sampling(SpdMatrix(a))
     if sid in ("K2", "K4", "K6"):
         return rate_gaussian_bound(a, "K", scheme.g)[0]
     if sid in ("C2", "C4", "C6"):

@@ -55,7 +55,7 @@ def _random_instance(sid: str, rng: np.random.Generator):
     scheme = make_scheme(sid, block_size=block, g=g)
     b = rng.standard_normal(m)
     x = rng.standard_normal(n)
-    draw = draw_sketch(scheme.spec, (m, n), rng)
+    draw = draw_sketch(scheme, (m, n), rng)
     return scheme, a, b, x, draw
 
 

@@ -189,6 +189,30 @@ class TestRates:
         assert "config error" in err and "S1 needs an SPD system" in err
         assert not (out / "rates.json").exists()
 
+    def test_inverse_weight_reduces_to_the_symmetric_rates(self, tmp_path):
+        # with G = A^-1, K5/C5 take the S3 steps and K6/C6 the S4 steps, and
+        # K's G^-1 norm and C's A^T G A norm are both the A-norm
+        out = tmp_path / "out"
+        cfg = self._config(tmp_path, out, schemes=["K5", "K6", "C5", "C6"],
+                           problem={"kind": "SparseSpd", "m": 30, "n": 30,
+                                    "seed": 5},
+                           g_mode="inverse", trials=5, iterations=100)
+        assert main(["rates", "--config", cfg]) == 0
+        reports = {r["scheme"]: r for r in json.loads(
+            (out / "rates.json").read_text())["reports"]}
+        assert reports["K5"]["norm_used"] == reports["K6"]["norm_used"] == "ginv"
+        for k, c in (("K5", "C5"), ("K6", "C6")):
+            assert abs(reports[k]["rho_fit"] - reports[c]["rho_fit"]) < 1e-10
+
+    def test_inverse_weight_needs_a_square_system(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = self._config(tmp_path, out, schemes=["K5"], g_mode="inverse",
+                           problem={"kind": "UniformDense", "m": 30, "n": 20,
+                                    "seed": 5})
+        assert main(["rates", "--config", cfg]) == 1
+        assert "needs a square system" in capsys.readouterr().err
+        assert not (out / "rates.json").exists()
+
 
 class TestVerifyExpectation:
     def test_propagator_target(self, tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import hypothesis.strategies as st
@@ -187,3 +189,27 @@ class TestSpdMatrix:
         w[0, 1] += 1e-15
         out = SpdMatrix(w)
         assert np.array_equal(out.mat, out.mat.T)
+
+    def test_diagonal_takes_no_eigendecomposition(self, monkeypatch):
+        # an identity weight of C5/C6 is m x m: eigvalsh would be O(m^3)
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called on a diagonal matrix")
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        w = SpdMatrix(np.eye(500))
+        assert (w.n, w.eig_min) == (500, 1.0)
+
+    @pytest.mark.parametrize("entry, shown", [(0.0, "0.000e+00"),
+                                              (-3.0, "-3.000e+00")])
+    def test_diagonal_with_nonpositive_entry_refused(self, entry, shown):
+        d = np.linspace(1.0, 2.0, 6)
+        d[4] = entry
+        want = f"matrix is not positive definite (smallest eigenvalue {shown})"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            SpdMatrix(np.diag(d))
+
+    def test_diagonal_eig_min_is_eigvalsh(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            n = int(rng.integers(1, 40))
+            d = np.diag(rng.random(n) * 10.0 ** rng.uniform(-6, 6, n))
+            assert SpdMatrix(d).eig_min == np.linalg.eigvalsh(d)[0]

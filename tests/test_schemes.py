@@ -35,7 +35,7 @@ def _instance(sid: str, seed: int, block: int = 3):
     scheme = make_scheme(sid, block_size=block, g=g)
     b = rng.standard_normal(m)
     x = rng.standard_normal(n)
-    draw = draw_sketch(scheme.spec, (m, n), rng)
+    draw = draw_sketch(scheme, (m, n), rng)
     return scheme, a, b, x, draw
 
 
@@ -161,7 +161,7 @@ class TestMonotonicity:
         b = a @ x_star
         x = rng.standard_normal(4)
         scheme = make_scheme(sid, block_size=2)
-        draw = draw_sketch(scheme.spec, a.shape, rng)
+        draw = draw_sketch(scheme, a.shape, rng)
         x1 = step(scheme, a, b, x, draw)
         assert np.linalg.norm(x1 - x_star) <= np.linalg.norm(x - x_star) + 1e-12
 
@@ -177,7 +177,7 @@ class TestMonotonicity:
         b = a @ x_star
         x = rng.standard_normal(4)
         scheme = make_scheme(sid, block_size=2, g=g)
-        draw = draw_sketch(scheme.spec, a.shape, rng)
+        draw = draw_sketch(scheme, a.shape, rng)
         e0 = x - x_star
         e1 = step(scheme, a, b, x, draw) - x_star
         assert e1 @ gram @ e1 <= e0 @ gram @ e0 + 1e-12
@@ -346,20 +346,17 @@ class TestSchemeValidation:
         g = SpdMatrix(np.eye(3)) if weighted else None
         scheme = make_scheme(sid, block_size=3, g=g)
         kind, axis = self.DRAWS[sid]
-        spec = scheme.spec
-        assert (spec.kind, spec.resolved_axis, spec.distribution) == (
+        assert (scheme.kind, scheme.axis, scheme.distribution) == (
             kind, axis, UNIFORM)
-        # only a Gaussian draw carries its axis; an index kind implies it
-        gauss = kind in (GAUSS_VECTOR, GAUSS_MATRIX)
-        assert spec.axis == (axis if gauss else None)
         width = 1 if sid in schemes.SCALAR_SCHEMES else 3
-        assert spec.block_size == scheme.block_size == width
+        assert scheme.block_size == width
         assert scheme.gram_form == (sid in GRAM_SCHEMES)
         if weighted:
             assert schemes.weight_dim(sid, (7, 5)) == (5 if sid[0] == "K" else 7)
         # the draw is derived, never passed in
-        with pytest.raises(TypeError):
-            Scheme(sid, spec=spec, g=g)
+        for derived in ("kind", "axis"):
+            with pytest.raises(TypeError):
+                Scheme(sid, g=g, **{derived: getattr(scheme, derived)})
 
     def test_serialized_ids(self):
         assert schemes.ALL_SCHEMES == (

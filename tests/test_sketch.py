@@ -6,63 +6,60 @@ from hypothesis import given
 from helpers import gaussian, random_spd
 from sketchsolve import schemes
 from sketchsolve.linalg import SpdMatrix
-from sketchsolve.sketch import (COL_SUBSET, COORD_COL, COORD_ROW, GAUSS_MATRIX,
+from sketchsolve.sketch import (COL_SUBSET, COORD_ROW, GAUSS_MATRIX,
                                 NORM_PROPORTIONAL, ROW_SUBSET,
                                 TRACE_PROPORTIONAL, UNIFORM, SketchDraw,
-                                SketchSpec, draw_sketch, index_cdf, make_rng,
+                                draw_sketch, index_cdf, make_rng,
                                 rng_from_keys)
 
 
 class TestSpecValidation:
     def test_norm_proportional_needs_coord(self):
-        with pytest.raises(ValueError):
-            SketchSpec(kind=ROW_SUBSET, block_size=2, distribution=NORM_PROPORTIONAL)
+        with pytest.raises(ValueError, match="norm-proportional"):
+            schemes.make_scheme("K3", block_size=2,
+                                distribution=NORM_PROPORTIONAL)
 
     def test_trace_proportional_row_only(self):
-        with pytest.raises(ValueError):
-            SketchSpec(kind=COORD_COL, distribution=TRACE_PROPORTIONAL)
-
-    def test_gauss_needs_axis(self):
-        with pytest.raises(ValueError):
-            SketchSpec(kind=GAUSS_MATRIX, block_size=2)
+        with pytest.raises(ValueError, match="trace-proportional"):
+            schemes.make_scheme("C1", distribution=TRACE_PROPORTIONAL)
 
     def test_block_size_positive(self):
-        with pytest.raises(ValueError):
-            SketchSpec(kind=ROW_SUBSET, block_size=0)
+        with pytest.raises(ValueError, match="block_size must be an integer"):
+            schemes.make_scheme("K3", block_size=0)
 
     @pytest.mark.parametrize("block_size", [2.5, True, "3"])
     def test_block_size_integer(self, block_size):
         # a float or bool width would fail only at the first draw
         with pytest.raises(ValueError, match="block_size must be an integer"):
-            SketchSpec(kind=ROW_SUBSET, block_size=block_size)
+            schemes.make_scheme("K3", block_size=block_size)
 
 
 class TestDraws:
     def test_single_row_dimension_one(self):
         for dist, cdf in ((UNIFORM, None), (NORM_PROPORTIONAL, index_cdf([2.0]))):
-            s = SketchSpec(kind=COORD_ROW, distribution=dist)
+            s = schemes.make_scheme("K1", distribution=dist)
             d = draw_sketch(s, (1, 4), make_rng(0), cdf)
             assert d.indices.tolist() == [0]
 
     def test_full_subset(self):
-        spec = SketchSpec(kind=ROW_SUBSET, block_size=5)
-        d = draw_sketch(spec, (5, 3), make_rng(1))
+        scheme = schemes.make_scheme("K3", block_size=5)
+        d = draw_sketch(scheme, (5, 3), make_rng(1))
         assert d.indices.tolist() == [0, 1, 2, 3, 4]
 
     def test_norm_proportional_frequency(self):
         # index 1 should appear with probability 3/4 given weights (1, 3)
-        spec = SketchSpec(kind=COORD_ROW, distribution=NORM_PROPORTIONAL)
+        scheme = schemes.make_scheme("K1", distribution=NORM_PROPORTIONAL)
         rng = make_rng(123)
         cdf = index_cdf([1.0, 3.0])
-        hits = sum(draw_sketch(spec, (2, 2), rng, cdf).indices[0]
+        hits = sum(draw_sketch(scheme, (2, 2), rng, cdf).indices[0]
                    for _ in range(100_000))
         assert abs(hits / 100_000 - 0.75) < 0.01
 
     def test_gaussian_moments(self):
-        spec = SketchSpec(kind=GAUSS_MATRIX, block_size=10, axis="rows")
+        scheme = schemes.make_scheme("K4", block_size=10)
         rng = make_rng(7)
         samples = np.concatenate([
-            draw_sketch(spec, (100, 5), rng).dense.ravel() for _ in range(100)
+            draw_sketch(scheme, (100, 5), rng).dense.ravel() for _ in range(100)
         ])
         assert samples.size == 100_000
         assert abs(samples.mean()) < 0.02
@@ -73,14 +70,14 @@ class TestDraws:
             index_cdf([0.0, 0.0, 0.0])
 
     def test_oversized_block_rejected(self):
-        spec = SketchSpec(kind=COL_SUBSET, block_size=4)
+        scheme = schemes.make_scheme("C3", block_size=4)
         with pytest.raises(ValueError):
-            draw_sketch(spec, (5, 3), make_rng(0))
+            draw_sketch(scheme, (5, 3), make_rng(0))
 
     @given(seed=st.integers(0, 10_000), block=st.integers(1, 6))
     def test_subset_indices_distinct_and_sorted(self, seed, block):
-        spec = SketchSpec(kind=ROW_SUBSET, block_size=block)
-        d = draw_sketch(spec, (6, 6), make_rng(seed))
+        scheme = schemes.make_scheme("K3", block_size=block)
+        d = draw_sketch(scheme, (6, 6), make_rng(seed))
         idx = d.indices
         assert len(set(idx.tolist())) == block
         assert np.all(np.diff(idx) > 0)
@@ -88,14 +85,14 @@ class TestDraws:
 
     @given(seed=st.integers(0, 10_000))
     def test_reproducible(self, seed):
-        for spec, cdf in [
-            (SketchSpec(kind=COORD_ROW, distribution=NORM_PROPORTIONAL),
+        for scheme, cdf in [
+            (schemes.make_scheme("K1", distribution=NORM_PROPORTIONAL),
              index_cdf([1.0, 2.0, 3.0])),
-            (SketchSpec(kind=ROW_SUBSET, block_size=2), None),
-            (SketchSpec(kind=GAUSS_MATRIX, block_size=2, axis="cols"), None),
+            (schemes.make_scheme("K3", block_size=2), None),
+            (schemes.make_scheme("C4", block_size=2), None),
         ]:
-            d1 = draw_sketch(spec, (3, 3), make_rng(seed), cdf)
-            d2 = draw_sketch(spec, (3, 3), make_rng(seed), cdf)
+            d1 = draw_sketch(scheme, (3, 3), make_rng(seed), cdf)
+            d2 = draw_sketch(scheme, (3, 3), make_rng(seed), cdf)
             if d1.indices is not None:
                 assert np.array_equal(d1.indices, d2.indices)
             else:
@@ -129,16 +126,16 @@ class TestProportionalSampling:
             index_cdf(w)
 
     def test_wrong_length_rejected(self):
-        spec = SketchSpec(kind=COORD_ROW, distribution=NORM_PROPORTIONAL)
+        scheme = schemes.make_scheme("K1", distribution=NORM_PROPORTIONAL)
         with pytest.raises(ValueError, match="index_cdf of 4 weights"):
-            draw_sketch(spec, (4, 2), make_rng(0), index_cdf([1.0, 2.0, 3.0]))
+            draw_sketch(scheme, (4, 2), make_rng(0), index_cdf([1.0, 2.0, 3.0]))
 
     @pytest.mark.parametrize("sampler", [None, [1.0, 2.0, 3.0],
                                          np.array([1.0, 2.0, 3.0])])
     def test_raw_weights_rejected(self, sampler):
-        spec = SketchSpec(kind=COORD_COL, distribution=NORM_PROPORTIONAL)
+        scheme = schemes.make_scheme("C1", distribution=NORM_PROPORTIONAL)
         with pytest.raises(ValueError, match="index_cdf"):
-            draw_sketch(spec, (2, 3), make_rng(0), sampler)
+            draw_sketch(scheme, (2, 3), make_rng(0), sampler)
 
     def test_cdf_is_read_only(self):
         with pytest.raises(ValueError):
@@ -154,10 +151,10 @@ class TestProportionalSampling:
         w = rng_from_keys(seed, d).random(d)
         if d > 1:
             w[::7] = 0.0  # zero-weight indices are never drawn by either
-        spec = SketchSpec(kind=COORD_ROW, distribution=NORM_PROPORTIONAL)
+        scheme = schemes.make_scheme("K1", distribution=NORM_PROPORTIONAL)
         cdf = index_cdf(w)
         mine, ref = make_rng(seed), make_rng(seed)
-        got = [int(draw_sketch(spec, (d, 1), mine, cdf).indices[0])
+        got = [int(draw_sketch(scheme, (d, 1), mine, cdf).indices[0])
                for _ in range(draws)]
         want = [int(ref.choice(d, p=w / w.sum())) for _ in range(draws)]
         assert got == want
@@ -170,12 +167,70 @@ class TestProportionalSampling:
             SketchDraw(kind=ROW_SUBSET, indices=np.array([2, 2]))
 
 
+class TestDrawContract:
+    """Pins every id's draw to the explicit generator call it stands for, on
+    an m != n system: the same values and the same generator state after.
+    Replays draw through ``draw_sketch`` on both sides, so they cannot see a
+    changed stream; this can."""
+
+    M, N, L = 9, 7, 3
+    # the generator call of each id's draw, and the side it draws over
+    CALLS = {
+        "K1": ("index", "m"), "K2": ("gauss1", "m"), "K3": ("subset", "m"),
+        "K4": ("gauss", "m"), "K5": ("subset", "m"), "K6": ("gauss", "m"),
+        "C1": ("index", "n"), "C2": ("gauss1", "n"), "C3": ("subset", "n"),
+        "C4": ("gauss", "n"), "C5": ("subset", "n"), "C6": ("gauss", "n"),
+        "S1": ("index", "m"), "S2": ("gauss1", "n"), "S3": ("subset", "n"),
+        "S4": ("gauss", "n"),
+    }
+    CASES = [(sid, UNIFORM) for sid in schemes.ALL_SCHEMES] + [
+        ("K1", NORM_PROPORTIONAL), ("K1", TRACE_PROPORTIONAL),
+        ("C1", NORM_PROPORTIONAL), ("S1", NORM_PROPORTIONAL),
+        ("S1", TRACE_PROPORTIONAL)]
+
+    def _scheme(self, sid, dist):
+        g = None
+        if sid in schemes.WEIGHTED_SCHEMES:
+            g = SpdMatrix(np.eye(schemes.weight_dim(sid, (self.M, self.N))))
+        return schemes.make_scheme(sid, block_size=self.L, distribution=dist,
+                                   g=g)
+
+    @pytest.mark.parametrize("sid, dist", CASES)
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_draw_is_its_generator_call(self, sid, dist, seed):
+        call, side = self.CALLS[sid]
+        dim = self.M if side == "m" else self.N
+        cdf = None if dist == UNIFORM else index_cdf(
+            rng_from_keys(seed, 99).random(dim))
+        scheme = self._scheme(sid, dist)
+        mine, ref = make_rng(seed), make_rng(seed)
+        for _ in range(6):
+            d = draw_sketch(scheme, (self.M, self.N), mine, cdf)
+            if call == "index" and cdf is None:
+                assert d.indices.tolist() == [int(ref.integers(dim))]
+            elif call == "index":
+                u = ref.random()
+                assert d.indices.tolist() == [
+                    int(cdf.cdf.searchsorted(u, side="right"))]
+            elif call == "subset":
+                assert np.array_equal(
+                    d.indices, np.sort(ref.choice(dim, self.L, replace=False)))
+            else:
+                width = 1 if call == "gauss1" else self.L
+                assert d.indices is None
+                assert np.array_equal(d.dense,
+                                      ref.standard_normal((dim, width)))
+        assert mine.bit_generator.state == ref.bit_generator.state
+
+
 class TestSamplingWeights:
     @pytest.mark.parametrize("sid, dist, axis", [
         ("K1", NORM_PROPORTIONAL, 1), ("C1", NORM_PROPORTIONAL, 0),
-        ("S1", TRACE_PROPORTIONAL, None)])
+        ("S1", TRACE_PROPORTIONAL, None), ("K1", TRACE_PROPORTIONAL, None),
+        ("S1", NORM_PROPORTIONAL, 1)])
     def test_cdf_of_the_paper_weights(self, sid, dist, axis):
-        a = random_spd(4, 9)
+        # norms of a non-square matrix, so rows and columns cannot be mixed up
+        a = random_spd(4, 9) if axis is None else gaussian(4, 9, 7)
         scheme = schemes.make_scheme(sid, distribution=dist)
         w = np.diag(a) if axis is None else (a * a).sum(axis=axis)
         got = schemes.sampling_weights(scheme, a)
@@ -227,7 +282,7 @@ class TestRealize:
         if sid in schemes.WEIGHTED_SCHEMES:
             g = SpdMatrix(random_spd(12, n if sid[0] == "K" else m, lo=0.5, hi=2.0))
         scheme = schemes.make_scheme(sid, block_size=3, g=g)
-        draw = draw_sketch(scheme.spec, (m, n), make_rng(13))
+        draw = draw_sketch(scheme, (m, n), make_rng(13))
         y, z = schemes.realize_sketch(scheme, a, draw)
         width = 1 if sid in schemes.SCALAR_SCHEMES else 3
         assert y.shape == (m, width)

@@ -180,7 +180,7 @@ class TestSolve:
         rng = make_rng(42)
         x_oracle = np.zeros(20)
         for _ in range(trace.iterations):
-            draw = draw_sketch(scheme.spec, prob.shape, rng)
+            draw = draw_sketch(scheme, prob.shape, rng)
             x_oracle = schemes.step_generic(scheme, prob.a, prob.b, x_oracle, draw)
         assert np.abs(x - x_oracle).max() <= 1e-10 * (1 + np.linalg.norm(x))
 
@@ -273,7 +273,7 @@ class TestReplay:
         assert np.isclose(by_k[0].rel_residual,
                           np.linalg.norm(b - a @ x) / norm_b, atol=1e-12)
         for k in range(1, trace.iterations + 1):
-            draw = draw_sketch(scheme.spec, a.shape, rng, weights)
+            draw = draw_sketch(scheme, a.shape, rng, weights)
             t = error_propagator(scheme, a, draw)
             err_product = t @ err_product
             try:
@@ -306,7 +306,7 @@ class TestReplay:
         norm_b = np.linalg.norm(b)
         x = np.zeros(40)
         for rec in trace.records[1:]:
-            draw = draw_sketch(scheme.spec, a.shape, rng)
+            draw = draw_sketch(scheme, a.shape, rng)
             x = step(scheme, a, b, x, draw)
             recomputed = np.linalg.norm(b - a @ x) / norm_b
             assert abs(rec.rel_residual - recomputed) <= 1e-12
@@ -434,7 +434,7 @@ class TestAnchoredRecords:
         x = np.zeros(a.shape[1])
         replayed = [(0, np.linalg.norm(b) / norm_b)]
         for k in range(1, trace.iterations + 1):
-            draw = draw_sketch(scheme.spec, a.shape, rng, sampler)
+            draw = draw_sketch(scheme, a.shape, rng, sampler)
             try:
                 x = step(scheme, a, b, x, draw)
             except SkipStep:

@@ -190,7 +190,7 @@ def _replay_fit(problem, scheme, trials, iterations, norm_used, seed):
         r = b - a @ x if schemes.maintains_residual(scheme) else None
         for k in range(iterations + 1):
             if k > 0:
-                draw = draw_sketch(scheme.spec, a.shape, rng, sampler)
+                draw = draw_sketch(scheme, a.shape, rng, sampler)
                 try:
                     x = schemes.step(scheme, a, b, x, draw, r=r)
                 except schemes.SkipStep:
