@@ -10,12 +10,16 @@ The cells are:
   and SparseSpd 60; the S ids run on SparseSpd only;
 - three rate fits: K1 and C1 norm-proportional on UniformDense 400x100, S1
   trace-proportional on SparseSpd 60;
-- one K4 propagator estimate on UniformDense 400x100.
+- one K4 propagator estimate on UniformDense 400x100;
+- the weighted-to-symmetric reduction on SparseSpd 60: one S3 and one S4
+  draw (l = 5, seed 9) through ``reduction_discrepancy``, with ``g = A^-1``
+  and with ``g = I``.
 
 A solve's digest covers the bytes of the final ``x``, the status, the
 iteration, skip and exact-recompute counts and every record's ``k`` and
 residual and error values; timings are left out. A fit's digest covers
-its report's repr, a propagator's the estimate's matrices and figures. Only
+its report's repr, a propagator's the estimate's matrices and figures, a
+reduction's the two discrepancies. Only
 the public ``sketchsolve`` API is read. BLAS is pinned to one thread.
 
     PYTHONPATH=src python scripts/run_fingerprints.py > change.txt
@@ -106,11 +110,26 @@ def _propagator_cell(probs):
                    est.max_violation_se, est.spectral_rate))
 
 
+def _reduction_cells(probs):
+    prob = probs["spd-60"]
+    a = ss.SpdMatrix(prob.a)
+    x = np.zeros(prob.shape[1])
+    identity = ss.SpdMatrix(np.eye(prob.shape[1]))
+    for sid in ("S3", "S4"):
+        draw = ss.draw_sketch(ss.make_scheme(sid, block_size=BLOCK),
+                              prob.shape, ss.make_rng(9))
+        exact = ss.reduction_discrepancy(a, draw, prob.b, x)
+        control = ss.reduction_discrepancy(a, draw, prob.b, x, g=identity)
+        yield (f"reduction spd-60 {sid} exact={exact!r} control={control!r}",
+               _digest(exact, control))
+
+
 def main() -> int:
     probs = {name: ss.generate(spec) for name, spec in PROBLEMS.items()}
     cells = [cell for name, prob in probs.items()
              for cell in _solve_cells(name, prob)]
-    cells += [*_fit_cells(probs), *_propagator_cell(probs)]
+    cells += [*_fit_cells(probs), *_propagator_cell(probs),
+              *_reduction_cells(probs)]
     for label, digest in cells:
         print(f"{digest}  {label}")
     return 0
