@@ -140,7 +140,7 @@ def _scheme_list(cfg: dict) -> list[str]:
 def _build_scheme(sid: str, block_size: int, distribution: str | None,
                   g_mode, a: np.ndarray) -> schemes.Scheme:
     kind = sketch.UNIFORM
-    if distribution and schemes.sketch_kind(sid) in (sketch.COORD_ROW, sketch.COORD_COL):
+    if distribution and schemes.sketch_kind(sid) == sketch.INDEX:
         kind = distribution
     g = _weight_for(sid, g_mode, a)
     try:

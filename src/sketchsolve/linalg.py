@@ -59,12 +59,15 @@ def pseudoinverse(m) -> np.ndarray:
 
 
 def check_symmetric(s, rtol: float = SYM_RTOL) -> np.ndarray:
-    """Validate symmetry within ``rtol`` (relative to max |entry|) and return
-    the symmetrized matrix (s + s.T) / 2 to absorb roundoff."""
+    """Validate finite entries and symmetry within ``rtol`` (relative to max
+    |entry|); return the symmetrized (s + s.T) / 2, which absorbs roundoff."""
     s = as_matrix(s)
     if s.shape[0] != s.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {s.shape}")
     scale = np.abs(s).max()
+    # max propagates NaN, so this one pass also catches it
+    if not np.isfinite(scale):
+        raise ValueError("matrix must be finite")
     asym = np.abs(s - s.T).max()
     if scale > 0 and asym > rtol * scale:
         raise ValueError(f"matrix is not symmetric: max asymmetry {asym:.3e} "
@@ -124,18 +127,17 @@ def squared_norms(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 class SpdMatrix:
-    """A symmetric positive definite matrix, validated at construction.
+    """A finite symmetric positive definite matrix, validated at construction.
 
     The input is symmetrized as (W + W^T)/2 after the symmetry check; the
-    smallest eigenvalue must be strictly positive. A finite diagonal matrix,
-    such as an identity weight, gives its eigenvalues with no O(n^3) solver.
+    smallest eigenvalue must be strictly positive. A diagonal matrix, such
+    as an identity weight, gives its eigenvalues with no O(n^3) solver.
     """
 
     def __init__(self, mat):
         sym = check_symmetric(mat)
         diag = np.diagonal(sym)
-        diagonal = (np.count_nonzero(sym) == np.count_nonzero(diag)
-                    and np.isfinite(diag).all())
+        diagonal = np.count_nonzero(sym) == np.count_nonzero(diag)
         lo = float(diag.min() if diagonal else np.linalg.eigvalsh(sym)[0])
         if lo <= 0.0:
             raise ValueError(f"matrix is not positive definite "

@@ -55,8 +55,7 @@ import numpy as np
 
 from . import sketch
 from .linalg import SpdMatrix, as_int, pseudoinverse, squared_norms
-from .sketch import (COL_SUBSET, COORD_COL, COORD_ROW, GAUSS_MATRIX,
-                     GAUSS_VECTOR, ROW_SUBSET, SketchDraw)
+from .sketch import GAUSS, INDEX, SUBSET, SketchDraw
 
 ROW_SCHEMES = ("K1", "K2", "K3", "K4", "K5", "K6")
 COL_SCHEMES = ("C1", "C2", "C3", "C4", "C5", "C6")
@@ -67,12 +66,10 @@ WEIGHTED_SCHEMES = ("K5", "K6", "C5", "C6")
 SCALAR_SCHEMES = ("K1", "K2", "C1", "C2", "S1", "S2")
 
 _KIND_FOR = {
-    "K1": COORD_ROW, "K2": GAUSS_VECTOR, "K3": ROW_SUBSET,
-    "K4": GAUSS_MATRIX, "K5": ROW_SUBSET, "K6": GAUSS_MATRIX,
-    "C1": COORD_COL, "C2": GAUSS_VECTOR, "C3": COL_SUBSET,
-    "C4": GAUSS_MATRIX, "C5": COL_SUBSET, "C6": GAUSS_MATRIX,
-    "S1": COORD_ROW, "S2": GAUSS_VECTOR, "S3": COL_SUBSET,
-    "S4": GAUSS_MATRIX,
+    "K1": INDEX, "K2": GAUSS, "K3": SUBSET, "K4": GAUSS, "K5": SUBSET,
+    "K6": GAUSS, "C1": INDEX, "C2": GAUSS, "C3": SUBSET, "C4": GAUSS,
+    "C5": SUBSET, "C6": GAUSS, "S1": INDEX, "S2": GAUSS, "S3": SUBSET,
+    "S4": GAUSS,
 }
 
 
@@ -89,7 +86,7 @@ def family(scheme_id: str) -> str:
 
 
 def sketch_kind(scheme_id: str) -> str:
-    """The draw kind a scheme consumes."""
+    """The draw kind a scheme consumes: INDEX, SUBSET or GAUSS."""
     if scheme_id not in ALL_SCHEMES:
         raise ValueError(f"unknown scheme {scheme_id!r}")
     return _KIND_FOR[scheme_id]
@@ -108,12 +105,12 @@ class Scheme:
     of its draws, and the SPD weight for the weighted variants (required for
     K5/K6/C5/C6, forbidden otherwise; see :func:`weight_dim` for its size).
 
-    The id fixes the rest, derived once here: :attr:`kind`, the draw kind;
-    :attr:`axis`, "rows" (length m) for K1-K6 and S1, whose index is a
-    row's, "cols" (length n) otherwise; the width ``block_size``, 1 for the
-    scalar ids; and :attr:`gram_form`, whether the scheme has a Gram-space
-    update: the unweighted C ids, C1-C4, as the m x m weight of C5/C6 has
-    no n x n form."""
+    The id fixes the rest, derived once here: :attr:`kind`, the draw kind
+    (``sketch.INDEX``, ``SUBSET`` or ``GAUSS``); :attr:`axis`, "rows" (length
+    m) for K1-K6 and S1, whose index is a row's, "cols" (length n) otherwise;
+    the width ``block_size``, 1 for the scalar ids; and :attr:`gram_form`,
+    whether the scheme has a Gram-space update: the unweighted C ids, C1-C4,
+    as the m x m weight of C5/C6 has no n x n form."""
 
     id: str
     block_size: int = 1
@@ -126,18 +123,18 @@ class Scheme:
     def __post_init__(self):
         kind = sketch_kind(self.id)
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "axis", "rows" if self.id[0] == "K"
-                           or kind == COORD_ROW else "cols")
+        axis = "rows" if self.id[0] == "K" or self.id == "S1" else "cols"
+        object.__setattr__(self, "axis", axis)
         if self.id in SCALAR_SCHEMES:
             object.__setattr__(self, "block_size", 1)
         if self.distribution not in sketch.DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}")
         as_int(self.block_size, "block_size", 1)
-        if (self.distribution == sketch.NORM_PROPORTIONAL
-                and kind not in (COORD_ROW, COORD_COL)):
+        if self.distribution == sketch.NORM_PROPORTIONAL and kind != INDEX:
             raise ValueError("norm-proportional sampling applies only to single "
                              "row/column draws")
-        if self.distribution == sketch.TRACE_PROPORTIONAL and kind != COORD_ROW:
+        if (self.distribution == sketch.TRACE_PROPORTIONAL
+                and (kind != INDEX or axis != "rows")):
             raise ValueError("trace-proportional sampling applies only to single "
                              "row draws on square SPD systems")
         if (self.g is not None) != (self.id in WEIGHTED_SCHEMES):
@@ -172,13 +169,13 @@ def _selection(dim: int, idx: np.ndarray) -> np.ndarray:
 
 
 def _check_draw(scheme: Scheme, draw: SketchDraw):
-    want, got = scheme.kind, draw.kind
-    # a width-1 Gaussian block is interchangeable with a Gaussian vector
-    gauss = (GAUSS_VECTOR, GAUSS_MATRIX)
-    if want == got or (want in gauss and got in gauss and
-                       (want == GAUSS_MATRIX or draw.width == 1)):
-        return
-    raise ValueError(f"scheme {scheme.id} expects a {want} draw, got {got}")
+    # by type and width only: the axis is the scheme's, not the draw's
+    dense = draw.dense
+    width = len(draw.indices) if dense is None else dense.shape[1]
+    if (dense is None) == (scheme.kind == GAUSS) or width != scheme.block_size:
+        raise ValueError(f"scheme {scheme.id} expects kind {scheme.kind!r}, "
+                         f"width {scheme.block_size}; got {width} "
+                         f"{'indices' if dense is None else 'Gaussian columns'}")
 
 
 def realize_sketch(scheme: Scheme, a: np.ndarray,
@@ -385,27 +382,9 @@ def reduction_discrepancy(a: SpdMatrix, draw: SketchDraw, b: np.ndarray,
     if g is None:
         g = SpdMatrix(np.linalg.inv(amat))
 
-    if draw.indices is not None:
-        idx = draw.indices
-        l = len(idx)
-        row_draw = SketchDraw(kind=ROW_SUBSET, indices=idx)
-        col_draw = SketchDraw(kind=COL_SUBSET, indices=idx)
-        updates = [
-            step(make_scheme("K5", block_size=l, g=g), amat, b, x, row_draw),
-            step(make_scheme("C5", block_size=l, g=g), amat, b, x, col_draw),
-            step(make_scheme("S3", block_size=l), amat, b, x, col_draw),
-        ]
-    else:
-        l = draw.width
-        gauss = SketchDraw(kind=GAUSS_MATRIX, dense=draw.dense)
-        updates = [
-            step(make_scheme("K6", block_size=l, g=g), amat, b, x, gauss),
-            step(make_scheme("C6", block_size=l, g=g), amat, b, x, gauss),
-            step(make_scheme("S4", block_size=l), amat, b, x, gauss),
-        ]
-
-    worst = 0.0
-    for i in range(len(updates)):
-        for j in range(i + 1, len(updates)):
-            worst = max(worst, float(np.abs(updates[i] - updates[j]).max()))
-    return worst
+    ids = ("K5", "C5", "S3") if draw.indices is not None else ("K6", "C6", "S4")
+    updates = [step(make_scheme(sid, block_size=draw.width,
+                                g=None if sid[0] == "S" else g),
+                    amat, b, x, draw) for sid in ids]
+    k, c, s = updates
+    return max(float(np.abs(u - v).max()) for u, v in ((k, c), (k, s), (c, s)))

@@ -1,8 +1,8 @@
 """Random draw machinery for the iterative schemes.
 
-:func:`draw_sketch` realizes one draw of a :class:`schemes.Scheme`, which is
-the only description of a draw (one row index, a subset of columns, a
-Gaussian matrix, ...), as a :class:`SketchDraw`.
+:func:`draw_sketch` realizes one draw of a :class:`schemes.Scheme`, the only
+description of a draw (kind :data:`INDEX`, :data:`SUBSET` or :data:`GAUSS`,
+axis, width, distribution), as a :class:`SketchDraw`: the numbers drawn.
 
 Proportional draws search a CDF that :func:`index_cdf` validates and builds
 once per problem: O(log d) each, and the same indices and generator state as
@@ -18,13 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# sketch kinds
-COORD_ROW = "coord_row"
-COORD_COL = "coord_col"
-ROW_SUBSET = "row_subset"
-COL_SUBSET = "col_subset"
-GAUSS_VECTOR = "gauss_vector"
-GAUSS_MATRIX = "gauss_matrix"
+# draw kinds; the axis they run along is the scheme's, and a Gaussian
+# vector is a width-1 Gaussian block
+INDEX = "index"
+SUBSET = "subset"
+GAUSS = "gauss"
 
 # sampling distributions for the index-based kinds
 UNIFORM = "uniform"
@@ -32,8 +30,6 @@ NORM_PROPORTIONAL = "norm_proportional"
 TRACE_PROPORTIONAL = "trace_proportional"
 
 DISTRIBUTIONS = (UNIFORM, NORM_PROPORTIONAL, TRACE_PROPORTIONAL)
-
-_GAUSS_KINDS = (GAUSS_VECTOR, GAUSS_MATRIX)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -52,26 +48,24 @@ def rng_from_keys(seed: int, *keys: int) -> np.random.Generator:
 
 @dataclass(frozen=True, eq=False)
 class SketchDraw:
-    """One realized draw: indices for the discrete kinds, a dense Gaussian
-    block for the others."""
+    """One realized draw: distinct ``indices`` or a 2-D ``dense`` Gaussian
+    block, exactly one of the two. The scheme it is applied to checks its
+    type and :attr:`width`, and says which axis it runs along."""
 
-    kind: str
     indices: np.ndarray | None = None
     dense: np.ndarray | None = None
 
     def __post_init__(self):
         # the update kernels tell the two apart by which field is set
-        if self.kind in _GAUSS_KINDS:
-            if (self.dense is None or self.dense.ndim != 2
-                    or self.indices is not None):
-                raise ValueError("Gaussian draw needs a 2-D dense block "
-                                 "and no indices")
-        else:
-            if self.indices is None or self.dense is not None:
-                raise ValueError("index draw needs indices and no dense block")
-            if (len(self.indices) > 1
-                    and len(np.unique(self.indices)) != len(self.indices)):
-                raise ValueError("subset indices must be distinct")
+        if (self.indices is None) == (self.dense is None):
+            raise ValueError("a draw needs indices or a dense block, "
+                             "exactly one of the two")
+        if self.dense is not None:
+            if self.dense.ndim != 2:
+                raise ValueError("Gaussian draw needs a 2-D dense block")
+        elif (len(self.indices) > 1
+                and len(np.unique(self.indices)) != len(self.indices)):
+            raise ValueError("subset indices must be distinct")
 
     @property
     def width(self) -> int:
@@ -120,7 +114,7 @@ def draw_sketch(scheme, dims: tuple[int, int], rng: np.random.Generator,
     if width > dim:
         raise ValueError(f"block_size {width} exceeds dimension {dim}")
 
-    if kind in (COORD_ROW, COORD_COL):
+    if kind == INDEX:
         if scheme.distribution == UNIFORM:
             idx = int(rng.integers(dim))
         else:
@@ -128,11 +122,11 @@ def draw_sketch(scheme, dims: tuple[int, int], rng: np.random.Generator,
                 raise ValueError(f"{scheme.distribution} sampling needs the "
                                  f"index_cdf of {dim} weights")
             idx = int(sampler.cdf.searchsorted(rng.random(), side="right"))
-        return SketchDraw(kind=kind, indices=np.array([idx]))
+        return SketchDraw(indices=np.array([idx]))
 
-    if kind in (ROW_SUBSET, COL_SUBSET):
+    if kind == SUBSET:
         idx = np.sort(rng.choice(dim, size=width, replace=False))
-        return SketchDraw(kind=kind, indices=idx)
+        return SketchDraw(indices=idx)
 
-    # Gaussian kinds: fresh i.i.d. standard-normal entries every draw
-    return SketchDraw(kind=kind, dense=rng.standard_normal((dim, width)))
+    # GAUSS: fresh i.i.d. standard-normal entries every draw
+    return SketchDraw(dense=rng.standard_normal((dim, width)))

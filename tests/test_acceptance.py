@@ -15,9 +15,8 @@ from sketchsolve.cli import main as cli_main
 from sketchsolve.linalg import SpdMatrix, pseudoinverse
 from sketchsolve.schemes import (error_propagator, make_scheme, realize_sketch,
                                  reduction_discrepancy, step, step_generic)
-from sketchsolve.sketch import (GAUSS_MATRIX, NORM_PROPORTIONAL,
-                                TRACE_PROPORTIONAL, SketchDraw, draw_sketch,
-                                make_rng)
+from sketchsolve.sketch import (NORM_PROPORTIONAL, TRACE_PROPORTIONAL,
+                                SketchDraw, draw_sketch, make_rng)
 from sketchsolve.solver import Problem, StopRule, solve
 from sketchsolve.theory import (coordinate_partition, estimate_mean_propagator,
                                 fit_empirical_rate, mean_sketched_inverse,
@@ -111,10 +110,9 @@ def test_criterion_3_reduction_identities():
         b = rng.standard_normal(n)
         x = rng.standard_normal(n)
         if i % 2 == 0:
-            draw = SketchDraw(kind="col_subset",
-                              indices=np.sort(rng.choice(n, size=4, replace=False)))
+            draw = SketchDraw(indices=np.sort(rng.choice(n, size=4, replace=False)))
         else:
-            draw = SketchDraw(kind=GAUSS_MATRIX, dense=rng.standard_normal((n, 4)))
+            draw = SketchDraw(dense=rng.standard_normal((n, 4)))
         worst = max(worst, reduction_discrepancy(a, draw, b, x, g=g))
     assert worst <= 1e-9
     budget.done(f"criterion 3: inverse-weighted reductions agree "

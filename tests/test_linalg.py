@@ -114,6 +114,10 @@ class TestExtremalEigs:
         with pytest.raises(ValueError):
             extremal_eigs([[0.0, 1.0], [0.0, 0.0]])
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="finite"):
+            extremal_eigs([[1.0, np.nan], [np.nan, 1.0]])
+
     @given(seed=st.integers(0, 10_000))
     def test_brackets_rayleigh_quotient(self, seed):
         rng = np.random.default_rng(seed)
@@ -206,6 +210,14 @@ class TestSpdMatrix:
         want = f"matrix is not positive definite (smallest eigenvalue {shown})"
         with pytest.raises(ValueError, match=re.escape(want)):
             SpdMatrix(np.diag(d))
+
+    @pytest.mark.parametrize("mat", [np.diag([1.0, np.inf]),
+                                     [[1.0, np.nan], [np.nan, 1.0]]])
+    def test_rejects_non_finite(self, mat):
+        # NaN passes every symmetry and positivity comparison, and an
+        # infinite diagonal entry would reach eig_min unchecked
+        with pytest.raises(ValueError, match="finite"):
+            SpdMatrix(mat)
 
     def test_diagonal_eig_min_is_eigvalsh(self):
         rng = np.random.default_rng(3)

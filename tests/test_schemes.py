@@ -9,8 +9,7 @@ from sketchsolve.linalg import SpdMatrix, pseudoinverse
 from sketchsolve.schemes import (Scheme, SkipStep, error_propagator,
                                  make_scheme, realize_sketch,
                                  reduction_discrepancy, step, step_generic)
-from sketchsolve.sketch import (COL_SUBSET, COORD_COL, COORD_ROW, GAUSS_MATRIX,
-                                GAUSS_VECTOR, ROW_SUBSET, UNIFORM, SketchDraw,
+from sketchsolve.sketch import (GAUSS, INDEX, SUBSET, UNIFORM, SketchDraw,
                                 draw_sketch, make_rng)
 
 
@@ -42,7 +41,7 @@ def _instance(sid: str, seed: int, block: int = 3):
 class TestUpdates:
     def test_k1_projects_onto_row(self):
         scheme = make_scheme("K1")
-        draw = SketchDraw(kind=COORD_ROW, indices=np.array([0]))
+        draw = SketchDraw(indices=np.array([0]))
         out = step(scheme, np.eye(2), np.array([1.0, 2.0]), np.zeros(2), draw)
         assert np.array_equal(out, [1.0, 0.0])
 
@@ -51,7 +50,7 @@ class TestUpdates:
         x_star = np.arange(1.0, 5.0)
         b = a @ x_star
         scheme = make_scheme("K3", block_size=6)
-        draw = SketchDraw(kind=ROW_SUBSET, indices=np.arange(6))
+        draw = SketchDraw(indices=np.arange(6))
         out = step(scheme, a, b, np.zeros(4), draw)
         assert np.abs(out - x_star).max() < 1e-10
 
@@ -59,7 +58,7 @@ class TestUpdates:
         # column 1 of diag(2, 3): step = 3*3 / 9 along e_1
         a = np.diag([2.0, 3.0])
         scheme = make_scheme("C1")
-        draw = SketchDraw(kind=COORD_COL, indices=np.array([1]))
+        draw = SketchDraw(indices=np.array([1]))
         out = step(scheme, a, np.array([2.0, 3.0]), np.zeros(2), draw)
         assert np.allclose(out, [0.0, 1.0], atol=1e-15)
 
@@ -186,21 +185,21 @@ class TestMonotonicity:
 class TestDegenerateDraws:
     def test_k1_zero_row_skips(self):
         a = np.array([[0.0, 0.0], [1.0, 2.0]])
-        draw = SketchDraw(kind=COORD_ROW, indices=np.array([0]))
+        draw = SketchDraw(indices=np.array([0]))
         with pytest.raises(SkipStep):
             step(make_scheme("K1"), a, np.zeros(2), np.zeros(2), draw)
 
     def test_c1_zero_column_skips(self):
         a = np.array([[0.0, 1.0], [0.0, 2.0]])
-        draw = SketchDraw(kind=COORD_COL, indices=np.array([0]))
+        draw = SketchDraw(indices=np.array([0]))
         with pytest.raises(SkipStep):
             step(make_scheme("C1"), a, np.zeros(2), np.zeros(2), draw)
 
     @pytest.mark.parametrize("sid, draw", [
-        ("C1", SketchDraw(kind=COORD_COL, indices=np.array([0]))),
-        ("C2", SketchDraw(kind=GAUSS_VECTOR, dense=np.array([[1.0], [0.0]]))),
-        ("S1", SketchDraw(kind=COORD_ROW, indices=np.array([0]))),
-        ("S2", SketchDraw(kind=GAUSS_VECTOR, dense=np.array([[1.0], [0.0]]))),
+        ("C1", SketchDraw(indices=np.array([0]))),
+        ("C2", SketchDraw(dense=np.array([[1.0], [0.0]]))),
+        ("S1", SketchDraw(indices=np.array([0]))),
+        ("S2", SketchDraw(dense=np.array([[1.0], [0.0]]))),
     ])
     def test_skip_leaves_residual_untouched(self, sid, draw):
         # column 0 and the diagonal entry a[0, 0] are zero
@@ -222,8 +221,7 @@ class TestDegenerateDraws:
         # the closed form and SkipStep belong to the scalar ids, not to any
         # width-1 draw: a block id at l = 1 solves through the pseudoinverse,
         # which leaves x where it is on the degenerate index
-        kind = ROW_SUBSET if sid == "K3" else COL_SUBSET
-        draw = SketchDraw(kind=kind, indices=np.array([0]))
+        draw = SketchDraw(indices=np.array([0]))
         scheme = make_scheme(sid, block_size=1)
         b = np.array([1.0, -1.0])
         x = np.array([0.5, 0.25])
@@ -244,15 +242,15 @@ class TestDegenerateDraws:
         w = gaussian(34, 4, 1)
         cases = [
             ("K3", np.vstack([np.ones((2, 3)), gaussian(31, 2, 3)]),
-             SketchDraw(kind=ROW_SUBSET, indices=np.array([0, 1]))),
+             SketchDraw(indices=np.array([0, 1]))),
             ("C3", np.hstack([np.ones((5, 2)), gaussian(32, 5, 2)]),
-             SketchDraw(kind=COL_SUBSET, indices=np.array([0, 1, 3]))),
+             SketchDraw(indices=np.array([0, 1, 3]))),
             ("K4", gaussian(35, 4, 3),
-             SketchDraw(kind=GAUSS_MATRIX, dense=np.hstack([w, w]))),
+             SketchDraw(dense=np.hstack([w, w]))),
             ("C4", gaussian(36, 6, 4),
-             SketchDraw(kind=GAUSS_MATRIX, dense=np.hstack([w, w]))),
+             SketchDraw(dense=np.hstack([w, w]))),
             ("S4", random_spd(33, 4),
-             SketchDraw(kind=GAUSS_MATRIX, dense=np.hstack([w, w]))),
+             SketchDraw(dense=np.hstack([w, w]))),
         ]
         for sid, a, draw in cases:
             scheme = make_scheme(sid, block_size=draw.width)
@@ -272,13 +270,13 @@ class TestDegenerateDraws:
 
 class TestPropagator:
     def test_coordinate_projector(self):
-        draw = SketchDraw(kind=COORD_ROW, indices=np.array([0]))
+        draw = SketchDraw(indices=np.array([0]))
         t = error_propagator(make_scheme("K1"), np.eye(2), draw)
         assert np.allclose(t, np.diag([0.0, 1.0]), atol=1e-14)
 
     def test_full_row_sketch_annihilates(self):
         a = gaussian(9, 5, 3)
-        draw = SketchDraw(kind=ROW_SUBSET, indices=np.arange(5))
+        draw = SketchDraw(indices=np.arange(5))
         t = error_propagator(make_scheme("K3", block_size=5), a, draw)
         assert np.abs(t).max() < 1e-12
 
@@ -292,7 +290,7 @@ class TestPropagator:
 class TestReductions:
     def test_diagonal_subset_case(self):
         a = SpdMatrix(np.diag([1.0, 2.0]))
-        draw = SketchDraw(kind=COL_SUBSET, indices=np.array([0]))
+        draw = SketchDraw(indices=np.array([0]))
         b = np.array([0.3, -1.1])
         x = np.array([2.0, 0.5])
         assert reduction_discrepancy(a, draw, b, x) <= 1e-10
@@ -300,7 +298,7 @@ class TestReductions:
     def test_gaussian_case(self):
         rng = make_rng(3)
         a = SpdMatrix(random_spd(41, 5, lo=0.5, hi=2.5))
-        draw = SketchDraw(kind=GAUSS_MATRIX, dense=rng.standard_normal((5, 2)))
+        draw = SketchDraw(dense=rng.standard_normal((5, 2)))
         b = rng.standard_normal(5)
         x = rng.standard_normal(5)
         assert reduction_discrepancy(a, draw, b, x) <= 1e-9
@@ -308,11 +306,58 @@ class TestReductions:
     def test_identity_weight_is_negative_control(self):
         rng = make_rng(4)
         a = SpdMatrix(random_spd(43, 4, lo=0.3, hi=3.0))
-        draw = SketchDraw(kind=COL_SUBSET, indices=np.array([0, 2]))
+        draw = SketchDraw(indices=np.array([0, 2]))
         b = rng.standard_normal(4)
         x = rng.standard_normal(4)
         off = reduction_discrepancy(a, draw, b, x, g=SpdMatrix(np.eye(4)))
         assert off > 1e-6
+
+
+class TestDrawFit:
+    """A draw fits a scheme by its type (indices or a dense block) and its
+    width; the axis is the scheme's, so it is not the draw's to check."""
+
+    @staticmethod
+    def _calls(scheme, draw):
+        a = random_spd(51, 6)
+        b, x = np.ones(6), np.zeros(6)
+        return (lambda: step(scheme, a, b, x, draw),
+                lambda: step_generic(scheme, a, b, x, draw),
+                lambda: error_propagator(scheme, a, draw))
+
+    @staticmethod
+    def _draw(scheme, width):
+        if scheme.kind == GAUSS:
+            return SketchDraw(dense=gaussian(52, 6, width))
+        return SketchDraw(indices=np.array([0, 3, 5][:width]))
+
+    @pytest.mark.parametrize("sid", schemes.SCALAR_SCHEMES)
+    def test_scalar_ids_refuse_width_two(self, sid):
+        # the fast path would use the first index or column alone, while
+        # the oracle projects onto both
+        scheme = make_scheme(sid)
+        for call in self._calls(scheme, self._draw(scheme, 2)):
+            with pytest.raises(ValueError, match="width 1; got 2"):
+                call()
+
+    @pytest.mark.parametrize("sid", ["K3", "C4", "S3", "S4"])
+    def test_block_ids_refuse_another_width(self, sid):
+        scheme = make_scheme(sid, block_size=3)
+        for call in self._calls(scheme, self._draw(scheme, 2)):
+            with pytest.raises(ValueError, match="width 3; got 2"):
+                call()
+
+    @pytest.mark.parametrize("sid", ["K1", "C1", "S1", "K3", "C3", "S3"])
+    def test_one_index_fits_k1_and_k3_whatever_axis_drew_it(self, sid):
+        a = gaussian(53, 6, 4)
+        b = a @ np.arange(1.0, 5.0)
+        x = np.full(4, 0.5)
+        draw = draw_sketch(make_scheme(sid, block_size=1), a.shape,
+                           make_rng(54))
+        for scheme in (make_scheme("K1"), make_scheme("K3", block_size=1)):
+            got = step(scheme, a, b, x, draw)
+            want = step_generic(scheme, a, b, x, draw)
+            assert np.abs(got - want).max() <= 1e-12, scheme.id
 
 
 class TestSchemeValidation:
@@ -330,14 +375,14 @@ class TestSchemeValidation:
 
     # each id's draw: the catalog table in the schemes module docstring
     DRAWS = {
-        "K1": (COORD_ROW, "rows"), "K2": (GAUSS_VECTOR, "rows"),
-        "K3": (ROW_SUBSET, "rows"), "K4": (GAUSS_MATRIX, "rows"),
-        "K5": (ROW_SUBSET, "rows"), "K6": (GAUSS_MATRIX, "rows"),
-        "C1": (COORD_COL, "cols"), "C2": (GAUSS_VECTOR, "cols"),
-        "C3": (COL_SUBSET, "cols"), "C4": (GAUSS_MATRIX, "cols"),
-        "C5": (COL_SUBSET, "cols"), "C6": (GAUSS_MATRIX, "cols"),
-        "S1": (COORD_ROW, "rows"), "S2": (GAUSS_VECTOR, "cols"),
-        "S3": (COL_SUBSET, "cols"), "S4": (GAUSS_MATRIX, "cols"),
+        "K1": (INDEX, "rows"), "K2": (GAUSS, "rows"),
+        "K3": (SUBSET, "rows"), "K4": (GAUSS, "rows"),
+        "K5": (SUBSET, "rows"), "K6": (GAUSS, "rows"),
+        "C1": (INDEX, "cols"), "C2": (GAUSS, "cols"),
+        "C3": (SUBSET, "cols"), "C4": (GAUSS, "cols"),
+        "C5": (SUBSET, "cols"), "C6": (GAUSS, "cols"),
+        "S1": (INDEX, "rows"), "S2": (GAUSS, "cols"),
+        "S3": (SUBSET, "cols"), "S4": (GAUSS, "cols"),
     }
 
     @pytest.mark.parametrize("sid", schemes.ALL_SCHEMES)

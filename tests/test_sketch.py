@@ -6,9 +6,8 @@ from hypothesis import given
 from helpers import gaussian, random_spd
 from sketchsolve import schemes
 from sketchsolve.linalg import SpdMatrix
-from sketchsolve.sketch import (COL_SUBSET, COORD_ROW, GAUSS_MATRIX,
-                                NORM_PROPORTIONAL, ROW_SUBSET,
-                                TRACE_PROPORTIONAL, UNIFORM, SketchDraw,
+from sketchsolve.sketch import (NORM_PROPORTIONAL, TRACE_PROPORTIONAL,
+                                UNIFORM, SketchDraw,
                                 draw_sketch, index_cdf, make_rng,
                                 rng_from_keys)
 
@@ -161,10 +160,10 @@ class TestProportionalSampling:
         assert mine.bit_generator.state == ref.bit_generator.state
 
     def test_single_index_draw_skips_distinct_check(self):
-        d = SketchDraw(kind=COORD_ROW, indices=np.array([3]))
+        d = SketchDraw(indices=np.array([3]))
         assert d.width == 1
         with pytest.raises(ValueError, match="distinct"):
-            SketchDraw(kind=ROW_SUBSET, indices=np.array([2, 2]))
+            SketchDraw(indices=np.array([2, 2]))
 
 
 class TestDrawContract:
@@ -247,14 +246,14 @@ class TestSamplingWeights:
 class TestRealize:
     def test_k1_identity_system(self):
         scheme = schemes.make_scheme("K1")
-        draw = SketchDraw(kind=COORD_ROW, indices=np.array([0]))
+        draw = SketchDraw(indices=np.array([0]))
         y, z = schemes.realize_sketch(scheme, np.eye(2), draw)
         assert np.array_equal(y, [[1.0], [0.0]])
         assert np.array_equal(z, [[1.0], [0.0]])
 
     def test_s1_selects_unit_vector(self):
         scheme = schemes.make_scheme("S1")
-        draw = SketchDraw(kind=COORD_ROW, indices=np.array([1]))
+        draw = SketchDraw(indices=np.array([1]))
         a = random_spd(3, 3)
         y, z = schemes.realize_sketch(scheme, a, draw)
         assert np.array_equal(y, [[0.0], [1.0], [0.0]])
@@ -263,7 +262,7 @@ class TestRealize:
     def test_k5_with_identity_weight_matches_k3(self):
         a = gaussian(5, 6, 4)
         idx = np.array([1, 4])
-        draw = SketchDraw(kind=ROW_SUBSET, indices=idx)
+        draw = SketchDraw(indices=idx)
         y3, z3 = schemes.realize_sketch(schemes.make_scheme("K3", block_size=2), a, draw)
         k5 = schemes.make_scheme("K5", block_size=2, g=SpdMatrix(np.eye(4)))
         y5, z5 = schemes.realize_sketch(k5, a, draw)
@@ -289,23 +288,34 @@ class TestRealize:
         assert z.shape == (n, width)
 
     def test_wrong_draw_kind_rejected(self):
+        # a width-1 index draw fits K1 whatever axis built it; a Gaussian
+        # draw, or two indices, do not
         scheme = schemes.make_scheme("K1")
-        draw = SketchDraw(kind=COL_SUBSET, indices=np.array([0]))
-        with pytest.raises(ValueError):
-            schemes.realize_sketch(scheme, np.eye(2), draw)
+        for draw in (SketchDraw(dense=np.ones((2, 1))),
+                     SketchDraw(indices=np.array([0, 1]))):
+            with pytest.raises(ValueError, match="expects kind 'index', width 1"):
+                schemes.realize_sketch(scheme, np.eye(2), draw)
 
     def test_draw_carries_one_representation(self):
         both = {"dense": np.ones((3, 2)), "indices": np.array([0, 1])}
-        for kind in (GAUSS_MATRIX, ROW_SUBSET):
-            with pytest.raises(ValueError):
-                SketchDraw(kind=kind, **both)
+        with pytest.raises(ValueError):
+            SketchDraw(**both)
+
+    def test_draw_is_only_its_numbers(self):
+        # neither field, a 1-D block, or a kind label are refused
+        with pytest.raises(ValueError, match="exactly one"):
+            SketchDraw()
+        with pytest.raises(ValueError, match="2-D"):
+            SketchDraw(dense=np.ones(3))
+        with pytest.raises(TypeError):
+            SketchDraw(kind="index", indices=np.array([0]))
 
     def test_table_forms_match_selection_identities(self):
         # the implicit row/column selections must equal the explicit products
         a = gaussian(21, 6, 4)
         idx = np.array([0, 3, 5])
         eye_cols = np.eye(6)[:, idx]
-        draw = SketchDraw(kind=ROW_SUBSET, indices=idx)
+        draw = SketchDraw(indices=idx)
         y, z = schemes.realize_sketch(schemes.make_scheme("K3", block_size=3), a, draw)
         assert np.array_equal(y, eye_cols)
         assert np.abs(z - a.T @ eye_cols).max() < 1e-14
