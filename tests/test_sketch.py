@@ -300,9 +300,7 @@ class TestRealize:
         both = {"dense": np.ones((3, 2)), "indices": np.array([0, 1])}
         with pytest.raises(ValueError):
             SketchDraw(**both)
-
-    def test_draw_is_only_its_numbers(self):
-        # neither field, a 1-D block, or a kind label are refused
+        # nor none, nor a 1-D block, nor a kind label: a draw is its numbers
         with pytest.raises(ValueError, match="exactly one"):
             SketchDraw()
         with pytest.raises(ValueError, match="2-D"):
