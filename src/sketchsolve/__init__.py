@@ -6,7 +6,7 @@ from .problems import ProblemSpec, ProblemStats, generate, load_matrixmarket, \
     save_matrixmarket
 from .schemes import ALL_SCHEMES, Scheme, SkipStep, error_propagator, \
     make_scheme, realize_sketch, reduction_discrepancy, step, step_generic
-from .sketch import SketchDraw, draw_sketch, make_rng, rng_from_keys
+from .sketch import draw_sketch, make_rng, rng_from_keys
 from .solver import Problem, SolveTrace, StopRule, solve
 from .theory import ExpectationEstimate, RateReport, coordinate_partition, \
     estimate_mean_propagator, fit_empirical_rate, mean_sketched_inverse, \
@@ -14,7 +14,7 @@ from .theory import ExpectationEstimate, RateReport, coordinate_partition, \
 
 __all__ = [
     "ALL_SCHEMES", "ExpectationEstimate", "Problem", "ProblemSpec",
-    "ProblemStats", "RateReport", "Scheme", "SketchDraw", "SkipStep",
+    "ProblemStats", "RateReport", "Scheme", "SkipStep",
     "SolveTrace", "SpdMatrix", "StopRule", "coordinate_partition",
     "draw_sketch", "error_propagator", "estimate_mean_propagator",
     "extremal_eigs", "fit_empirical_rate", "frobenius_norm_sq", "generate",

@@ -306,14 +306,15 @@ def run_verify_expectation(cfg: dict) -> int:
 
     if target == "propagator":
         sid = cfg.get("scheme", "K2")
-        if sid not in ("K2", "K4", "K6"):
-            raise ConfigError("propagator target supports schemes K2/K4/K6")
         block = _resolve_block_size(cfg, 1, a.shape[1])
         g = _weight_for(sid, g_mode, a)
         samples = _config_int(cfg, "samples", 10_000, 2)
-        est = theory.estimate_mean_propagator(a, g, sid, samples,
-                                              sketch.make_rng(seed),
-                                              block_size=block)
+        try:
+            est = theory.estimate_mean_propagator(a, g, sid, samples,
+                                                  sketch.make_rng(seed),
+                                                  block_size=block)
+        except ValueError as exc:  # e.g. a scheme other than K2/K4/K6
+            raise ConfigError(f"propagator for {sid}: {exc}") from exc
     elif target == "sketched_inverse":
         block = _config_int(cfg, "partition_block", 1, 1)
         if g_mode not in (None, "identity"):

@@ -58,9 +58,10 @@ def pseudoinverse(m) -> np.ndarray:
     return (vt.T * inv) @ u.T
 
 
-def check_symmetric(s, rtol: float = SYM_RTOL) -> np.ndarray:
-    """Validate finite entries and symmetry within ``rtol`` (relative to max
-    |entry|); return the symmetrized (s + s.T) / 2, which absorbs roundoff."""
+def check_symmetric(s) -> np.ndarray:
+    """Validate finite entries and symmetry within ``SYM_RTOL`` (relative to
+    max |entry|); return the symmetrized s / 2 + s.T / 2, which absorbs
+    roundoff and, halved first, cannot overflow."""
     s = as_matrix(s)
     if s.shape[0] != s.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {s.shape}")
@@ -69,10 +70,11 @@ def check_symmetric(s, rtol: float = SYM_RTOL) -> np.ndarray:
     if not np.isfinite(scale):
         raise ValueError("matrix must be finite")
     asym = np.abs(s - s.T).max()
-    if scale > 0 and asym > rtol * scale:
+    if scale > 0 and asym > SYM_RTOL * scale:
         raise ValueError(f"matrix is not symmetric: max asymmetry {asym:.3e} "
                          f"(relative {asym / scale:.3e})")
-    return 0.5 * (s + s.T)
+    half = 0.5 * s
+    return half + half.T
 
 
 def extremal_eigs(s) -> tuple[float, float]:
@@ -129,7 +131,7 @@ def squared_norms(a: np.ndarray, axis: int) -> np.ndarray:
 class SpdMatrix:
     """A finite symmetric positive definite matrix, validated at construction.
 
-    The input is symmetrized as (W + W^T)/2 after the symmetry check; the
+    The input is symmetrized as W/2 + W^T/2 after the symmetry check; the
     smallest eigenvalue must be strictly positive. A diagonal matrix, such
     as an identity weight, gives its eigenvalues with no O(n^3) solver.
     """

@@ -27,6 +27,8 @@ where the pair (Y, Z) is rebuilt from a fresh random draw every step:
 
 A :class:`Scheme` is one id's entry and the only description of its draw,
 which :func:`sketch.draw_sketch` reads: its kind, axis, width, distribution.
+A draw is the bare array drawn; every function here that takes one first
+checks it against its scheme and its system (:func:`_check_draw`).
 
 :func:`step` applies the cheap specialized update, one kernel per side of
 A for all sixteen ids. The row kernel (K) works on the sketched rows Y^T A,
@@ -55,7 +57,7 @@ import numpy as np
 
 from . import sketch
 from .linalg import SpdMatrix, as_int, pseudoinverse, squared_norms
-from .sketch import GAUSS, INDEX, SUBSET, SketchDraw
+from .sketch import GAUSS, INDEX, SUBSET
 
 ROW_SCHEMES = ("K1", "K2", "K3", "K4", "K5", "K6")
 COL_SCHEMES = ("C1", "C2", "C3", "C4", "C5", "C6")
@@ -168,59 +170,62 @@ def _selection(dim: int, idx: np.ndarray) -> np.ndarray:
     return s
 
 
-def _check_draw(scheme: Scheme, draw: SketchDraw):
-    # by type and width only: the axis is the scheme's, not the draw's
-    dense = draw.dense
-    width = len(draw.indices) if dense is None else dense.shape[1]
-    if (dense is None) == (scheme.kind == GAUSS) or width != scheme.block_size:
-        raise ValueError(f"scheme {scheme.id} expects kind {scheme.kind!r}, "
-                         f"width {scheme.block_size}; got {width} "
-                         f"{'indices' if dense is None else 'Gaussian columns'}")
+def _check_draw(scheme: Scheme, draw, shape: tuple[int, int]):
+    """The one check of a draw against its scheme and its m x n system. On
+    the scheme's axis, of length ``dim`` (:func:`sketch.draw_dim`), a
+    Gaussian scheme takes a float ``(dim, block_size)`` block and an index
+    scheme ``block_size`` distinct integers in ``[0, dim)``."""
+    dim, width = sketch.draw_dim(scheme, shape), scheme.block_size
+    array = isinstance(draw, np.ndarray)
+    got = None
+    if scheme.kind == GAUSS:
+        if array and draw.dtype.kind == "f" and draw.shape == (dim, width):
+            return
+        want = f"a float Gaussian block of shape ({dim}, {width})"
+    else:
+        if array and draw.dtype.kind in "iu" and draw.shape == (width,):
+            # as a list: min, max and set beat numpy's calls at these sizes
+            got = draw.tolist()
+            if 0 <= min(got) and max(got) < dim and len(set(got)) == width:
+                return
+        want = f"{width} distinct integer indices in [0, {dim})"
+    if got is None:
+        got = (f"{draw.dtype} array of shape {draw.shape}" if array
+               else type(draw).__name__)
+    raise ValueError(f"scheme {scheme.id} expects {want}; got {got}")
 
 
 def realize_sketch(scheme: Scheme, a: np.ndarray,
-                   draw: SketchDraw) -> tuple[np.ndarray, np.ndarray]:
+                   draw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Materialize the (Y, Z) pair for one draw.
 
     Y is the m x l equation-sketching matrix, Z the n x l search-space
     basis; both follow the catalog table above entrywise.
     """
-    _check_draw(scheme, draw)
+    _check_draw(scheme, draw, a.shape)
     m, n = a.shape
-    sid = scheme.id
-    fam = family(sid)
+    fam = scheme.id[0]
+    gauss = scheme.kind == GAUSS
     g = scheme.g.mat if scheme.g is not None else None
 
     if fam == "K":
-        if draw.indices is not None:
-            y = _selection(m, draw.indices)
-            at_y = a[draw.indices, :].T
-        else:
-            y = draw.dense
-            at_y = a.T @ y
+        y = draw if gauss else _selection(m, draw)
+        at_y = a.T @ y if gauss else a[draw, :].T
         z = at_y if g is None else g @ at_y
         return y, z
 
+    z = draw if gauss else _selection(n, draw)
     if fam == "C":
-        if draw.indices is not None:
-            z = _selection(n, draw.indices)
-            az = a[:, draw.indices]
-        else:
-            z = draw.dense
-            az = a @ z
+        az = a @ z if gauss else a[:, draw]
         y = az if g is None else g @ az
         return y, z
 
     # symmetric family: Y = Z
-    if draw.indices is not None:
-        z = _selection(n, draw.indices)
-    else:
-        z = draw.dense
     return z, z
 
 
 def step_generic(scheme: Scheme, a: np.ndarray, b: np.ndarray,
-                 x: np.ndarray, draw: SketchDraw) -> np.ndarray:
+                 x: np.ndarray, draw: np.ndarray) -> np.ndarray:
     """One iteration through the explicit x + Z (Y^T A Z)^+ Y^T r formula.
 
     Reference path: always defined (pseudoinverse handles singular sketched
@@ -247,7 +252,7 @@ def maintains_residual(scheme: Scheme) -> bool:
 
 
 def step(scheme: Scheme, a: np.ndarray, b: np.ndarray,
-         x: np.ndarray, draw: SketchDraw,
+         x: np.ndarray, draw: np.ndarray,
          r: np.ndarray | None = None,
          gram: np.ndarray | None = None) -> np.ndarray:
     """One iteration via the specialized update for ``scheme``.
@@ -272,7 +277,7 @@ def step(scheme: Scheme, a: np.ndarray, b: np.ndarray,
     holding ``A^T (b - A x_next)``. Its draws and steps are those of the
     A-space update, up to rounding.
     """
-    _check_draw(scheme, draw)
+    _check_draw(scheme, draw, a.shape)
     if gram is not None and not scheme.gram_form:
         raise ValueError(f"scheme {scheme.id} has no Gram-space update")
     if maintains_residual(scheme):
@@ -280,11 +285,12 @@ def step(scheme: Scheme, a: np.ndarray, b: np.ndarray,
             r = b - a @ x if gram is None else a.T @ (b - a @ x)
     elif r is not None:
         raise ValueError(f"scheme {scheme.id} does not maintain a residual")
-    idx, w = draw.indices, draw.dense
+    gauss = scheme.kind == GAUSS
     scalar = scheme.id in SCALAR_SCHEMES
     if scalar:
         # an int index or a 1-D w: every gather below is then a 1-D view
-        idx, w = (idx[0], None) if w is None else (None, w[:, 0])
+        draw = draw[:, 0] if gauss else draw[0]
+    idx, w = (None, draw) if gauss else (draw, None)
     g = scheme.g.mat if scheme.g is not None else None
     if scheme.id[0] == "K":
         return _row_kernel(a, b, x, idx, w, g, scalar)
@@ -359,7 +365,7 @@ def _col_kernel(fam, a, x, r, cols, w, g, scalar):
 
 
 def error_propagator(scheme: Scheme, a: np.ndarray,
-                     draw: SketchDraw) -> np.ndarray:
+                     draw: np.ndarray) -> np.ndarray:
     """The n x n matrix mapping the error before this draw's update to the
     error after it: I - Z (Y^T A Z)^+ Y^T A. Idempotent for every draw."""
     y, z = realize_sketch(scheme, a, draw)
@@ -368,7 +374,7 @@ def error_propagator(scheme: Scheme, a: np.ndarray,
     return np.eye(n) - z @ (pseudoinverse(e) @ (y.T @ a))
 
 
-def reduction_discrepancy(a: SpdMatrix, draw: SketchDraw, b: np.ndarray,
+def reduction_discrepancy(a: SpdMatrix, draw: np.ndarray, b: np.ndarray,
                           x: np.ndarray, g: SpdMatrix | None = None) -> float:
     """Max entrywise disagreement between the weighted schemes and their
     symmetric counterparts on one shared draw.
@@ -382,8 +388,8 @@ def reduction_discrepancy(a: SpdMatrix, draw: SketchDraw, b: np.ndarray,
     if g is None:
         g = SpdMatrix(np.linalg.inv(amat))
 
-    ids = ("K5", "C5", "S3") if draw.indices is not None else ("K6", "C6", "S4")
-    updates = [step(make_scheme(sid, block_size=draw.width,
+    ids = ("K5", "C5", "S3") if draw.ndim == 1 else ("K6", "C6", "S4")
+    updates = [step(make_scheme(sid, block_size=draw.shape[-1],
                                 g=None if sid[0] == "S" else g),
                     amat, b, x, draw) for sid in ids]
     k, c, s = updates

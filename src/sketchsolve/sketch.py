@@ -2,7 +2,8 @@
 
 :func:`draw_sketch` realizes one draw of a :class:`schemes.Scheme`, the only
 description of a draw (kind :data:`INDEX`, :data:`SUBSET` or :data:`GAUSS`,
-axis, width, distribution), as a :class:`SketchDraw`: the numbers drawn.
+axis, width, distribution), as the numpy array drawn: integer indices or a
+Gaussian block.
 
 Proportional draws search a CDF that :func:`index_cdf` validates and builds
 once per problem: O(log d) each, and the same indices and generator state as
@@ -47,35 +48,6 @@ def rng_from_keys(seed: int, *keys: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True, eq=False)
-class SketchDraw:
-    """One realized draw: distinct ``indices`` or a 2-D ``dense`` Gaussian
-    block, exactly one of the two. The scheme it is applied to checks its
-    type and :attr:`width`, and says which axis it runs along."""
-
-    indices: np.ndarray | None = None
-    dense: np.ndarray | None = None
-
-    def __post_init__(self):
-        # the update kernels tell the two apart by which field is set
-        if (self.indices is None) == (self.dense is None):
-            raise ValueError("a draw needs indices or a dense block, "
-                             "exactly one of the two")
-        if self.dense is not None:
-            if self.dense.ndim != 2:
-                raise ValueError("Gaussian draw needs a 2-D dense block")
-        elif (len(self.indices) > 1
-                and len(np.unique(self.indices)) != len(self.indices)):
-            raise ValueError("subset indices must be distinct")
-
-    @property
-    def width(self) -> int:
-        """Number of sketch columns l realized by this draw."""
-        if self.dense is not None:
-            return self.dense.shape[1]
-        return len(self.indices)  # type: ignore[arg-type]
-
-
-@dataclass(frozen=True, eq=False)
 class IndexCdf:
     """Read-only CDF of a proportional index draw, from :func:`index_cdf`."""
 
@@ -99,10 +71,18 @@ def index_cdf(weights) -> IndexCdf:
     return IndexCdf(cdf)
 
 
+def draw_dim(scheme, dims: tuple[int, int]) -> int:
+    """The length of the side of an m x n system that ``scheme`` draws over:
+    m on its "rows" axis, n on "cols"."""
+    return dims[0] if scheme.axis == "rows" else dims[1]
+
+
 def draw_sketch(scheme, dims: tuple[int, int], rng: np.random.Generator,
-                sampler: IndexCdf | None = None) -> SketchDraw:
+                sampler: IndexCdf | None = None) -> np.ndarray:
     """Realize one draw of ``scheme`` against an m x n system, as its
-    ``kind``, ``axis``, ``block_size`` and ``distribution`` say.
+    ``kind``, ``axis``, ``block_size`` and ``distribution`` say: a 1-D
+    integer array of ``block_size`` indices for ``INDEX`` and ``SUBSET``, a
+    ``(dim, block_size)`` float block for ``GAUSS``.
 
     The proportional distributions need ``sampler``, the :func:`index_cdf`
     of the weights (squared row/column norms or diagonal entries), built once
@@ -110,7 +90,7 @@ def draw_sketch(scheme, dims: tuple[int, int], rng: np.random.Generator,
     Subsets are drawn uniformly without replacement and returned sorted.
     """
     kind, width = scheme.kind, scheme.block_size
-    dim = dims[0] if scheme.axis == "rows" else dims[1]
+    dim = draw_dim(scheme, dims)
     if width > dim:
         raise ValueError(f"block_size {width} exceeds dimension {dim}")
 
@@ -122,11 +102,10 @@ def draw_sketch(scheme, dims: tuple[int, int], rng: np.random.Generator,
                 raise ValueError(f"{scheme.distribution} sampling needs the "
                                  f"index_cdf of {dim} weights")
             idx = int(sampler.cdf.searchsorted(rng.random(), side="right"))
-        return SketchDraw(indices=np.array([idx]))
+        return np.array([idx])
 
     if kind == SUBSET:
-        idx = np.sort(rng.choice(dim, size=width, replace=False))
-        return SketchDraw(indices=idx)
+        return np.sort(rng.choice(dim, size=width, replace=False))
 
     # GAUSS: fresh i.i.d. standard-normal entries every draw
-    return SketchDraw(dense=rng.standard_normal((dim, width)))
+    return rng.standard_normal((dim, width))

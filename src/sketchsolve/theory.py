@@ -163,7 +163,7 @@ def estimate_mean_propagator(a, g: SpdMatrix | None, scheme_id: str,
                              ) -> ExpectationEstimate:
     """Monte-Carlo estimate of the mean similarity-transformed propagator
     G^{-1/2} (I - Z E^+ Y^T A) G^{1/2} for the Gaussian row schemes
-    (K2, K4, K6; G = I for the first two).
+    (K2, K4, K6; G = I for the first two, whose scheme refuses a ``g``).
 
     The estimate is compared against the integral upper bound
     I - G^{1/2} A^T A G^{1/2} / (m * lam_max(A G A^T)); ``max_violation``
@@ -172,16 +172,14 @@ def estimate_mean_propagator(a, g: SpdMatrix | None, scheme_id: str,
     """
     a = as_matrix(a)
     m, n = a.shape
-    if scheme_id not in ("K2", "K4", "K6"):
+    scheme = schemes.make_scheme(scheme_id, block_size=block_size, g=g)
+    if scheme.kind != sketch.GAUSS or scheme.axis != "rows":
         raise ValueError("mean-propagator estimation covers the Gaussian row "
                          f"schemes K2/K4/K6, not {scheme_id!r}")
     if samples < 2:
         raise ValueError("need at least 2 samples")
     g_half = spd_sqrt(g) if g is not None else None
     g_half_inv = np.linalg.inv(g_half) if g is not None else None
-
-    scheme = schemes.make_scheme(scheme_id, block_size=block_size,
-                                 g=g if scheme_id == "K6" else None)
 
     draws = np.empty((samples, n, n))
     for s in range(samples):
@@ -288,12 +286,8 @@ def _theory_rate(scheme: schemes.Scheme, a: np.ndarray) -> float:
         if scheme.distribution == sketch.TRACE_PROPORTIONAL:
             return rate_trace_sampling(SpdMatrix(a))
         return rate_norm_sampling(a)[0]
-    if sid in ("K2", "K4", "K6"):
-        return rate_gaussian_bound(a, "K", scheme.g)[0]
-    if sid in ("C2", "C4", "C6"):
-        return rate_gaussian_bound(a, "C", scheme.g)[0]
-    if sid in ("S2", "S4"):
-        return rate_gaussian_bound(a, "S")[0]
+    if scheme.kind == sketch.GAUSS:
+        return rate_gaussian_bound(a, sid[0], scheme.g)[0]
     return math.nan
 
 

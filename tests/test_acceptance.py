@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import sketchsolve
 from helpers import ls_residual, ls_solution_oracle, random_spd
 from sketchsolve import schemes
 from sketchsolve.cli import main as cli_main
@@ -16,7 +17,7 @@ from sketchsolve.linalg import SpdMatrix, pseudoinverse
 from sketchsolve.schemes import (error_propagator, make_scheme, realize_sketch,
                                  reduction_discrepancy, step, step_generic)
 from sketchsolve.sketch import (NORM_PROPORTIONAL, TRACE_PROPORTIONAL,
-                                SketchDraw, draw_sketch, make_rng)
+                                draw_sketch, make_rng)
 from sketchsolve.solver import Problem, StopRule, solve
 from sketchsolve.theory import (coordinate_partition, estimate_mean_propagator,
                                 fit_empirical_rate, mean_sketched_inverse,
@@ -56,6 +57,12 @@ def _random_instance(sid: str, rng: np.random.Generator):
     x = rng.standard_normal(n)
     draw = draw_sketch(scheme, (m, n), rng)
     return scheme, a, b, x, draw
+
+
+def test_every_export_resolves():
+    # a stale name in __all__ fails only at ``from sketchsolve import *``
+    assert [name for name in sketchsolve.__all__
+            if not hasattr(sketchsolve, name)] == []
 
 
 def test_criterion_1_projector_suite():
@@ -110,9 +117,9 @@ def test_criterion_3_reduction_identities():
         b = rng.standard_normal(n)
         x = rng.standard_normal(n)
         if i % 2 == 0:
-            draw = SketchDraw(indices=np.sort(rng.choice(n, size=4, replace=False)))
+            draw = np.sort(rng.choice(n, size=4, replace=False))
         else:
-            draw = SketchDraw(dense=rng.standard_normal((n, 4)))
+            draw = rng.standard_normal((n, 4))
         worst = max(worst, reduction_discrepancy(a, draw, b, x, g=g))
     assert worst <= 1e-9
     budget.done(f"criterion 3: inverse-weighted reductions agree "

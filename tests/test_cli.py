@@ -275,6 +275,18 @@ class TestVerifyExpectation:
                 np.testing.assert_allclose(identity[key], value, rtol=1e-12,
                                            atol=1e-12, err_msg=key)
 
+    @pytest.mark.parametrize("sid", ["K1", "C2", "nope"])
+    def test_propagator_refuses_other_schemes(self, tmp_path, capsys, sid):
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path, "exp.json", {
+            "target": "propagator", "scheme": sid, "samples": 10,
+            "problem": {"kind": "UniformDense", "m": 6, "n": 4, "seed": 8},
+            "output_dir": str(out),
+        })
+        assert main(["verify-expectation", "--config", cfg]) == 1
+        assert f"propagator for {sid}" in capsys.readouterr().err
+        assert not (out / "expectation.json").exists()
+
     def test_unknown_target(self, tmp_path):
         cfg = _write_config(tmp_path, "exp.json", {
             "target": "nope",

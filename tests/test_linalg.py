@@ -7,8 +7,9 @@ from hypothesis import given
 
 from helpers import (check_moore_penrose, eigs_via_charpoly, gaussian,
                      random_orthogonal, random_spd)
-from sketchsolve.linalg import (SpdMatrix, extremal_eigs, frobenius_norm_sq,
-                                pseudoinverse, spd_sqrt, squared_norms)
+from sketchsolve.linalg import (SpdMatrix, check_symmetric, extremal_eigs,
+                                frobenius_norm_sq, pseudoinverse, spd_sqrt,
+                                squared_norms)
 
 
 class TestPseudoinverse:
@@ -118,6 +119,10 @@ class TestExtremalEigs:
         with pytest.raises(ValueError, match="finite"):
             extremal_eigs([[1.0, np.nan], [np.nan, 1.0]])
 
+    def test_largest_finite_entries(self):
+        # (s + s.T) / 2 overflowed to inf here, and eigvalsh gave (nan, nan)
+        assert extremal_eigs([[1e308, 1.0], [1.0, 1e308]]) == (1e308, 1e308)
+
     @given(seed=st.integers(0, 10_000))
     def test_brackets_rayleigh_quotient(self, seed):
         rng = np.random.default_rng(seed)
@@ -218,6 +223,17 @@ class TestSpdMatrix:
         # infinite diagonal entry would reach eig_min unchecked
         with pytest.raises(ValueError, match="finite"):
             SpdMatrix(mat)
+
+    def test_largest_finite_entry_does_not_overflow(self):
+        w = SpdMatrix([[1e308]])
+        assert (w.mat.tolist(), w.eig_min) == ([[1e308]], 1e308)
+
+    @given(seed=st.integers(0, 10_000))
+    def test_symmetrized_bits_unchanged_in_normal_range(self, seed):
+        rng = np.random.default_rng(seed)
+        s = rng.standard_normal((6, 6)) * 10.0 ** rng.uniform(-300, 300)
+        s = s + s.T * (1.0 + 1e-14)
+        assert np.array_equal(check_symmetric(s), 0.5 * (s + s.T))
 
     def test_diagonal_eig_min_is_eigvalsh(self):
         rng = np.random.default_rng(3)

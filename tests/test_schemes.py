@@ -9,7 +9,7 @@ from sketchsolve.linalg import SpdMatrix, pseudoinverse
 from sketchsolve.schemes import (Scheme, SkipStep, error_propagator,
                                  make_scheme, realize_sketch,
                                  reduction_discrepancy, step, step_generic)
-from sketchsolve.sketch import (GAUSS, INDEX, SUBSET, UNIFORM, SketchDraw,
+from sketchsolve.sketch import (GAUSS, INDEX, SUBSET, UNIFORM,
                                 draw_sketch, make_rng)
 
 
@@ -41,7 +41,7 @@ def _instance(sid: str, seed: int, block: int = 3):
 class TestUpdates:
     def test_k1_projects_onto_row(self):
         scheme = make_scheme("K1")
-        draw = SketchDraw(indices=np.array([0]))
+        draw = np.array([0])
         out = step(scheme, np.eye(2), np.array([1.0, 2.0]), np.zeros(2), draw)
         assert np.array_equal(out, [1.0, 0.0])
 
@@ -50,7 +50,7 @@ class TestUpdates:
         x_star = np.arange(1.0, 5.0)
         b = a @ x_star
         scheme = make_scheme("K3", block_size=6)
-        draw = SketchDraw(indices=np.arange(6))
+        draw = np.arange(6)
         out = step(scheme, a, b, np.zeros(4), draw)
         assert np.abs(out - x_star).max() < 1e-10
 
@@ -58,7 +58,7 @@ class TestUpdates:
         # column 1 of diag(2, 3): step = 3*3 / 9 along e_1
         a = np.diag([2.0, 3.0])
         scheme = make_scheme("C1")
-        draw = SketchDraw(indices=np.array([1]))
+        draw = np.array([1])
         out = step(scheme, a, np.array([2.0, 3.0]), np.zeros(2), draw)
         assert np.allclose(out, [0.0, 1.0], atol=1e-15)
 
@@ -185,21 +185,21 @@ class TestMonotonicity:
 class TestDegenerateDraws:
     def test_k1_zero_row_skips(self):
         a = np.array([[0.0, 0.0], [1.0, 2.0]])
-        draw = SketchDraw(indices=np.array([0]))
+        draw = np.array([0])
         with pytest.raises(SkipStep):
             step(make_scheme("K1"), a, np.zeros(2), np.zeros(2), draw)
 
     def test_c1_zero_column_skips(self):
         a = np.array([[0.0, 1.0], [0.0, 2.0]])
-        draw = SketchDraw(indices=np.array([0]))
+        draw = np.array([0])
         with pytest.raises(SkipStep):
             step(make_scheme("C1"), a, np.zeros(2), np.zeros(2), draw)
 
     @pytest.mark.parametrize("sid, draw", [
-        ("C1", SketchDraw(indices=np.array([0]))),
-        ("C2", SketchDraw(dense=np.array([[1.0], [0.0]]))),
-        ("S1", SketchDraw(indices=np.array([0]))),
-        ("S2", SketchDraw(dense=np.array([[1.0], [0.0]]))),
+        ("C1", np.array([0])),
+        ("C2", np.array([[1.0], [0.0]])),
+        ("S1", np.array([0])),
+        ("S2", np.array([[1.0], [0.0]])),
     ])
     def test_skip_leaves_residual_untouched(self, sid, draw):
         # column 0 and the diagonal entry a[0, 0] are zero
@@ -221,7 +221,7 @@ class TestDegenerateDraws:
         # the closed form and SkipStep belong to the scalar ids, not to any
         # width-1 draw: a block id at l = 1 solves through the pseudoinverse,
         # which leaves x where it is on the degenerate index
-        draw = SketchDraw(indices=np.array([0]))
+        draw = np.array([0])
         scheme = make_scheme(sid, block_size=1)
         b = np.array([1.0, -1.0])
         x = np.array([0.5, 0.25])
@@ -242,18 +242,18 @@ class TestDegenerateDraws:
         w = gaussian(34, 4, 1)
         cases = [
             ("K3", np.vstack([np.ones((2, 3)), gaussian(31, 2, 3)]),
-             SketchDraw(indices=np.array([0, 1]))),
+             np.array([0, 1])),
             ("C3", np.hstack([np.ones((5, 2)), gaussian(32, 5, 2)]),
-             SketchDraw(indices=np.array([0, 1, 3]))),
+             np.array([0, 1, 3])),
             ("K4", gaussian(35, 4, 3),
-             SketchDraw(dense=np.hstack([w, w]))),
+             np.hstack([w, w])),
             ("C4", gaussian(36, 6, 4),
-             SketchDraw(dense=np.hstack([w, w]))),
+             np.hstack([w, w])),
             ("S4", random_spd(33, 4),
-             SketchDraw(dense=np.hstack([w, w]))),
+             np.hstack([w, w])),
         ]
         for sid, a, draw in cases:
-            scheme = make_scheme(sid, block_size=draw.width)
+            scheme = make_scheme(sid, block_size=draw.shape[-1])
             b = a @ np.ones(a.shape[1])
             x = np.zeros(a.shape[1])
             r = b - a @ x if schemes.maintains_residual(scheme) else None
@@ -270,13 +270,13 @@ class TestDegenerateDraws:
 
 class TestPropagator:
     def test_coordinate_projector(self):
-        draw = SketchDraw(indices=np.array([0]))
+        draw = np.array([0])
         t = error_propagator(make_scheme("K1"), np.eye(2), draw)
         assert np.allclose(t, np.diag([0.0, 1.0]), atol=1e-14)
 
     def test_full_row_sketch_annihilates(self):
         a = gaussian(9, 5, 3)
-        draw = SketchDraw(indices=np.arange(5))
+        draw = np.arange(5)
         t = error_propagator(make_scheme("K3", block_size=5), a, draw)
         assert np.abs(t).max() < 1e-12
 
@@ -290,7 +290,7 @@ class TestPropagator:
 class TestReductions:
     def test_diagonal_subset_case(self):
         a = SpdMatrix(np.diag([1.0, 2.0]))
-        draw = SketchDraw(indices=np.array([0]))
+        draw = np.array([0])
         b = np.array([0.3, -1.1])
         x = np.array([2.0, 0.5])
         assert reduction_discrepancy(a, draw, b, x) <= 1e-10
@@ -298,7 +298,7 @@ class TestReductions:
     def test_gaussian_case(self):
         rng = make_rng(3)
         a = SpdMatrix(random_spd(41, 5, lo=0.5, hi=2.5))
-        draw = SketchDraw(dense=rng.standard_normal((5, 2)))
+        draw = rng.standard_normal((5, 2))
         b = rng.standard_normal(5)
         x = rng.standard_normal(5)
         assert reduction_discrepancy(a, draw, b, x) <= 1e-9
@@ -306,7 +306,7 @@ class TestReductions:
     def test_identity_weight_is_negative_control(self):
         rng = make_rng(4)
         a = SpdMatrix(random_spd(43, 4, lo=0.3, hi=3.0))
-        draw = SketchDraw(indices=np.array([0, 2]))
+        draw = np.array([0, 2])
         b = rng.standard_normal(4)
         x = rng.standard_normal(4)
         off = reduction_discrepancy(a, draw, b, x, g=SpdMatrix(np.eye(4)))
@@ -315,7 +315,7 @@ class TestReductions:
 
 class TestDrawFit:
     """A draw fits a scheme by its type (indices or a dense block) and its
-    width; the axis is the scheme's, so it is not the draw's to check."""
+    width, on the scheme's axis; which axis drew it does not matter."""
 
     @staticmethod
     def _calls(scheme, draw):
@@ -328,8 +328,8 @@ class TestDrawFit:
     @staticmethod
     def _draw(scheme, width):
         if scheme.kind == GAUSS:
-            return SketchDraw(dense=gaussian(52, 6, width))
-        return SketchDraw(indices=np.array([0, 3, 5][:width]))
+            return gaussian(52, 6, width)
+        return np.array([0, 3, 5][:width])
 
     @pytest.mark.parametrize("sid", schemes.SCALAR_SCHEMES)
     def test_scalar_ids_refuse_width_two(self, sid):
@@ -337,14 +337,18 @@ class TestDrawFit:
         # the oracle projects onto both
         scheme = make_scheme(sid)
         for call in self._calls(scheme, self._draw(scheme, 2)):
-            with pytest.raises(ValueError, match="width 1; got 2"):
+            with pytest.raises(ValueError, match=r"expects (1 distinct .*|a "
+                               r"float .*\(6, 1\)); got \w+ array of shape "
+                               r"\((6, )?2,?\)"):
                 call()
 
     @pytest.mark.parametrize("sid", ["K3", "C4", "S3", "S4"])
     def test_block_ids_refuse_another_width(self, sid):
         scheme = make_scheme(sid, block_size=3)
         for call in self._calls(scheme, self._draw(scheme, 2)):
-            with pytest.raises(ValueError, match="width 3; got 2"):
+            with pytest.raises(ValueError, match=r"expects (3 distinct .*|a "
+                               r"float .*\(6, 3\)); got \w+ array of shape "
+                               r"\((6, )?2,?\)"):
                 call()
 
     @pytest.mark.parametrize("sid", ["K1", "C1", "S1", "K3", "C3", "S3"])
@@ -358,6 +362,64 @@ class TestDrawFit:
             got = step(scheme, a, b, x, draw)
             want = step_generic(scheme, a, b, x, draw)
             assert np.abs(got - want).max() <= 1e-12, scheme.id
+
+
+class TestDrawRefusals:
+    """``_check_draw`` is the one check of a draw against its scheme and its
+    system: the fast path, the oracle, the realized sketch and the
+    propagator all refuse a draw that does not fit, naming the scheme."""
+
+    # (id, block_size, draw) on a 6 x 4 system, or its 4 x 4 SPD Gram matrix
+    # for S ids
+    CASES = {
+        # the unwrapped indices: K3 and C3 would step on a repeated row or
+        # column, K1 on the last row
+        "negative-K3": ("K3", 2, np.array([0, -6])),
+        "negative-C3": ("C3", 2, np.array([0, -4])),
+        "negative-K1": ("K1", 1, np.array([-1])),
+        "past-end-K1": ("K1", 1, np.array([6])),
+        "past-end-C1": ("C1", 1, np.array([4])),
+        "past-end-S3": ("S3", 2, np.array([1, 4])),
+        "float-indices": ("K3", 2, np.array([0.0, 1.0])),
+        "bool-indices": ("C1", 1, np.array([True])),
+        "gauss-rows-K2": ("K2", 1, gaussian(61, 4, 1)),
+        "gauss-rows-C4": ("C4", 2, gaussian(62, 6, 2)),
+        "gauss-rows-S4": ("S4", 2, gaussian(63, 6, 2)),
+        "gauss-1d": ("K2", 1, gaussian(64, 6, 1)[:, 0]),
+        "gauss-int": ("K4", 2, np.ones((6, 2), dtype=int)),
+        "repeated": ("K3", 2, np.array([2, 2])),
+        "width": ("K1", 1, np.array([0, 1])),
+        "gauss-for-index": ("K1", 1, np.ones((6, 1))),
+        "indices-for-gauss": ("S2", 1, np.array([0])),
+        "list": ("K3", 2, [0, 1]),
+    }
+
+    @pytest.mark.parametrize("entry", ["step", "step_generic",
+                                       "realize_sketch", "error_propagator"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_refused(self, case, entry):
+        sid, width, draw = self.CASES[case]
+        a = gaussian(60, 6, 4)
+        if sid[0] == "S":
+            a = a.T @ a
+        b, x = np.ones(a.shape[0]), np.zeros(a.shape[1])
+        scheme = make_scheme(sid, block_size=width)
+        call = {"step": lambda: step(scheme, a, b, x, draw),
+                "step_generic": lambda: step_generic(scheme, a, b, x, draw),
+                "realize_sketch": lambda: realize_sketch(scheme, a, draw),
+                "error_propagator": lambda: error_propagator(scheme, a, draw)}
+        with pytest.raises(ValueError, match=f"scheme {sid} expects"):
+            call[entry]()
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8])
+    def test_any_integer_type_fits(self, dtype):
+        a = gaussian(65, 6, 4)
+        b, x = a @ np.ones(4), np.zeros(4)
+        draw = np.array([5, 0], dtype=dtype)
+        scheme = make_scheme("K3", block_size=2)
+        want = step(scheme, a, b, x, draw.astype(np.int64))
+        assert np.array_equal(step(scheme, a, b, x, draw), want)
+        assert np.abs(step_generic(scheme, a, b, x, draw) - want).max() <= 1e-12
 
 
 class TestSchemeValidation:

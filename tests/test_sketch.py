@@ -7,7 +7,7 @@ from helpers import gaussian, random_spd
 from sketchsolve import schemes
 from sketchsolve.linalg import SpdMatrix
 from sketchsolve.sketch import (NORM_PROPORTIONAL, TRACE_PROPORTIONAL,
-                                UNIFORM, SketchDraw,
+                                UNIFORM,
                                 draw_sketch, index_cdf, make_rng,
                                 rng_from_keys)
 
@@ -38,19 +38,19 @@ class TestDraws:
         for dist, cdf in ((UNIFORM, None), (NORM_PROPORTIONAL, index_cdf([2.0]))):
             s = schemes.make_scheme("K1", distribution=dist)
             d = draw_sketch(s, (1, 4), make_rng(0), cdf)
-            assert d.indices.tolist() == [0]
+            assert d.tolist() == [0]
 
     def test_full_subset(self):
         scheme = schemes.make_scheme("K3", block_size=5)
         d = draw_sketch(scheme, (5, 3), make_rng(1))
-        assert d.indices.tolist() == [0, 1, 2, 3, 4]
+        assert d.tolist() == [0, 1, 2, 3, 4]
 
     def test_norm_proportional_frequency(self):
         # index 1 should appear with probability 3/4 given weights (1, 3)
         scheme = schemes.make_scheme("K1", distribution=NORM_PROPORTIONAL)
         rng = make_rng(123)
         cdf = index_cdf([1.0, 3.0])
-        hits = sum(draw_sketch(scheme, (2, 2), rng, cdf).indices[0]
+        hits = sum(draw_sketch(scheme, (2, 2), rng, cdf)[0]
                    for _ in range(100_000))
         assert abs(hits / 100_000 - 0.75) < 0.01
 
@@ -58,7 +58,7 @@ class TestDraws:
         scheme = schemes.make_scheme("K4", block_size=10)
         rng = make_rng(7)
         samples = np.concatenate([
-            draw_sketch(scheme, (100, 5), rng).dense.ravel() for _ in range(100)
+            draw_sketch(scheme, (100, 5), rng).ravel() for _ in range(100)
         ])
         assert samples.size == 100_000
         assert abs(samples.mean()) < 0.02
@@ -76,8 +76,7 @@ class TestDraws:
     @given(seed=st.integers(0, 10_000), block=st.integers(1, 6))
     def test_subset_indices_distinct_and_sorted(self, seed, block):
         scheme = schemes.make_scheme("K3", block_size=block)
-        d = draw_sketch(scheme, (6, 6), make_rng(seed))
-        idx = d.indices
+        idx = draw_sketch(scheme, (6, 6), make_rng(seed))
         assert len(set(idx.tolist())) == block
         assert np.all(np.diff(idx) > 0)
         assert idx.min() >= 0 and idx.max() < 6
@@ -92,10 +91,7 @@ class TestDraws:
         ]:
             d1 = draw_sketch(scheme, (3, 3), make_rng(seed), cdf)
             d2 = draw_sketch(scheme, (3, 3), make_rng(seed), cdf)
-            if d1.indices is not None:
-                assert np.array_equal(d1.indices, d2.indices)
-            else:
-                assert np.array_equal(d1.dense, d2.dense)
+            assert np.array_equal(d1, d2)
 
     def test_keyed_streams_differ(self):
         a = rng_from_keys(5, 0, 0).standard_normal(4)
@@ -153,17 +149,11 @@ class TestProportionalSampling:
         scheme = schemes.make_scheme("K1", distribution=NORM_PROPORTIONAL)
         cdf = index_cdf(w)
         mine, ref = make_rng(seed), make_rng(seed)
-        got = [int(draw_sketch(scheme, (d, 1), mine, cdf).indices[0])
+        got = [int(draw_sketch(scheme, (d, 1), mine, cdf)[0])
                for _ in range(draws)]
         want = [int(ref.choice(d, p=w / w.sum())) for _ in range(draws)]
         assert got == want
         assert mine.bit_generator.state == ref.bit_generator.state
-
-    def test_single_index_draw_skips_distinct_check(self):
-        d = SketchDraw(indices=np.array([3]))
-        assert d.width == 1
-        with pytest.raises(ValueError, match="distinct"):
-            SketchDraw(indices=np.array([2, 2]))
 
 
 class TestDrawContract:
@@ -206,18 +196,18 @@ class TestDrawContract:
         for _ in range(6):
             d = draw_sketch(scheme, (self.M, self.N), mine, cdf)
             if call == "index" and cdf is None:
-                assert d.indices.tolist() == [int(ref.integers(dim))]
+                assert d.tolist() == [int(ref.integers(dim))]
             elif call == "index":
                 u = ref.random()
-                assert d.indices.tolist() == [
+                assert d.tolist() == [
                     int(cdf.cdf.searchsorted(u, side="right"))]
             elif call == "subset":
                 assert np.array_equal(
-                    d.indices, np.sort(ref.choice(dim, self.L, replace=False)))
+                    d, np.sort(ref.choice(dim, self.L, replace=False)))
             else:
                 width = 1 if call == "gauss1" else self.L
-                assert d.indices is None
-                assert np.array_equal(d.dense,
+                assert d.dtype == float
+                assert np.array_equal(d,
                                       ref.standard_normal((dim, width)))
         assert mine.bit_generator.state == ref.bit_generator.state
 
@@ -246,14 +236,14 @@ class TestSamplingWeights:
 class TestRealize:
     def test_k1_identity_system(self):
         scheme = schemes.make_scheme("K1")
-        draw = SketchDraw(indices=np.array([0]))
+        draw = np.array([0])
         y, z = schemes.realize_sketch(scheme, np.eye(2), draw)
         assert np.array_equal(y, [[1.0], [0.0]])
         assert np.array_equal(z, [[1.0], [0.0]])
 
     def test_s1_selects_unit_vector(self):
         scheme = schemes.make_scheme("S1")
-        draw = SketchDraw(indices=np.array([1]))
+        draw = np.array([1])
         a = random_spd(3, 3)
         y, z = schemes.realize_sketch(scheme, a, draw)
         assert np.array_equal(y, [[0.0], [1.0], [0.0]])
@@ -261,8 +251,7 @@ class TestRealize:
 
     def test_k5_with_identity_weight_matches_k3(self):
         a = gaussian(5, 6, 4)
-        idx = np.array([1, 4])
-        draw = SketchDraw(indices=idx)
+        draw = np.array([1, 4])
         y3, z3 = schemes.realize_sketch(schemes.make_scheme("K3", block_size=2), a, draw)
         k5 = schemes.make_scheme("K5", block_size=2, g=SpdMatrix(np.eye(4)))
         y5, z5 = schemes.realize_sketch(k5, a, draw)
@@ -287,33 +276,11 @@ class TestRealize:
         assert y.shape == (m, width)
         assert z.shape == (n, width)
 
-    def test_wrong_draw_kind_rejected(self):
-        # a width-1 index draw fits K1 whatever axis built it; a Gaussian
-        # draw, or two indices, do not
-        scheme = schemes.make_scheme("K1")
-        for draw in (SketchDraw(dense=np.ones((2, 1))),
-                     SketchDraw(indices=np.array([0, 1]))):
-            with pytest.raises(ValueError, match="expects kind 'index', width 1"):
-                schemes.realize_sketch(scheme, np.eye(2), draw)
-
-    def test_draw_carries_one_representation(self):
-        both = {"dense": np.ones((3, 2)), "indices": np.array([0, 1])}
-        with pytest.raises(ValueError):
-            SketchDraw(**both)
-        # nor none, nor a 1-D block, nor a kind label: a draw is its numbers
-        with pytest.raises(ValueError, match="exactly one"):
-            SketchDraw()
-        with pytest.raises(ValueError, match="2-D"):
-            SketchDraw(dense=np.ones(3))
-        with pytest.raises(TypeError):
-            SketchDraw(kind="index", indices=np.array([0]))
-
     def test_table_forms_match_selection_identities(self):
         # the implicit row/column selections must equal the explicit products
         a = gaussian(21, 6, 4)
         idx = np.array([0, 3, 5])
         eye_cols = np.eye(6)[:, idx]
-        draw = SketchDraw(indices=idx)
-        y, z = schemes.realize_sketch(schemes.make_scheme("K3", block_size=3), a, draw)
+        y, z = schemes.realize_sketch(schemes.make_scheme("K3", block_size=3), a, idx)
         assert np.array_equal(y, eye_cols)
         assert np.abs(z - a.T @ eye_cols).max() < 1e-14

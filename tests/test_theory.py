@@ -118,6 +118,14 @@ class TestMeanPropagator:
             estimate_mean_propagator(np.eye(3), None, "K1", samples=10,
                                      rng=make_rng(0))
 
+    @pytest.mark.parametrize("sid", ["K2", "K4"])
+    def test_unweighted_scheme_refuses_a_weight(self, sid):
+        # the bound would be weighted by g while the propagators were not
+        with pytest.raises(ValueError, match=f"scheme {sid} forbids a weight"):
+            estimate_mean_propagator(gaussian(12, 5, 3), SpdMatrix(np.eye(3)),
+                                     sid, samples=10, rng=make_rng(0),
+                                     block_size=2)
+
     def test_bound_holds_across_independent_repetitions(self):
         a = gaussian(30, 10, 4)
         for rep in range(5):
