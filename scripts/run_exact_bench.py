@@ -1,0 +1,147 @@
+#!/usr/bin/env python3
+"""Per-call cost of an exact record's products: ``b - A x`` then
+``A^T (b - A x)``, against ``linalg.normal_residual``'s one pass.
+
+Times the two products as the solver formed them before the one-pass helper
+(``r = b - a @ x``, ``a.T @ r``) and ``normal_residual`` with
+``linalg.NORMAL_BLOCK`` set to 2^16, 2^17 and 2^18 entries, on dense
+Gaussian ``A`` in C and F order over the shapes in ``SHAPES``. BLAS is
+pinned to one thread; each figure is the best of ``--repeats`` timings of
+enough calls to take about ``--min-s`` seconds, the variants taken in
+turn. Each row also records whether ``r`` equals ``b - a @ x`` bit for bit,
+the largest ``|s - a.T @ r|`` in units of ``(m + n) eps |A|^T |r|`` and
+``||s - a.T @ r|| / ||a.T @ r||``.
+
+    python scripts/run_exact_bench.py --out BENCH_14.json \\
+        [--parent-runs P/perfbench/runs --change-runs C/perfbench/runs]
+
+With ``--parent-runs`` and ``--change-runs`` the output also holds the
+benchmark pairs as in ``run_gram_sweep.py``, and, from any ``--trace 1``
+runs in those directories, the record, step and draw layer metrics and
+the counts per seed.
+"""
+
+import argparse
+import json
+import os
+import sys
+import timeit
+from pathlib import Path
+
+from run_gram_sweep import paired  # also pins BLAS to one thread
+
+import numpy as np
+
+from sketchsolve import linalg
+
+SHAPES = ((1310, 100), (2000, 100), (4000, 250), (8000, 500), (20000, 100),
+          (20000, 500), (60000, 500), (100000, 100))
+BUDGETS = (1 << 16, 1 << 17, 1 << 18)
+TRACED = ("solver.record_s", "solver.record_us.K1", "solver.record_us.K3",
+          "solver.record_us.C3", "schemes.step_us.K1", "schemes.step_us.K3",
+          "schemes.step_us.C3", "sketch.draw_us.K1", "sketch.draw_us.K3",
+          "sketch.draw_us.C3", "sketch.draws", "schemes.steps",
+          "linalg.pinv_calls", "solver.iterations.K1", "solver.iterations.K3",
+          "solver.iterations.C3", "solver.records.K1", "solver.records.K3",
+          "solver.records.C3")
+
+
+def _two_products(a, b, x):
+    r = b - a @ x
+    return r, a.T @ r
+
+
+def _one_pass(budget):
+    def call(a, b, x):
+        linalg.NORMAL_BLOCK = budget
+        return linalg.normal_residual(a, b, x)
+    return call
+
+
+def per_call(repeats: int, min_s: float) -> list:
+    calls = {"two_products": _two_products,
+             **{f"one_pass_{b}": _one_pass(b) for b in BUDGETS}}
+    eps = np.finfo(float).eps
+    shipped = linalg.NORMAL_BLOCK
+    rows = []
+    for m, n in SHAPES:
+        rng = np.random.default_rng(m + n)
+        c_a = rng.standard_normal((m, n))
+        b, x = rng.standard_normal(m), rng.standard_normal(n)
+        # (m + n) eps |A|^T |b - A x|, by row blocks: no m x n temporary
+        res = np.abs(b - c_a @ x)
+        bound = (m + n) * eps * sum(np.abs(c_a[i:i + 4096]).T @ res[i:i + 4096]
+                                    for i in range(0, m, 4096))
+        for order in "CF":
+            a = c_a if order == "C" else np.asfortranarray(c_a)
+            if order == "F":
+                del c_a
+            want = b - a @ x
+            row = {"m": m, "n": n, "order": order}
+            number = max(1, int(min_s / timeit.timeit(
+                lambda: _two_products(a, b, x), number=1)))
+            best = dict.fromkeys(calls, float("inf"))
+            for _ in range(repeats):
+                for name, call in calls.items():
+                    best[name] = min(best[name], timeit.timeit(
+                        lambda: call(a, b, x), number=number))
+            s_want = a.T @ want
+            for budget in BUDGETS:
+                r, s = _one_pass(budget)(a, b, x)
+                row[f"r_bitwise_{budget}"] = bool(np.array_equal(r, want))
+                row[f"s_err_units_{budget}"] = float(
+                    (np.abs(s - s_want) / bound).max())
+                row[f"s_rel_err_{budget}"] = float(
+                    np.linalg.norm(s - s_want) / np.linalg.norm(s_want))
+            row.update({f"{name}_us": 1e6 * t / number
+                        for name, t in best.items()})
+            row.update({f"ratio_{budget}": row[f"one_pass_{budget}_us"]
+                        / row["two_products_us"] for budget in BUDGETS})
+            rows.append(row)
+            print(f"{m}x{n} {order}: two products "
+                  f"{row['two_products_us']:.0f} us, one pass "
+                  + ", ".join(f"{row[f'ratio_{b}']:.2f}" for b in BUDGETS),
+                  flush=True)
+            del a
+    linalg.NORMAL_BLOCK = shipped
+    return rows
+
+
+def traced(directory: Path) -> dict:
+    out = {}
+    for path in sorted(directory.glob("*-trace1.json")):
+        run = json.loads(path.read_text())
+        out[f"{run['workload']}/{run['seed']}"] = {
+            k: run["metrics"][k] for k in TRACED if k in run["metrics"]}
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--out", default="BENCH_14.json")
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--min-s", type=float, default=0.05)
+    parser.add_argument("--parent-runs", type=Path, default=None)
+    parser.add_argument("--change-runs", type=Path, default=None)
+    args = parser.parse_args()
+
+    payload = {
+        "what": __doc__.split("\n")[0],
+        "host": {"cpus": os.cpu_count(), "blas_threads": 1,
+                 "numpy": np.__version__},
+        "repeats": args.repeats, "min_s": args.min_s,
+        "shipped_block": linalg.NORMAL_BLOCK,
+        "per_call": per_call(args.repeats, args.min_s),
+    }
+    if args.parent_runs and args.change_runs:
+        payload["benchmark_pairs"] = paired(args.parent_runs, args.change_runs)
+        payload["traced"] = {"parent": traced(args.parent_runs),
+                             "change": traced(args.change_runs)}
+    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import problems, schemes, sketch, solver, theory
-from .linalg import SpdMatrix, as_int, json_dict
+from .linalg import SpdMatrix, as_int, finite_or_none, json_dict
 
 SCHEMA_VERSION = 2
 
@@ -158,13 +158,6 @@ def _check_spd_compat(cfg_problem_kind: str, ids: list[str]):
                               f"(SparseSpd or an SPD FromFile matrix)")
 
 
-def _finite(value, label: str) -> float:
-    v = float(value)
-    if not math.isfinite(v):
-        raise ValueError(f"{label} is not finite: {v!r}")
-    return v
-
-
 def _write_trace_csv(path: Path, trace: solver.SolveTrace):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("iter,res,err,time_s\n")
@@ -233,9 +226,8 @@ def run_bench(cfg: dict) -> int:
                 entry.update({
                     "status": trace.status,
                     "iters": trace.iterations,
-                    "final_res": _finite(final.rel_residual, "final_res"),
-                    "final_err": (None if final.rel_error is None
-                                  else _finite(final.rel_error, "final_err")),
+                    "final_res": finite_or_none(final.rel_residual),
+                    "final_err": finite_or_none(final.rel_error),
                     "skip_count": trace.skip_count,
                     "exact_recomputes": trace.exact_recomputes,
                     "wall_s": time.perf_counter() - t0,

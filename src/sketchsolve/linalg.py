@@ -15,6 +15,7 @@ import numpy as np
 
 SYM_RTOL = 1e-12
 _INV_BOUND_SQ = 1.0 / np.finfo(float).eps  # (eps^-1/2)^2, see pseudoinverse
+NORMAL_BLOCK = 1 << 17  # entries per row block of normal_residual (BENCH_14.json)
 
 
 def as_matrix(a) -> np.ndarray:
@@ -126,6 +127,25 @@ def squared_norms(a: np.ndarray, axis: int) -> np.ndarray:
     rows = max(1, (1 << 17) // a.shape[1])
     return np.concatenate([np.square(a[s:s + rows]).sum(axis=1)
                            for s in range(0, a.shape[0], rows)])
+
+
+def normal_residual(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> tuple:
+    """``r = b - A x`` and ``s = A^T r`` in one pass over row blocks of ``a``
+    (``NORMAL_BLOCK`` entries in a multiple of 8 rows, the last with the rest;
+    under two blocks, the two products). With one BLAS thread ``r`` is ``b -
+    a @ x`` bit for bit, and ``s`` is ``a.T @ r`` summed in another order."""
+    m, n = a.shape
+    rows = max(8, NORMAL_BLOCK // n // 8 * 8)
+    if m < 2 * rows:
+        r = b - a @ x
+        return r, a.T @ r
+    edges = [*range(0, m - rows + 1, rows), m]
+    r, s = np.empty(m), np.zeros(n)
+    for lo, hi in zip(edges, edges[1:]):
+        blk, r_blk = a[lo:hi], r[lo:hi]
+        np.subtract(b[lo:hi], blk @ x, out=r_blk)
+        s += r_blk @ blk
+    return r, s
 
 
 class SpdMatrix:

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sketch
-from .linalg import SpdMatrix, as_int, pseudoinverse, squared_norms
+from .linalg import SpdMatrix, as_int, normal_residual, pseudoinverse, squared_norms
 from .sketch import GAUSS, INDEX, SUBSET
 
 ROW_SCHEMES = ("K1", "K2", "K3", "K4", "K5", "K6")
@@ -282,7 +282,7 @@ def step(scheme: Scheme, a: np.ndarray, b: np.ndarray,
         raise ValueError(f"scheme {scheme.id} has no Gram-space update")
     if maintains_residual(scheme):
         if r is None:
-            r = b - a @ x if gram is None else a.T @ (b - a @ x)
+            r = b - a @ x if gram is None else normal_residual(a, b, x)[1]
     elif r is not None:
         raise ValueError(f"scheme {scheme.id} does not maintain a residual")
     gauss = scheme.kind == GAUSS

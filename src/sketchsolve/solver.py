@@ -11,7 +11,8 @@ tall and large enough that an O(mn) product costs well over an O(n^2) one
 (``ANCHOR_MIN_RATIO``, ``ANCHOR_MIN_SIZE``), and the run records before
 ``itmax``. There, :class:`_ResidualAnchor` reads ``||b - A x||`` from the
 last exact residual and ``G = A^T A`` (:attr:`Problem.gram`, formed once
-per problem):
+per problem), and every exact record forms ``b - A x`` and ``A^T (b - A
+x)`` together, in one pass over ``A`` (:func:`linalg.normal_residual`):
 
 - row schemes (K1-K6) read it through ``G d`` in O(n^2);
 - unweighted column schemes (C1-C4) run in Gram space
@@ -36,7 +37,9 @@ it, up to second-order rounding. If the tracked value is further from the
 exact one than both bounds plus ``DRIFT_RTOL * ||b||``, or a carried ``s``
 further from ``A^T (b - A x)`` than that times ``||A||_F``, the run stops
 with status ``Drift``: the incremental updates lost track of the iterate,
-which roundoff alone does not do.
+which roundoff alone does not do. A read that is not finite is recomputed;
+if that is not finite either (finite input can overflow), the run stops with
+status ``NonFinite``.
 
 This is the only loop that runs the iteration: rate fits
 (:func:`theory.fit_empirical_rate`) run their trials through :func:`solve`
@@ -54,12 +57,13 @@ from functools import cached_property
 import numpy as np
 
 from . import schemes
-from .linalg import SpdMatrix, as_matrix, as_vector
+from .linalg import SpdMatrix, as_matrix, as_vector, normal_residual
 from .sketch import IndexCdf, draw_sketch
 
 CONVERGED = "Converged"
 MAX_ITERS = "MaxIters"
 DRIFT = "Drift"
+NON_FINITE = "NonFinite"
 
 CONSISTENCY_RTOL = 1e-8
 # records between exact recomputes of a tracked residual
@@ -253,9 +257,9 @@ class _MaintainedResidual:
         read, and one on how far a recompute's own rounding can move it."""
         return float(np.linalg.norm(self.r)) / self.denom, 0.0, 0.0
 
-    def resync(self, x: np.ndarray, exact: np.ndarray) -> float:
-        """Restart from the exact residual at ``x``; returns the relative
-        gap the tracked residual had from it."""
+    def resync(self, x: np.ndarray, exact: np.ndarray, exact_s=None) -> float:
+        """Restart from the exact residual at ``x`` (``exact_s`` is not
+        used); returns the relative gap the tracked residual had from it."""
         gap = float(np.linalg.norm(self.r - exact)) / self.denom
         self.r[:] = exact
         return gap
@@ -265,7 +269,8 @@ class _ResidualAnchor:
     """K schemes, and C1-C4 in Gram space: ``||b - A x||^2`` read from the
     last exact residual ``r_a`` at ``x_a`` as ``||r_a||^2 - 2 d^T s_a +
     d^T G d``, with ``d = x - x_a``, ``s_a = A^T r_a`` and ``G = A^T A``, in
-    O(n^2) instead of O(mn).
+    O(n^2) instead of O(mn). The solve hands over ``r_a`` and ``s_a``, formed
+    in one pass over ``A``; the anchor never reads ``A``.
 
     In Gram space (``carry``) the anchor also holds :attr:`s`, the
     ``A^T (b - A x)`` that every column step moves. As ``s = s_a - G d``, the
@@ -274,35 +279,31 @@ class _ResidualAnchor:
     ``s`` from it in units of ``||A||_F``.
 
     The bound on a read is first order in ``u = (m + n) eps``, which covers
-    every dot product involved (length m in ``||r_a||^2``, ``s_a`` and ``G``,
-    length n in the read). ``s_a`` rounds by ``u |A|^T |r_a|``, which does not
-    shrink as ``A^T r_a`` does, and ``|d|^T |A|^T |r_a| <= ||A||_F ||d||
-    ||r_a||``; ``G`` rounds by ``u |A|^T |A|``, and ``|d|^T |A|^T |A| |d| <=
-    ||A||_F^2 ||d||^2``. So the three terms round by at most ``u (||r_a|| +
-    ||A||_F ||d||)^2``, the read's ``rounding``. Its ``floor`` is how far
-    the read can still be from a recompute at ``x`` because both recomputes
-    round: ``b - A x`` by ``u (|b| + |A| |x|)`` per entry, at ``x_a`` and at
-    ``x``, and its norm by ``u ||r||``. Without ``G`` it reads nothing, so
-    every record is exact."""
+    every dot product involved, summed in any order (length m in
+    ``||r_a||^2``, ``s_a`` and ``G``, length n in the read). ``s_a`` rounds
+    by ``u |A|^T |r_a|``, which does not shrink as ``A^T r_a`` does, and
+    ``|d|^T |A|^T |r_a| <= ||A||_F ||d|| ||r_a||``; ``G`` rounds by ``u |A|^T
+    |A|``, and ``|d|^T |A|^T |A| |d| <= ||A||_F^2 ||d||^2``. So the three
+    terms round by at most ``u (||r_a|| + ||A||_F ||d||)^2``, the read's
+    ``rounding``. Its ``floor`` is how far the read can still be from a
+    recompute at ``x`` because both recomputes round: ``b - A x`` by ``u (|b|
+    + |A| |x|)`` per entry, at ``x_a`` and at ``x``, and its norm by ``u
+    ||r||``. Without ``G`` it reads nothing, so every record is exact."""
 
-    def __init__(self, a: np.ndarray, gram: np.ndarray | None,
-                 x: np.ndarray, r: np.ndarray, norm_b: float, denom: float,
+    def __init__(self, gram: np.ndarray | None, x: np.ndarray, r: np.ndarray,
+                 s: np.ndarray | None, norm_b: float, denom: float,
                  carry: bool = False):
-        self.a, self.gram, self.norm_b, self.denom = a, gram, norm_b, denom
+        self.gram, self.norm_b, self.denom = gram, norm_b, denom
         self.s = None
         if gram is not None:
-            m, n = a.shape
-            self.unit = (m + n) * np.finfo(float).eps
+            self.unit = (r.shape[0] + gram.shape[0]) * np.finfo(float).eps
             self.norm_a = math.sqrt(float(np.trace(gram)))  # ||A||_F
-            self._anchor(x, r, carry)
+            self._anchor(x, r, s)
             if carry:
-                self.s = self.s_a.copy()
+                self.s = s.copy()
 
-    def _anchor(self, x: np.ndarray, r: np.ndarray, carry: bool):
-        # s_a = A^T r_a waits for the first read, so a final K record forms
-        # none; a carried s needs it at once
-        self.x_a, self.r_a = x.copy(), r
-        self.s_a = self.a.T @ r if carry else None
+    def _anchor(self, x: np.ndarray, r: np.ndarray, s: np.ndarray):
+        self.x_a, self.s_a = x.copy(), s
         self.q_a = float(r @ r)
         self.floor_a = self.norm_b + self.norm_a * float(np.linalg.norm(x))
 
@@ -311,8 +312,6 @@ class _ResidualAnchor:
         read, and one on how far a recompute's own rounding can move it."""
         if self.gram is None:
             return 0.0, math.inf, 0.0
-        if self.s_a is None:
-            self.s_a = self.a.T @ self.r_a
         d = x - self.x_a
         if self.s is None:
             q = self.q_a - 2.0 * float(d @ self.s_a) + float(d @ (self.gram @ d))
@@ -329,13 +328,13 @@ class _ResidualAnchor:
         self.last = norm / self.denom
         return self.last, rounding / self.denom, floor / self.denom
 
-    def resync(self, x: np.ndarray, exact: np.ndarray) -> float:
-        """Re-anchor at the exact residual at ``x``; returns the relative
-        gap the last read, and a carried ``s``, had from it."""
+    def resync(self, x: np.ndarray, exact: np.ndarray, exact_s=None) -> float:
+        """Re-anchor at the exact residual at ``x`` and ``A^T`` of it; returns
+        the relative gap the last read, and a carried ``s``, had from them."""
         if self.gram is None:
             return 0.0
         gap = abs(self.last - float(np.linalg.norm(exact)) / self.denom)
-        self._anchor(x, exact, self.s is not None)
+        self._anchor(x, exact, exact_s)
         if self.s is not None:
             gap = max(gap, float(np.linalg.norm(self.s - self.s_a))
                       / (self.norm_a * self.denom))
@@ -380,31 +379,37 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
     def rel_norm(res: np.ndarray) -> float:
         return float(np.linalg.norm(res)) / res_denom
 
-    def record(k: int, rel_res: float) -> float:
+    def record(k: int, rel_res: float) -> bool:
+        # whether the record stops the run; a value that is not finite is exact
         rel_err = None
         if problem.x_star is not None:
             rel_err = float(np.linalg.norm(x - problem.x_star)) / err_denom
         trace.records.append(TraceRecord(k, rel_res, rel_err,
                                          time.perf_counter() - start))
-        return rel_res
+        trace.status = (NON_FINITE if not math.isfinite(rel_res) else
+                        CONVERGED if rel_res < stop.tol else MAX_ITERS)
+        return trace.status != MAX_ITERS
 
-    def exact_residual() -> np.ndarray:
-        trace.exact_recomputes += 1
-        return b - a @ x
-
-    r = exact_residual()
-    if record(0, rel_norm(r)) < stop.tol:
-        trace.status = CONVERGED
-        return x, trace
     # with no record between k = 0 and the exact one at itmax, as in rate
     # fits, nothing would read the anchor
     use_gram = (m >= ANCHOR_MIN_RATIO * n and m * n >= ANCHOR_MIN_SIZE
                 and trace_every < stop.itmax)
     gram_space = use_gram and scheme.gram_form
-    if schemes.maintains_residual(scheme) and not gram_space:
+    maintained = schemes.maintains_residual(scheme) and not gram_space
+
+    def exact_residual():  # b - A x, and A^T (b - A x) where an anchor reads G
+        trace.exact_recomputes += 1
+        if use_gram and not maintained:
+            return normal_residual(a, b, x)
+        return b - a @ x, None
+
+    r, s = exact_residual()
+    if record(0, rel_norm(r)):
+        return x, trace
+    if maintained:
         tracked = _MaintainedResidual(r, res_denom)
     else:
-        tracked = _ResidualAnchor(a, problem.gram if use_gram else None, x, r,
+        tracked = _ResidualAnchor(problem.gram if use_gram else None, x, r, s,
                                   norm_b, res_denom, carry=gram_space)
         r = tracked.s
     gram = problem.gram if gram_space else None
@@ -419,21 +424,19 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
             observe(k, x)
         if k % trace_every == 0 or k == stop.itmax:
             rel_res, rounding, floor = tracked.read(x)
-            # a NaN bound fails its test, so it is recomputed too
+            # a NaN or infinite read, or a NaN bound, is recomputed too
             if (k == stop.itmax or len(trace.records) % EXACT_EVERY == 0
                     or rel_res - rounding - floor <= stop.tol
-                    or not rounding <= RECORD_RTOL * rel_res):
-                exact = exact_residual()
+                    or not rounding <= RECORD_RTOL * rel_res < math.inf):
+                exact, exact_s = exact_residual()
                 rel_res = rel_norm(exact)
                 # drift is a gap that rounding cannot explain
-                if tracked.resync(x, exact) > DRIFT_RTOL + rounding + floor:
+                if (math.isfinite(rel_res) and tracked.resync(x, exact, exact_s)
+                        > DRIFT_RTOL + rounding + floor):
                     record(k, rel_res)
                     trace.status = DRIFT
                     return x, trace
-            if record(k, rel_res) < stop.tol:
-                trace.status = CONVERGED
+            if record(k, rel_res):
                 return x, trace
-
-    trace.status = MAX_ITERS
     return x, trace
 

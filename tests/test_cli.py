@@ -109,6 +109,28 @@ class TestBench:
         assert "error" in by_scheme["S1"]
         assert by_scheme["K1"]["status"] in ("Converged", "MaxIters")
 
+    def test_non_finite_run_reports_its_status(self, tmp_path):
+        # finite entries whose ||b|| overflows: each run stops at k = 0 with
+        # status NonFinite and a null residual, and counts as no failure
+        a = np.random.default_rng(0).random((20, 5)) * 1e160
+        mtx = tmp_path / "A.mtx"
+        save_matrixmarket(mtx, a)
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path, "cfg.json", {
+            "problem": {"kind": "FromFile", "path": str(mtx)},
+            "schemes": ["K1", "C1", "K3", "C3"],
+            "block_size": 2,
+            "stop": {"itmax": 3000, "tol": 1e-6},
+            "output_dir": str(out),
+        })
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["bench", "--config", cfg]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        for entry in summary["per_scheme"]:
+            assert entry["status"] == "NonFinite", entry
+            assert (entry["iters"], entry["final_res"]) == (0, None)
+            assert "error" not in entry
+
     def test_flag_overrides(self, tmp_path):
         out = tmp_path / "redirected"
         cfg = _bench_config(tmp_path, tmp_path / "ignored")

@@ -7,9 +7,10 @@ from hypothesis import given
 
 from helpers import (check_moore_penrose, eigs_via_charpoly, gaussian,
                      random_orthogonal, random_spd)
+from sketchsolve import linalg
 from sketchsolve.linalg import (SpdMatrix, check_symmetric, extremal_eigs,
-                                frobenius_norm_sq, pseudoinverse, spd_sqrt,
-                                squared_norms)
+                                frobenius_norm_sq, normal_residual,
+                                pseudoinverse, spd_sqrt, squared_norms)
 
 
 class TestPseudoinverse:
@@ -157,6 +158,45 @@ class TestSquaredNorms:
     def test_bit_identical_to_squared_sum(self, m, n, axis):
         for a in (gaussian(m + n, m, n), np.random.default_rng(n).random((m, n))):
             assert np.array_equal(squared_norms(a, axis), (a * a).sum(axis=axis))
+
+
+class TestNormalResidual:
+    """One pass for ``b - A x`` and ``A^T (b - A x)``. The shapes stay below
+    the size at which BLAS splits one product over threads, so ``r`` is
+    compared bit for bit whatever the thread count; a small block budget
+    makes several blocks of them."""
+
+    # at a budget of 2**10 entries: 24 rows at n = 37, 8 at n = 500 (the
+    # floor), 1024 at n = 1
+    @pytest.mark.parametrize("m, n", [(203, 37), (200, 37), (17, 500),
+                                      (4000, 1), (9, 3), (1, 5)])
+    @pytest.mark.parametrize("budget", [1 << 10, linalg.NORMAL_BLOCK])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_r_bit_identical_and_s_within_rounding(self, monkeypatch, m, n,
+                                                   budget, order):
+        monkeypatch.setattr(linalg, "NORMAL_BLOCK", budget)
+        rng = np.random.default_rng(m + n)
+        a = np.asarray(rng.standard_normal((m, n)), order=order)
+        b, x = rng.standard_normal(m), rng.standard_normal(n)
+        r, s = normal_residual(a, b, x)
+        want = b - a @ x
+        assert np.array_equal(r, want)
+        bound = (m + n) * np.finfo(float).eps * (np.abs(a).T @ np.abs(want))
+        assert (np.abs(s - a.T @ want) <= bound).all()
+
+    def test_blocks_are_multiples_of_eight_rows_and_cover_a(self, monkeypatch):
+        monkeypatch.setattr(linalg, "NORMAL_BLOCK", 1 << 10)
+        a = gaussian(3, 203, 37)
+        seen = []
+
+        class Rows(np.ndarray):
+            def __getitem__(self, key):
+                seen.append((key.start, key.stop))
+                return np.asarray(self)[key]
+
+        normal_residual(a.view(Rows), np.zeros(203), np.ones(37))
+        edges = sorted(set(seen))
+        assert edges == [(lo, lo + 24) for lo in range(0, 168, 24)] + [(168, 203)]
 
 
 class TestSpdSqrt:

@@ -7,7 +7,7 @@ from sketchsolve.linalg import SpdMatrix
 from sketchsolve.schemes import SkipStep, error_propagator, make_scheme, step
 from sketchsolve.sketch import NORM_PROPORTIONAL, draw_sketch, make_rng
 from sketchsolve.solver import (CONVERGED, DRIFT, EXACT_EVERY, MAX_ITERS,
-                                Problem, StopRule, solve)
+                                NON_FINITE, Problem, StopRule, solve)
 
 
 def _consistent_problem(seed: int, m: int, n: int) -> Problem:
@@ -572,6 +572,165 @@ class TestAnchorPolicy:
                          make_rng(2), trace_every=trace_every)
         assert trace.status == MAX_ITERS
         assert ("gram" in prob.__dict__) == anchored
+
+
+class _WatchedA(np.ndarray):
+    """``A`` that counts every matrix product taken with all of it, of shape
+    ``full`` or its transpose; products with a gathered block go uncounted."""
+
+    full = ()
+    full_products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and any(
+                isinstance(v, _WatchedA) and v.shape in (self.full,
+                                                         self.full[::-1])
+                for v in inputs):
+            _WatchedA.full_products += 1
+        inputs = [np.asarray(v) if isinstance(v, _WatchedA) else v
+                  for v in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+class TestExactRecordProducts:
+    """Where the anchor reads G, each exact record forms ``b - A x`` and
+    ``A^T (b - A x)`` in one pass (``linalg.normal_residual``, reached as
+    ``solver.normal_residual``); every other exact record forms ``b - A x``
+    alone."""
+
+    @pytest.fixture
+    def helper_calls(self, monkeypatch):
+        calls = []
+        real = solver.normal_residual
+
+        def counting(a, b, x):
+            calls.append(1)
+            return real(np.asarray(a), b, x)
+
+        def never(a, b, x):
+            raise AssertionError("a step formed A^T (b - A x)")
+
+        monkeypatch.setattr(solver, "normal_residual", counting)
+        monkeypatch.setattr(schemes, "normal_residual", never)
+        monkeypatch.setattr(solver, "ANCHOR_MIN_SIZE", 0)
+        return calls
+
+    @pytest.mark.parametrize("sid, block", [("K3", 4), ("C3", 4)])
+    def test_one_pass_per_exact_record(self, monkeypatch, helper_calls, sid,
+                                       block):
+        prob = _noisy_problem(30, 400, 10, 0.3)
+        prob.gram  # formed from A before A is watched
+        monkeypatch.setattr(_WatchedA, "full", prob.a.shape)
+        monkeypatch.setattr(_WatchedA, "full_products", 0)
+        monkeypatch.setattr(prob, "a", prob.a.view(_WatchedA))
+        _, trace = solve(prob, make_scheme(sid, block_size=block),
+                         StopRule(itmax=2000, tol=1e-3), make_rng(4),
+                         trace_every=5)
+        assert trace.status == MAX_ITERS
+        assert trace.exact_recomputes == 2000 // (5 * EXACT_EVERY) + 1
+        assert len(helper_calls) == trace.exact_recomputes
+        # nothing else takes an O(mn) product with A
+        assert _WatchedA.full_products == 0
+
+    def test_watched_a_counts_both_orientations(self, monkeypatch):
+        monkeypatch.setattr(_WatchedA, "full", (6, 3))
+        monkeypatch.setattr(_WatchedA, "full_products", 0)
+        a = gaussian(1, 6, 3).view(_WatchedA)
+        a @ np.ones(3), a.T @ np.ones(6), np.ones(6) @ a, a[:2] @ np.ones(3)
+        assert _WatchedA.full_products == 3
+
+    @pytest.mark.parametrize("sid", ["C5", "S3"])
+    def test_carried_residual_records_form_b_minus_ax_alone(self, helper_calls,
+                                                            sid):
+        if sid == "S3":
+            a = random_spd(10, 40)
+            prob = Problem(a=a, b=a @ np.ones(40), x_star=np.ones(40))
+            scheme = make_scheme("S3", block_size=4)
+        else:
+            prob = _consistent_problem(31, 120, 24)
+            scheme = make_scheme("C5", block_size=4, g=SpdMatrix(np.eye(120)))
+        _, trace = solve(prob, scheme, StopRule(itmax=400, tol=1e-14),
+                         make_rng(3))
+        assert trace.exact_recomputes >= 2
+        assert helper_calls == []
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("sid, block", [("K1", 1), ("C1", 1), ("K3", 7),
+                                            ("C3", 7)])
+    def test_overflowing_norm_stops_at_k0(self, sid, block):
+        # finite input whose ||b|| overflows; unchecked, K1 and C1 ran all
+        # 3000 iterations to a NaN residual and K3 and C3 raised LinAlgError
+        a = np.random.default_rng(0).random((2000, 50)) * 1e160
+        prob = Problem(a=a, b=a @ np.ones(50))
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, trace = solve(prob, make_scheme(sid, block_size=block),
+                             StopRule(itmax=3000, tol=1e-6), make_rng(1))
+        assert trace.status == NON_FINITE
+        assert (trace.iterations, trace.exact_recomputes) == (0, 1)
+        assert np.isnan(trace.final.rel_residual)
+        assert not x.any()
+
+    def test_overflow_mid_run_stops_on_the_next_record(self, monkeypatch):
+        prob = _consistent_problem(5, 30, 6)
+        real_step = schemes.step
+        steps = []
+
+        def blowing_up(scheme, a, b, x, draw, r=None, gram=None):
+            steps.append(1)
+            x = real_step(scheme, a, b, x, draw, r=r, gram=gram)
+            return x + 1e300 if len(steps) == 13 else x
+
+        monkeypatch.setattr(schemes, "step", blowing_up)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, trace = solve(prob, make_scheme("K1"),
+                             StopRule(itmax=1000, tol=1e-14), make_rng(0))
+        assert trace.status == NON_FINITE
+        assert trace.iterations == 20
+        assert trace.exact_recomputes == len(trace.records) == 3
+
+    def test_overflow_behind_a_carried_residual_is_not_drift(self, monkeypatch):
+        # the carried residual stays finite while x overflows; the exact
+        # record that finds it is not finite, so the gap to it is no drift
+        prob = _consistent_problem(5, 30, 6)
+        real_step = schemes.step
+        steps = []
+
+        def blowing_up(scheme, a, b, x, draw, r=None, gram=None):
+            steps.append(1)
+            x = real_step(scheme, a, b, x, draw, r=r, gram=gram)
+            return x + 1e300 if len(steps) == 3 else x
+
+        monkeypatch.setattr(schemes, "step", blowing_up)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, trace = solve(prob, make_scheme("C3", block_size=2),
+                             StopRule(itmax=1000, tol=1e-14), make_rng(0))
+        assert trace.status == NON_FINITE
+        assert trace.iterations > 3 and trace.exact_recomputes == 2
+        assert not np.isfinite(trace.final.rel_residual)
+
+    def test_infinite_read_is_recomputed(self, monkeypatch):
+        # a carried residual that reads inf is checked against an exact
+        # recompute, which is finite here: the run stops with Drift on it
+        prob = _consistent_problem(5, 30, 6)
+        real_step = schemes.step
+        steps = []
+
+        def corrupting(scheme, a, b, x, draw, r=None, gram=None):
+            steps.append(1)
+            x = real_step(scheme, a, b, x, draw, r=r, gram=gram)
+            if len(steps) == 3:
+                r[:] = 1e300
+            return x
+
+        monkeypatch.setattr(schemes, "step", corrupting)
+        with np.errstate(over="ignore"):
+            x, trace = solve(prob, make_scheme("C3", block_size=2),
+                             StopRule(itmax=1000, tol=1e-14), make_rng(0))
+        assert trace.status == DRIFT
+        assert trace.iterations == 3
+        assert trace.final.rel_residual == \
+            np.linalg.norm(prob.b - prob.a @ x) / np.linalg.norm(prob.b)
 
 
 class TestLeastSquares:
