@@ -18,17 +18,32 @@ the largest ``|s - a.T @ r|`` in units of ``(m + n) eps |A|^T |r|`` and
 With ``--parent-runs`` and ``--change-runs`` the output also holds the
 benchmark pairs as in ``run_gram_sweep.py``, and, from any ``--trace 1``
 runs in those directories, the record, step and draw layer metrics and
-the counts per seed.
+the counts per seed, and each cell's seconds over the seeds on both sides.
+``--repeats 0`` leaves out the per-call timings.
+
+With ``--parent-tree`` and ``--change-tree`` (source checkouts) it also
+runs ``--count-passes`` benchmark passes of each workload in each tree, in
+a child process that imports that tree's ``src`` and ``perfbench``, each
+pass on a fresh set-up as in ``perfbench/run.py``. Per pass it records the
+calls to ``solver.normal_residual`` (a counting wrapper on the module
+attribute) and the offset mod 64 of every problem's A and, where the pass
+formed it, G. ``BENCH_15.json`` was written as
+
+    PYTHONPATH=src python scripts/run_exact_bench.py --out BENCH_15.json \\
+        --repeats 0 --parent-runs P/perfbench/runs \\
+        --change-runs C/perfbench/runs \\
+        --parent-tree P --change-tree C
 """
 
 import argparse
 import json
 import os
+import subprocess
 import sys
 import timeit
 from pathlib import Path
 
-from run_gram_sweep import paired  # also pins BLAS to one thread
+from run_gram_sweep import _quartiles, _runs, paired  # pins BLAS to 1 thread
 
 import numpy as np
 
@@ -116,6 +131,66 @@ def traced(directory: Path) -> dict:
     return out
 
 
+def cell_seconds(parent_dir: Path, change_dir: Path) -> dict:
+    """Per workload and cell: the quartiles over seeds of each run's median
+    cell seconds, on both sides, and the seeds where the change was faster."""
+    parent, change = _runs(parent_dir), _runs(change_dir)
+    keys = sorted(set(parent) & set(change))
+    out = {}
+    for workload in sorted({w for w, _ in keys}):
+        p = [parent[k] for k in keys if k[0] == workload]
+        c = [change[k] for k in keys if k[0] == workload]
+        out[workload] = {}
+        for cell in p[0]["cells"]:
+            pv = [run["cells"][cell]["seconds_median"] for run in p]
+            cv = [run["cells"][cell]["seconds_median"] for run in c]
+            out[workload][cell] = {
+                "parent": _quartiles(pv), "change": _quartiles(cv),
+                "change_better": sum(y < x for x, y in zip(pv, cv))}
+    return out
+
+
+def count_passes(passes: int) -> dict:
+    """In this process: per pass of each perfbench workload, on a fresh
+    set-up, the ``solver.normal_residual`` calls and the offsets mod 64 of
+    every problem's A and G. Needs ``perfbench`` on the import path."""
+    import workloads
+    from sketchsolve import solver
+
+    real, calls = solver.normal_residual, []
+
+    def counting(a, b, x):
+        calls.append(1)
+        return real(a, b, x)
+
+    solver.normal_residual = counting
+    out = {}
+    for name, w in workloads.WORKLOADS.items():
+        bench, rows = workloads.Bench(w, 1), []
+        for _ in range(passes):
+            bench.do_setup()
+            calls.clear()
+            bench.run_pass("count")
+            row = {"normal_residual_calls": len(calls)}
+            for key, prob in bench.setup.problems.items():
+                row[f"a_offset.{key}"] = prob.a.ctypes.data % 64
+                if "gram" in vars(prob):
+                    row[f"gram_offset.{key}"] = prob.gram.ctypes.data % 64
+            rows.append(row)
+        out[name] = {"passes": rows, "failed_checks": bench.failed}
+    return out
+
+
+def count_tree(tree: Path, passes: int) -> dict:
+    """:func:`count_passes` run on the sources of checkout ``tree``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        str(tree.resolve() / d) for d in ("src", "perfbench"))}
+    done = subprocess.run([sys.executable, __file__, "--count-here",
+                           str(passes)], env=env, check=True,
+                          capture_output=True, text=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", default="BENCH_14.json")
@@ -123,7 +198,15 @@ def main() -> int:
     parser.add_argument("--min-s", type=float, default=0.05)
     parser.add_argument("--parent-runs", type=Path, default=None)
     parser.add_argument("--change-runs", type=Path, default=None)
+    parser.add_argument("--parent-tree", type=Path, default=None)
+    parser.add_argument("--change-tree", type=Path, default=None)
+    parser.add_argument("--count-passes", type=int, default=3)
+    parser.add_argument("--count-here", type=int, default=None,
+                        help=argparse.SUPPRESS)
     args = parser.parse_args()
+    if args.count_here is not None:
+        print(json.dumps(count_passes(args.count_here)))
+        return 0
 
     payload = {
         "what": __doc__.split("\n")[0],
@@ -131,12 +214,19 @@ def main() -> int:
                  "numpy": np.__version__},
         "repeats": args.repeats, "min_s": args.min_s,
         "shipped_block": linalg.NORMAL_BLOCK,
-        "per_call": per_call(args.repeats, args.min_s),
     }
+    if args.repeats > 0:
+        payload["per_call"] = per_call(args.repeats, args.min_s)
     if args.parent_runs and args.change_runs:
         payload["benchmark_pairs"] = paired(args.parent_runs, args.change_runs)
+        payload["cell_seconds"] = cell_seconds(args.parent_runs,
+                                               args.change_runs)
         payload["traced"] = {"parent": traced(args.parent_runs),
                              "change": traced(args.change_runs)}
+    if args.parent_tree and args.change_tree:
+        payload["pass_counts"] = {
+            "parent": count_tree(args.parent_tree, args.count_passes),
+            "change": count_tree(args.change_tree, args.count_passes)}
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")

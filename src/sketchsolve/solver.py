@@ -12,7 +12,9 @@ tall and large enough that an O(mn) product costs well over an O(n^2) one
 ``itmax``. There, :class:`_ResidualAnchor` reads ``||b - A x||`` from the
 last exact residual and ``G = A^T A`` (:attr:`Problem.gram`, formed once
 per problem), and every exact record forms ``b - A x`` and ``A^T (b - A
-x)`` together, in one pass over ``A`` (:func:`linalg.normal_residual`):
+x)`` together, in one pass over ``A`` (:func:`linalg.normal_residual`); a
+run from ``x = 0`` reads that first record from the problem instead
+(:attr:`Problem.zero_start`, formed once per problem):
 
 - row schemes (K1-K6) read it through ``G d`` in O(n^2);
 - unweighted column schemes (C1-C4) run in Gram space
@@ -57,7 +59,8 @@ from functools import cached_property
 import numpy as np
 
 from . import schemes
-from .linalg import SpdMatrix, as_matrix, as_vector, normal_residual
+from .linalg import (SpdMatrix, aligned_empty, as_matrix, as_vector,
+                     normal_residual)
 from .sketch import IndexCdf, draw_sketch
 
 CONVERGED = "Converged"
@@ -99,10 +102,10 @@ class Problem:
 
     ``a`` and ``b`` are read-only views of the arrays passed in, not copies,
     so only writes through them are blocked. What the problem derives from
-    them and keeps (:attr:`gram`, :attr:`spd_error`, :meth:`sampler`)
-    assumes they never change: writing to the original arrays, or assigning
-    new ones, after construction leaves it stale, so build a new problem
-    instead."""
+    them and keeps (:attr:`gram`, :attr:`zero_start`, :attr:`spd_error`,
+    :meth:`sampler`) assumes they never change: writing to the original
+    arrays, or assigning new ones, after construction leaves it stale, so
+    build a new problem instead."""
 
     a: np.ndarray
     b: np.ndarray
@@ -139,14 +142,22 @@ class Problem:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """``A^T A`` (read-only), formed on first use, O(m n^2), and kept.
+        """``A^T A`` (read-only, 64-byte aligned), formed once, O(m n^2).
         It is exactly symmetric, as the Gram-space column steps need: numpy
         forms ``A^T A`` as one triangle, mirrored, which the average leaves
         bit-identical, and the average symmetrizes any other product."""
-        g = self.a.T @ self.a
+        g = np.matmul(self.a.T, self.a, out=aligned_empty((self.shape[1],) * 2))
         g += g.T
         g *= 0.5
         return _read_only(g)
+
+    @cached_property
+    def zero_start(self) -> tuple[np.ndarray, np.ndarray]:
+        """The exact record at ``x = 0``, ``r0 = b - A 0`` and ``s0 = A^T
+        r0`` (both read-only), formed on first use in one pass over ``A`` and
+        kept: anchored solves from zero read their k = 0 record here."""
+        r, s = normal_residual(self.a, self.b, np.zeros(self.shape[1]))
+        return _read_only(r), _read_only(s)
 
     @cached_property
     def _samplers(self) -> dict:
@@ -199,7 +210,8 @@ class SolveTrace:
     records: list[TraceRecord] = field(default_factory=list)
     status: str = MAX_ITERS
     skip_count: int = 0
-    # records whose residual was computed from scratch as b - A x
+    # records whose residual was computed from scratch as b - A x; a k = 0
+    # record read from Problem.zero_start counts too
     exact_recomputes: int = 0
 
     @property
@@ -400,6 +412,9 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
     def exact_residual():  # b - A x, and A^T (b - A x) where an anchor reads G
         trace.exact_recomputes += 1
         if use_gram and not maintained:
+            if not x.any():  # the anchor and a carried s get their own s0
+                r0, s0 = problem.zero_start
+                return r0, s0.copy()
             return normal_residual(a, b, x)
         return b - a @ x, None
 

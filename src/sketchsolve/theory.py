@@ -31,7 +31,8 @@ import numpy as np
 from . import schemes, sketch
 from .linalg import (SpdMatrix, as_matrix, extremal_eigs,
                      frobenius_norm_sq, pseudoinverse, spd_sqrt)
-from .solver import Problem, StopRule, check_compatible, initial_iterate, solve
+from .solver import (DRIFT, NON_FINITE, Problem, StopRule, check_compatible,
+                     initial_iterate, solve)
 
 NORM_EUCLID = "euclid"
 NORM_GINV = "ginv"
@@ -314,7 +315,8 @@ def fit_empirical_rate(problem: Problem, scheme: schemes.Scheme, trials: int,
     execution order, and the problem, scheme and ``x0`` are validated as for
     a solve. Needs a known solution. A start with zero error (at the
     solution) or with an exactly zero residual (from which no step moves)
-    is reported as degenerate rather than fitted.
+    is reported as degenerate rather than fitted; a trial that stops with
+    ``NonFinite`` or ``Drift`` raises ``ValueError``.
     """
     if problem.x_star is None:
         raise ValueError("empirical rate fitting needs a known solution")
@@ -351,6 +353,9 @@ def fit_empirical_rate(problem: Problem, scheme: schemes.Scheme, trials: int,
         observe(0, x_start)
         _, trace = solve(problem, scheme, stop, sketch.rng_from_keys(seed, t),
                          x0=x_start, trace_every=iterations, observe=observe)
+        if trace.status in (NON_FINITE, DRIFT):
+            raise ValueError(f"trial {t} stopped with {trace.status} at "
+                             f"k = {trace.iterations}")
         if trace.iterations < iterations:
             return report
 

@@ -235,6 +235,26 @@ class TestRates:
         assert "needs a square system" in capsys.readouterr().err
         assert not (out / "rates.json").exists()
 
+    def test_non_finite_trial_is_config_error(self, tmp_path, capsys):
+        # ||b|| overflows: the fit refuses the trial instead of skipping it
+        mtx = tmp_path / "A.mtx"
+        save_matrixmarket(mtx, np.random.default_rng(0).random((20, 5)) * 1e160)
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path, "rates.json", {
+            "problem": {"kind": "FromFile", "path": str(mtx)},
+            "schemes": ["K1"],
+            "distribution": "uniform",
+            "trials": 3,
+            "iterations": 50,
+            "output_dir": str(out),
+        })
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["rates", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert ("config error: rates for K1: trial 0 stopped with NonFinite "
+                "at k = 0") in err
+        assert not (out / "rates.json").exists()
+
 
 class TestVerifyExpectation:
     def test_propagator_target(self, tmp_path):

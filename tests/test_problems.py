@@ -132,6 +132,23 @@ class TestGenerate:
         prob = generate(spec)
         assert prob.stats.structurally_deficient
 
+    @pytest.mark.parametrize("kind, m, n", [("UniformDense", 600, 150),
+                                            ("SparseNormal", 600, 150),
+                                            ("SparseSpd", 150, 150),
+                                            ("FromFile", 150, 150)])
+    def test_problem_arrays_are_64_byte_aligned(self, tmp_path, kind, m, n):
+        # A and G over 128 KB: malloc leaves such blocks at 16 mod 64
+        if kind == "FromFile":
+            path = tmp_path / "A.mtx"
+            save_matrixmarket(path, make_rng(3).standard_normal((m, n)))
+            spec = ProblemSpec(kind=kind, path=str(path))
+        else:
+            spec = ProblemSpec(kind=kind, m=m, n=n, seed=3)
+        prob = generate(spec)
+        assert prob.a.shape == (m, n)
+        assert prob.a.ctypes.data % 64 == 0
+        assert prob.gram.ctypes.data % 64 == 0
+
 
 class TestMatrixMarket:
     def test_coordinate_identity(self, tmp_path):

@@ -655,6 +655,83 @@ class TestExactRecordProducts:
         assert helper_calls == []
 
 
+class TestZeroStart:
+    """An anchored run from ``x = 0`` reads its k = 0 record from
+    ``Problem.zero_start``: only the first such solve on a problem forms it
+    with ``solver.normal_residual``, and every solve runs as on a fresh
+    problem."""
+
+    @pytest.fixture
+    def helper_calls(self, monkeypatch):
+        calls = []
+        real = solver.normal_residual
+
+        def counting(a, b, x):
+            calls.append(1)
+            return real(a, b, x)
+
+        monkeypatch.setattr(solver, "normal_residual", counting)
+        monkeypatch.setattr(solver, "ANCHOR_MIN_SIZE", 0)
+        return calls
+
+    @staticmethod
+    def _run(prob, sid, block, helper_calls, x0=None):
+        del helper_calls[:]
+        x, trace = solve(prob, make_scheme(sid, block_size=block),
+                         StopRule(itmax=3000, tol=1e-3), make_rng(6), x0=x0,
+                         trace_every=5)
+        return x, trace, len(helper_calls)
+
+    @pytest.mark.parametrize("sid, block", [("K1", 1), ("K3", 4), ("C1", 1),
+                                            ("C3", 4)])
+    def test_second_solve_runs_as_on_a_fresh_problem(self, helper_calls, sid,
+                                                     block):
+        prob = _sparse_normal(1e-3)
+        solve(prob, make_scheme(sid, block_size=block),
+              StopRule(itmax=50, tol=1e-3), make_rng(1))
+        x, trace, calls = self._run(prob, sid, block, helper_calls)
+        x_f, trace_f, calls_f = self._run(_sparse_normal(1e-3), sid, block,
+                                          helper_calls)
+        assert np.array_equal(x, x_f)
+        assert [(r.k, r.rel_residual, r.rel_error) for r in trace.records] == \
+            [(r.k, r.rel_residual, r.rel_error) for r in trace_f.records]
+        assert (trace.status, trace.skip_count, trace.exact_recomputes) == \
+            (trace_f.status, trace_f.skip_count, trace_f.exact_recomputes)
+        assert trace.exact_recomputes >= 2
+        assert calls_f == trace_f.exact_recomputes
+        assert calls == trace.exact_recomputes - 1
+
+    @pytest.mark.parametrize("sid, block", [("K3", 4), ("C3", 4)])
+    def test_only_a_zero_start_reads_the_record(self, helper_calls, sid,
+                                                block):
+        prob = _sparse_normal(1e-3)
+        x0 = np.zeros(prob.shape[1])
+        x0[3] = 1e-300
+        _, trace, calls = self._run(prob, sid, block, helper_calls, x0=x0)
+        assert "zero_start" not in vars(prob)
+        assert calls == trace.exact_recomputes
+        _, trace, calls = self._run(prob, sid, block, helper_calls,
+                                    x0=np.zeros(prob.shape[1]))
+        assert calls == trace.exact_recomputes
+        _, trace, calls = self._run(prob, sid, block, helper_calls, x0=x0)
+        assert calls == trace.exact_recomputes
+        _, trace, calls = self._run(prob, sid, block, helper_calls)
+        assert calls == trace.exact_recomputes - 1
+
+    def test_record_is_read_only_and_left_unchanged(self, helper_calls):
+        prob = _sparse_normal(1e-3)
+        r0, s0 = prob.zero_start
+        assert not r0.flags.writeable and not s0.flags.writeable
+        want = solver.normal_residual(prob.a, prob.b, np.zeros(prob.shape[1]))
+        assert np.array_equal(r0, want[0]) and np.array_equal(s0, want[1])
+        assert np.array_equal(r0, prob.b - prob.a @ np.zeros(prob.shape[1]))
+        # Gram-space C3 carries its own s and writes it at every step
+        _, trace, calls = self._run(prob, "C3", 4, helper_calls)
+        assert calls == trace.exact_recomputes - 1
+        assert prob.zero_start[0] is r0 and prob.zero_start[1] is s0
+        assert np.array_equal(r0, want[0]) and np.array_equal(s0, want[1])
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("sid, block", [("K1", 1), ("C1", 1), ("K3", 7),
                                             ("C3", 7)])

@@ -376,6 +376,34 @@ class TestEmpiricalRate:
         assert report.degenerate
         assert math.isnan(report.rho_fit)
 
+    def test_non_finite_trial_is_refused_not_degenerate(self):
+        # ||b|| overflows, so the trial stops with NonFinite at k = 0
+        a = np.random.default_rng(0).random((20, 5)) * 1e160
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValueError, match="trial 0 stopped with NonFinite at k = 0"):
+            fit_empirical_rate(_consistent(a), make_scheme("K1"), trials=3,
+                               iterations=50, norm_used="euclid", seed=0)
+
+    def test_drifting_trial_is_refused(self, monkeypatch):
+        # a carried residual corrupted in trial 1 is caught by the exact
+        # record at the end of that trial
+        prob = _consistent(gaussian(16, 30, 6))
+        real_step = schemes.step
+        steps = []
+
+        def corrupting(scheme, a, b, x, draw, r=None, gram=None):
+            steps.append(1)
+            x = real_step(scheme, a, b, x, draw, r=r, gram=gram)
+            if len(steps) == 45:
+                r[0] += 1.0
+            return x
+
+        monkeypatch.setattr(schemes, "step", corrupting)
+        with pytest.raises(ValueError,
+                           match="trial 1 stopped with Drift at k = 30"):
+            fit_empirical_rate(prob, make_scheme("C3", block_size=2), trials=3,
+                               iterations=30, norm_used="ghat", seed=0)
+
     def test_needs_known_solution(self):
         prob = Problem(a=np.eye(2), b=np.ones(2))
         with pytest.raises(ValueError):
