@@ -22,7 +22,7 @@ the counts per seed, and each cell's seconds over the seeds on both sides.
 ``--repeats 0`` leaves out the per-call timings.
 
 With ``--parent-tree`` and ``--change-tree`` (source checkouts) it also
-runs ``--count-passes`` benchmark passes of each workload in each tree, in
+runs ``COUNT_PASSES`` benchmark passes of each workload in each tree, in
 a child process that imports that tree's ``src`` and ``perfbench``, each
 pass on a fresh set-up as in ``perfbench/run.py``. Per pass it records the
 calls to ``solver.normal_residual`` (a counting wrapper on the module
@@ -33,6 +33,10 @@ formed it, G. ``BENCH_15.json`` was written as
         --repeats 0 --parent-runs P/perfbench/runs \\
         --change-runs C/perfbench/runs \\
         --parent-tree P --change-tree C
+
+and ``BENCH_15_zero_start.json`` with ``--out BENCH_15_zero_start.json
+--repeats 0`` and the runs of ``A`` (``C`` without the zero-start branch in
+``solver.solve``) and of ``C`` as ``--parent-runs`` and ``--change-runs``.
 """
 
 import argparse
@@ -59,6 +63,7 @@ TRACED = ("solver.record_s", "solver.record_us.K1", "solver.record_us.K3",
           "linalg.pinv_calls", "solver.iterations.K1", "solver.iterations.K3",
           "solver.iterations.C3", "solver.records.K1", "solver.records.K3",
           "solver.records.C3")
+COUNT_PASSES = 3
 
 
 def _two_products(a, b, x):
@@ -150,10 +155,11 @@ def cell_seconds(parent_dir: Path, change_dir: Path) -> dict:
     return out
 
 
-def count_passes(passes: int) -> dict:
-    """In this process: per pass of each perfbench workload, on a fresh
-    set-up, the ``solver.normal_residual`` calls and the offsets mod 64 of
-    every problem's A and G. Needs ``perfbench`` on the import path."""
+def count_passes() -> dict:
+    """In this process: per pass of each perfbench workload (``COUNT_PASSES``
+    passes, each on a fresh set-up), the ``solver.normal_residual`` calls and
+    the offsets mod 64 of every problem's A and G. Needs ``perfbench`` on the
+    import path."""
     import workloads
     from sketchsolve import solver
 
@@ -167,7 +173,7 @@ def count_passes(passes: int) -> dict:
     out = {}
     for name, w in workloads.WORKLOADS.items():
         bench, rows = workloads.Bench(w, 1), []
-        for _ in range(passes):
+        for _ in range(COUNT_PASSES):
             bench.do_setup()
             calls.clear()
             bench.run_pass("count")
@@ -181,13 +187,12 @@ def count_passes(passes: int) -> dict:
     return out
 
 
-def count_tree(tree: Path, passes: int) -> dict:
+def count_tree(tree: Path) -> dict:
     """:func:`count_passes` run on the sources of checkout ``tree``."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         str(tree.resolve() / d) for d in ("src", "perfbench"))}
-    done = subprocess.run([sys.executable, __file__, "--count-here",
-                           str(passes)], env=env, check=True,
-                          capture_output=True, text=True)
+    done = subprocess.run([sys.executable, __file__, "--count-here"],
+                          env=env, check=True, capture_output=True, text=True)
     return json.loads(done.stdout.splitlines()[-1])
 
 
@@ -200,12 +205,11 @@ def main() -> int:
     parser.add_argument("--change-runs", type=Path, default=None)
     parser.add_argument("--parent-tree", type=Path, default=None)
     parser.add_argument("--change-tree", type=Path, default=None)
-    parser.add_argument("--count-passes", type=int, default=3)
-    parser.add_argument("--count-here", type=int, default=None,
+    parser.add_argument("--count-here", action="store_true",
                         help=argparse.SUPPRESS)
     args = parser.parse_args()
-    if args.count_here is not None:
-        print(json.dumps(count_passes(args.count_here)))
+    if args.count_here:
+        print(json.dumps(count_passes()))
         return 0
 
     payload = {
@@ -225,8 +229,8 @@ def main() -> int:
                              "change": traced(args.change_runs)}
     if args.parent_tree and args.change_tree:
         payload["pass_counts"] = {
-            "parent": count_tree(args.parent_tree, args.count_passes),
-            "change": count_tree(args.change_tree, args.count_passes)}
+            "parent": count_tree(args.parent_tree),
+            "change": count_tree(args.change_tree)}
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -412,9 +412,8 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
     def exact_residual():  # b - A x, and A^T (b - A x) where an anchor reads G
         trace.exact_recomputes += 1
         if use_gram and not maintained:
-            if not x.any():  # the anchor and a carried s get their own s0
-                r0, s0 = problem.zero_start
-                return r0, s0.copy()
+            if not x.any():
+                return problem.zero_start
             return normal_residual(a, b, x)
         return b - a @ x, None
 
