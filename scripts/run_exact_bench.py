@@ -12,13 +12,8 @@ turn. Each row also records whether ``r`` equals ``b - a @ x`` bit for bit,
 the largest ``|s - a.T @ r|`` in units of ``(m + n) eps |A|^T |r|`` and
 ``||s - a.T @ r|| / ||a.T @ r||``.
 
-    python scripts/run_exact_bench.py --out BENCH_14.json \\
-        [--parent-runs P/perfbench/runs --change-runs C/perfbench/runs]
+    python scripts/run_exact_bench.py --out BENCH_14.json
 
-With ``--parent-runs`` and ``--change-runs`` the output also holds the
-benchmark pairs as in ``run_gram_sweep.py``, and, from any ``--trace 1``
-runs in those directories, the record, step and draw layer metrics and
-the counts per seed, and each cell's seconds over the seeds on both sides.
 ``--repeats 0`` leaves out the per-call timings.
 
 With ``--parent-tree`` and ``--change-tree`` (source checkouts) it also
@@ -27,16 +22,7 @@ a child process that imports that tree's ``src`` and ``perfbench``, each
 pass on a fresh set-up as in ``perfbench/run.py``. Per pass it records the
 calls to ``solver.normal_residual`` (a counting wrapper on the module
 attribute) and the offset mod 64 of every problem's A and, where the pass
-formed it, G. ``BENCH_15.json`` was written as
-
-    PYTHONPATH=src python scripts/run_exact_bench.py --out BENCH_15.json \\
-        --repeats 0 --parent-runs P/perfbench/runs \\
-        --change-runs C/perfbench/runs \\
-        --parent-tree P --change-tree C
-
-and ``BENCH_15_zero_start.json`` with ``--out BENCH_15_zero_start.json
---repeats 0`` and the runs of ``A`` (``C`` without the zero-start branch in
-``solver.solve``) and of ``C`` as ``--parent-runs`` and ``--change-runs``.
+formed it, G (``BENCH_15.json``; ``scripts/bench_pairs.py`` adds pairs).
 """
 
 import argparse
@@ -47,22 +33,17 @@ import sys
 import timeit
 from pathlib import Path
 
-from run_gram_sweep import _quartiles, _runs, paired  # pins BLAS to 1 thread
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-import numpy as np
+import numpy as np  # noqa: E402
 
-from sketchsolve import linalg
+from bench_pairs import write_bench  # noqa: E402
+from sketchsolve import linalg  # noqa: E402
 
 SHAPES = ((1310, 100), (2000, 100), (4000, 250), (8000, 500), (20000, 100),
           (20000, 500), (60000, 500), (100000, 100))
 BUDGETS = (1 << 16, 1 << 17, 1 << 18)
-TRACED = ("solver.record_s", "solver.record_us.K1", "solver.record_us.K3",
-          "solver.record_us.C3", "schemes.step_us.K1", "schemes.step_us.K3",
-          "schemes.step_us.C3", "sketch.draw_us.K1", "sketch.draw_us.K3",
-          "sketch.draw_us.C3", "sketch.draws", "schemes.steps",
-          "linalg.pinv_calls", "solver.iterations.K1", "solver.iterations.K3",
-          "solver.iterations.C3", "solver.records.K1", "solver.records.K3",
-          "solver.records.C3")
 COUNT_PASSES = 3
 
 
@@ -127,34 +108,6 @@ def per_call(repeats: int, min_s: float) -> list:
     return rows
 
 
-def traced(directory: Path) -> dict:
-    out = {}
-    for path in sorted(directory.glob("*-trace1.json")):
-        run = json.loads(path.read_text())
-        out[f"{run['workload']}/{run['seed']}"] = {
-            k: run["metrics"][k] for k in TRACED if k in run["metrics"]}
-    return out
-
-
-def cell_seconds(parent_dir: Path, change_dir: Path) -> dict:
-    """Per workload and cell: the quartiles over seeds of each run's median
-    cell seconds, on both sides, and the seeds where the change was faster."""
-    parent, change = _runs(parent_dir), _runs(change_dir)
-    keys = sorted(set(parent) & set(change))
-    out = {}
-    for workload in sorted({w for w, _ in keys}):
-        p = [parent[k] for k in keys if k[0] == workload]
-        c = [change[k] for k in keys if k[0] == workload]
-        out[workload] = {}
-        for cell in p[0]["cells"]:
-            pv = [run["cells"][cell]["seconds_median"] for run in p]
-            cv = [run["cells"][cell]["seconds_median"] for run in c]
-            out[workload][cell] = {
-                "parent": _quartiles(pv), "change": _quartiles(cv),
-                "change_better": sum(y < x for x, y in zip(pv, cv))}
-    return out
-
-
 def count_passes() -> dict:
     """In this process: per pass of each perfbench workload (``COUNT_PASSES``
     passes, each on a fresh set-up), the ``solver.normal_residual`` calls and
@@ -201,8 +154,6 @@ def main() -> int:
     parser.add_argument("--out", default="BENCH_14.json")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--min-s", type=float, default=0.05)
-    parser.add_argument("--parent-runs", type=Path, default=None)
-    parser.add_argument("--change-runs", type=Path, default=None)
     parser.add_argument("--parent-tree", type=Path, default=None)
     parser.add_argument("--change-tree", type=Path, default=None)
     parser.add_argument("--count-here", action="store_true",
@@ -212,28 +163,15 @@ def main() -> int:
         print(json.dumps(count_passes()))
         return 0
 
-    payload = {
-        "what": __doc__.split("\n")[0],
-        "host": {"cpus": os.cpu_count(), "blas_threads": 1,
-                 "numpy": np.__version__},
-        "repeats": args.repeats, "min_s": args.min_s,
-        "shipped_block": linalg.NORMAL_BLOCK,
-    }
+    sections = {"repeats": args.repeats, "min_s": args.min_s,
+                "shipped_block": linalg.NORMAL_BLOCK}
     if args.repeats > 0:
-        payload["per_call"] = per_call(args.repeats, args.min_s)
-    if args.parent_runs and args.change_runs:
-        payload["benchmark_pairs"] = paired(args.parent_runs, args.change_runs)
-        payload["cell_seconds"] = cell_seconds(args.parent_runs,
-                                               args.change_runs)
-        payload["traced"] = {"parent": traced(args.parent_runs),
-                             "change": traced(args.change_runs)}
+        sections["per_call"] = per_call(args.repeats, args.min_s)
     if args.parent_tree and args.change_tree:
-        payload["pass_counts"] = {
+        sections["pass_counts"] = {
             "parent": count_tree(args.parent_tree),
             "change": count_tree(args.change_tree)}
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_bench(args.out, __doc__.split("\n")[0], sections)
     return 0
 
 

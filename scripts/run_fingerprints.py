@@ -27,6 +27,7 @@ the public ``sketchsolve`` API is read. BLAS is pinned to one thread.
     diff parent.txt change.txt
 """
 
+import argparse
 import hashlib
 import os
 
@@ -125,6 +126,7 @@ def _reduction_cells(probs):
 
 
 def main() -> int:
+    argparse.ArgumentParser(description=__doc__.split("\n")[0]).parse_args()
     probs = {name: ss.generate(spec) for name, spec in PROBLEMS.items()}
     cells = [cell for name, prob in probs.items()
              for cell in _solve_cells(name, prob)]

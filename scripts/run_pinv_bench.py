@@ -10,29 +10,25 @@ best of ``--repeats`` timings of ``--number`` calls, the three taken in
 turn. Each row also records the largest entry of
 ``|pseudoinverse - pinv| / max|pinv|``.
 
-    python scripts/run_pinv_bench.py --out BENCH_10.json \\
-        [--parent-runs P/perfbench/runs --change-runs C/perfbench/runs]
+    python scripts/run_pinv_bench.py --out BENCH_10.json
 
-With ``--parent-runs`` and ``--change-runs`` the output also holds the
-benchmark pairs as in ``run_gram_sweep.py``, and, from any ``--trace 1``
-runs in those directories, the ``linalg.pinv_*`` layer metrics per seed.
+``scripts/bench_pairs.py`` adds benchmark pairs to the same file.
 """
 
 import argparse
-import json
 import os
 import sys
 import timeit
-from pathlib import Path
 
-from run_gram_sweep import paired  # also pins BLAS to one thread
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-import numpy as np
+import numpy as np  # noqa: E402
 
-from sketchsolve.linalg import pseudoinverse
+from bench_pairs import write_bench  # noqa: E402
+from sketchsolve.linalg import pseudoinverse  # noqa: E402
 
 SIZES = (1, 2, 7, 20, 22)
-PINV_METRICS = ("linalg.pinv_calls", "linalg.pinv_s", "linalg.pinv_us")
 
 
 def per_call(repeats: int, number: int) -> list:
@@ -62,38 +58,15 @@ def per_call(repeats: int, number: int) -> list:
     return rows
 
 
-def traced(directory: Path) -> dict:
-    out = {}
-    for path in sorted(directory.glob("*-trace1.json")):
-        run = json.loads(path.read_text())
-        out[f"{run['workload']}/{run['seed']}"] = {
-            k: run["metrics"][k] for k in PINV_METRICS}
-    return out
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", default="BENCH_10.json")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--number", type=int, default=2000)
-    parser.add_argument("--parent-runs", type=Path, default=None)
-    parser.add_argument("--change-runs", type=Path, default=None)
     args = parser.parse_args()
-
-    payload = {
-        "what": __doc__.split("\n")[0],
-        "host": {"cpus": os.cpu_count(), "blas_threads": 1,
-                 "numpy": np.__version__},
+    write_bench(args.out, __doc__.split("\n")[0], {
         "repeats": args.repeats, "number": args.number,
-        "per_call": per_call(args.repeats, args.number),
-    }
-    if args.parent_runs and args.change_runs:
-        payload["benchmark_pairs"] = paired(args.parent_runs, args.change_runs)
-        payload["traced"] = {"parent": traced(args.parent_runs),
-                             "change": traced(args.change_runs)}
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        "per_call": per_call(args.repeats, args.number)})
     return 0
 
 

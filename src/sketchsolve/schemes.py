@@ -302,12 +302,13 @@ def step(scheme: Scheme, a: np.ndarray, b: np.ndarray,
 
 def _solve(e, ytr, scalar):
     """The step ``d = E^+ Y^T r`` in Z's coordinates: ``ytr / e`` for the
-    scalar ids, which skip a degenerate draw, ``pseudoinverse(e) @ ytr``
+    scalar ids, which skip a degenerate draw (``e <= 0``, or ``inf``, a null
+    step; a NaN ``e`` runs on to ``NonFinite``), ``pseudoinverse(e) @ ytr``
     for the block ids. The kernels multiply a scalar ``d`` in as ``d * z``
     (``np.dot(z, d)`` would serve both ranks, but is slower on a scalar)."""
     if not scalar:
         return pseudoinverse(e) @ ytr
-    if e <= 0.0:
+    if e <= 0.0 or e == np.inf:
         raise SkipStep(f"degenerate draw: sketched denominator {float(e)}")
     return ytr / e
 

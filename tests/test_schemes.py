@@ -232,6 +232,18 @@ class TestDegenerateDraws:
         if r is not None:
             assert np.array_equal(r, b - a @ x)
 
+    def test_k1_overflowing_row_skips(self):
+        # the 1x1 denominator overflows to inf, and ytr / inf is a null step
+        a = np.array([[1e160, 1e160], [1.0, 2.0]])
+        with np.errstate(over="ignore"), pytest.raises(SkipStep):
+            step(make_scheme("K1"), a, np.ones(2), np.zeros(2), np.array([0]))
+
+    def test_nan_denominator_is_not_skipped(self):
+        # a NaN step runs on: the next record stops the run with NonFinite
+        a = np.array([[np.nan, 1.0], [1.0, 2.0]])
+        got = step(make_scheme("K1"), a, np.ones(2), np.zeros(2), np.array([0]))
+        assert np.isnan(got).all()
+
     def test_skip_is_not_a_value_error(self):
         assert not issubclass(SkipStep, ValueError)
 

@@ -1,0 +1,178 @@
+"""The benchmark tooling under ``scripts/``: the gain rule of
+``bench_pairs.py``, the sweep's cold side, and that every script starts."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+
+import bench_pairs
+from sketchsolve import solver
+from sketchsolve.schemes import make_scheme
+
+with mock.patch.dict(os.environ):  # the sweep pins BLAS when imported
+    import run_gram_sweep
+
+ROOT = Path(__file__).resolve().parent.parent
+PARENT = [float(v) for v in range(10, 21)]  # median 15, IQR 17.5 - 12.5 = 5
+
+
+def _verdict(change, higher=False):
+    return bench_pairs.judge(PARENT, change, higher)["verdict"]
+
+
+class TestVerdict:
+    def test_ten_of_eleven_below_the_iqr_is_moved(self):
+        change = [p - 1 for p in PARENT[:10]] + [PARENT[10] + 1]
+        entry = bench_pairs.judge(PARENT, change, False)
+        assert (entry["change_better"], entry["change_worse"]) == (10, 1)
+        assert entry["verdict"] == "moved"
+
+    def test_eleven_of_eleven_above_the_iqr_is_claimed(self):
+        assert _verdict([p - 6 for p in PARENT]) == "claimed"
+
+    def test_all_ties_is_same(self):
+        entry = bench_pairs.judge(PARENT, list(PARENT), False)
+        assert (entry["change_better"], entry["change_worse"]) == (0, 0)
+        assert entry["verdict"] == "same"
+
+    def test_mirrored_claim_is_worse(self):
+        assert _verdict([p + 6 for p in PARENT]) == "worse"
+
+    def test_ties_stay_in_n(self):
+        # 10 wins and a tie meet 0.9 n; 9 wins and two ties do not
+        ten = [p - 6 for p in PARENT[:10]] + PARENT[10:]
+        nine = [p - 6 for p in PARENT[:9]] + PARENT[9:]
+        assert (_verdict(ten), _verdict(nine)) == ("claimed", "moved")
+
+    def test_gap_equal_to_the_iqr_is_not_claimed(self):
+        assert _verdict([p - 5 for p in PARENT]) == "moved"
+
+    def test_pass_frac_is_higher_is_better(self):
+        higher = bench_pairs.directions()
+        assert higher["pass_frac"]
+        assert not any(v for k, v in higher.items() if k != "pass_frac")
+        assert _verdict([p + 6 for p in PARENT], higher=True) == "claimed"
+        assert _verdict([p - 6 for p in PARENT], higher=True) == "worse"
+
+
+def _claims(bench: dict) -> set:
+    """The entries of a committed BENCH file's pair summaries that meet the
+    gain rule, judged from their quartiles and ``change_better`` counts."""
+    higher = bench_pairs.directions()
+    marked = set()
+    for workload, pair in bench["benchmark_pairs"].items():
+        n = len(pair["seeds"])
+        cells = bench.get("cell_seconds", {}).get(workload, {})
+        entries = [(k, e, higher[k]) for k, e in pair["metrics"].items()]
+        entries += [(f"cell {k}", e, False) for k, e in cells.items()]
+        marked |= {(workload, name) for name, e, up in entries
+                   if bench_pairs.beats(e["change_better"], n, e["parent"],
+                                        e["change"], up)}
+    return marked
+
+
+class TestCommittedPairs:
+    def test_bench_15_claims(self):
+        bench = json.loads((ROOT / "BENCH_15.json").read_text())
+        assert _claims(bench) == {
+            ("dense-20000x500", "solve_s.block"),
+            ("dense-20000x500", "cell C3"),
+            ("spd-400-rates", "cell fit.S4"),
+            ("spd-400-rates", "peak_rss_mb"),
+        }
+
+    def test_bench_15_zero_start_claims_nothing(self):
+        bench = json.loads((ROOT / "BENCH_15_zero_start.json").read_text())
+        assert _claims(bench) == set()
+
+
+def _write_run(directory: Path, seed, trace, metrics, cells=None):
+    run = {"workload": "w", "seed": seed, "metrics": metrics,
+           "cells": cells or {}}
+    (directory / f"w-seed{seed}-trace{trace}.json").write_text(json.dumps(run))
+
+
+class TestPairs:
+    @pytest.fixture
+    def dirs(self, tmp_path):
+        parent, change = tmp_path / "parent", tmp_path / "change"
+        parent.mkdir()
+        change.mkdir()
+        for seed in range(1, 12):
+            for directory, solve_s, frac, its in (
+                    (parent, 1.0 + seed, 0.5, 100),
+                    (change, 1.0 + seed - 6, 1.0, 101 if seed == 3 else 100)):
+                metrics = {name: 7.0 for name in bench_pairs.directions()}
+                metrics.update({"solve_s.block": solve_s, "pass_frac": frac})
+                cells = {"K3": {"seconds_median": solve_s, "iterations": its}}
+                _write_run(directory, seed, 0, metrics, cells)
+        _write_run(parent, 99, 0, {})  # no partner: left out
+        _write_run(change, 1, 1, {"sketch.draws": 12.0})
+        return parent, change
+
+    def test_pairs_judge_every_metric_and_cell(self, dirs):
+        out = bench_pairs.pairs(*dirs)
+        pair = out["benchmark_pairs"]["w"]
+        assert pair["seeds"] == list(range(1, 12))
+        verdicts = {k: e["verdict"] for k, e in pair["metrics"].items()}
+        assert verdicts == {"setup_s": "same", "solve_s.scalar": "same",
+                            "solve_s.block": "claimed", "pass_frac": "claimed",
+                            "peak_rss_mb": "same"}
+        assert out["cell_seconds"]["w"]["K3"]["verdict"] == "claimed"
+        assert pair["iterations"]["K3"]["change"][2] == 101
+        assert out["traced"] == {"parent": {},
+                                 "change": {"w/1": {"sketch.draws": 12.0}}}
+
+    def test_table_lists_every_entry_and_differing_iterations(self, dirs):
+        lines = bench_pairs.table(bench_pairs.pairs(*dirs))
+        assert len(lines) == 5 + 1 + 1
+        assert lines[2] == ("w solve_s.block: 7 -> 1, 11/0/11 better/worse/n,"
+                            " gap +6, IQR 5: claimed")
+        assert lines[-1].startswith("w cell K3: iterations differ")
+
+    def test_write_bench_keeps_the_rest_of_a_file(self, dirs, tmp_path):
+        path = tmp_path / "BENCH_X.json"
+        bench_pairs.write_bench(path, "a sweep", {"sweep": [1]})
+        bench_pairs.write_bench(path, "pairs", bench_pairs.pairs(*dirs))
+        written = json.loads(path.read_text())
+        assert written["what"] == "a sweep"
+        assert written["host"]["blas_threads"] == 1
+        assert written["sweep"] == [1]
+        assert "benchmark_pairs" in written
+        assert path.read_text() == json.dumps(written, indent=1,
+                                              sort_keys=True) + "\n"
+
+
+def test_cold_sweep_solves_each_form_their_zero_start_record(monkeypatch):
+    # _timed forces the use-G condition; monkeypatch restores it afterwards
+    monkeypatch.setattr(solver, "ANCHOR_MIN_RATIO", solver.ANCHOR_MIN_RATIO)
+    monkeypatch.setattr(solver, "ANCHOR_MIN_SIZE", solver.ANCHOR_MIN_SIZE)
+    real, zero_records = solver.normal_residual, []
+
+    def counting(a, b, x):
+        if not x.any():
+            zero_records.append(1)
+        return real(a, b, x)
+
+    monkeypatch.setattr(solver, "normal_residual", counting)
+    a = np.random.default_rng(0).standard_normal((200, 20))
+    prob = solver.Problem(a=a, b=a @ np.ones(20), x_star=np.ones(20))
+    for solves in (1, 2):
+        run_gram_sweep._timed(prob, make_scheme("K3", block_size=4), 30,
+                              on=True, cold=True)
+        assert len(zero_records) == solves
+
+
+@pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_script_help_exits_zero(script):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(script), "--help"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

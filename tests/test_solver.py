@@ -748,6 +748,20 @@ class TestNonFinite:
         assert np.isnan(trace.final.rel_residual)
         assert not x.any()
 
+    @pytest.mark.parametrize("sid", ["K1", "C1"])
+    def test_overflowing_denominator_skips_every_step(self, sid):
+        # finite input whose squared row and column norms overflow: each 1x1
+        # sketched denominator is inf, and ytr / inf made a null step, so the
+        # run ended in MaxIters with skip_count 0 and x still zero
+        a = np.random.default_rng(0).random((2000, 50)) * 1e160
+        prob = Problem(a=a, b=np.ones(2000))
+        with np.errstate(over="ignore"):
+            x, trace = solve(prob, make_scheme(sid),
+                             StopRule(itmax=3000, tol=1e-6), make_rng(1))
+        assert trace.status == MAX_ITERS
+        assert trace.skip_count == trace.iterations == 3000
+        assert not x.any()
+
     def test_overflow_mid_run_stops_on_the_next_record(self, monkeypatch):
         prob = _consistent_problem(5, 30, 6)
         real_step = schemes.step
