@@ -84,13 +84,18 @@ def judge(parent: list, change: list, higher: bool) -> dict:
 
 def pairs(parent_dir: Path, change_dir: Path) -> dict:
     """Per workload: each end-to-end metric and cell's seconds judged over the
-    seeds both sides ran, iteration counts, and traced metrics per seed."""
+    seeds both sides ran, iteration counts, and traced metrics per seed.
+    Raises ValueError for a workload with fewer than two pairs, which have
+    no quartiles."""
     higher = directions()
     parent, change = runs(parent_dir, 0), runs(change_dir, 0)
     keys = sorted(set(parent) & set(change))
     e2e, cells = {}, {}
     for workload in sorted({w for w, _ in keys}):
         seeds = [s for w, s in keys if w == workload]
+        if len(seeds) < 2:
+            raise ValueError(f"{workload} has {len(seeds)} pair of runs; the "
+                             f"gain rule needs at least two pairs")
         p = [parent[(workload, s)] for s in seeds]
         c = [change[(workload, s)] for s in seeds]
 
@@ -153,7 +158,10 @@ def main() -> int:
     parser.add_argument("change_runs", type=Path, metavar="CHANGE_RUNS")
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args()
-    out = pairs(args.parent_runs, args.change_runs)
+    try:
+        out = pairs(args.parent_runs, args.change_runs)
+    except ValueError as exc:
+        parser.error(str(exc))  # exits 2
     print("\n".join(table(out)))
     if args.out:
         write_bench(args.out, __doc__.split("\n")[0], out)

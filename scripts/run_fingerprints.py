@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print one digest per cell of a fixed set of runs, so that two checkouts
+"""Print digests of each cell of a fixed set of runs, so that two checkouts
 that must run bit-identically can be compared with ``diff``.
 
 The cells are:
@@ -15,11 +15,14 @@ The cells are:
   draw (l = 5, seed 9) through ``reduction_discrepancy``, with ``g = A^-1``
   and with ``g = I``.
 
-A solve's digest covers the bytes of the final ``x``, the status, the
-iteration, skip and exact-recompute counts and every record's ``k`` and
-residual and error values; timings are left out. A fit's digest covers
-its report's repr, a propagator's the estimate's matrices and figures, a
-reduction's the two discrepancies. Only
+A solve has two digests: its outcome, the bytes of the final ``x``, the
+status, the iteration, skip and exact-recompute counts, every record's
+``k`` and the generator's state after the solve; then its record values,
+every record's residual and error. Timings are left out. A change that
+keeps every result but moves tracked record values within their bounds
+then shows in ``diff`` as changed second digests only. Every other cell
+has one digest: a fit's covers its report's repr, a propagator's the
+estimate's matrices and figures, a reduction's the two discrepancies. Only
 the public ``sketchsolve`` API is read. BLAS is pinned to one thread.
 
     PYTHONPATH=src python scripts/run_fingerprints.py > change.txt
@@ -77,16 +80,18 @@ def _solve_cells(name: str, problem: ss.Problem):
             scheme = ss.make_scheme(sid, block_size=BLOCK, distribution=dist,
                                     g=_weight(sid, problem.shape))
             for seed in SEEDS:
-                x, trace = ss.solve(problem, scheme, STOP, ss.make_rng(seed))
-                values = [(r.k, r.rel_residual, r.rel_error)
-                          for r in trace.records]
+                rng = ss.make_rng(seed)
+                x, trace = ss.solve(problem, scheme, STOP, rng)
+                values = [(r.rel_residual, r.rel_error) for r in trace.records]
                 yield (f"solve {name} {sid} {dist} seed={seed} "
                        f"{trace.status} k={trace.iterations} "
                        f"skips={trace.skip_count} "
                        f"exact={trace.exact_recomputes}",
                        _digest(x, trace.status, trace.iterations,
                                trace.skip_count, trace.exact_recomputes,
-                               values))
+                               [r.k for r in trace.records],
+                               rng.bit_generator.state)
+                       + " " + _digest(values))
 
 
 def _fit_cells(probs):

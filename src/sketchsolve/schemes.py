@@ -184,6 +184,8 @@ def _check_draw(scheme: Scheme, draw, shape: tuple[int, int]):
         want = f"a float Gaussian block of shape ({dim}, {width})"
     else:
         if array and draw.dtype.kind in "iu" and draw.shape == (width,):
+            if width == 1 and 0 <= draw.item() < dim:
+                return
             # as a list: min, max and set beat numpy's calls at these sizes
             got = draw.tolist()
             if 0 <= min(got) and max(got) < dim and len(set(got)) == width:

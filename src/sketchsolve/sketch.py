@@ -96,13 +96,12 @@ def draw_sketch(scheme, dims: tuple[int, int], rng: np.random.Generator,
 
     if kind == INDEX:
         if scheme.distribution == UNIFORM:
-            idx = int(rng.integers(dim))
-        else:
-            if not isinstance(sampler, IndexCdf) or len(sampler.cdf) != dim:
-                raise ValueError(f"{scheme.distribution} sampling needs the "
-                                 f"index_cdf of {dim} weights")
-            idx = int(sampler.cdf.searchsorted(rng.random(), side="right"))
-        return np.array([idx])
+            # rng.integers(dim, size=1) draws the same index, more slowly
+            return np.array([int(rng.integers(dim))])
+        if not isinstance(sampler, IndexCdf) or len(sampler.cdf) != dim:
+            raise ValueError(f"{scheme.distribution} sampling needs the "
+                             f"index_cdf of {dim} weights")
+        return sampler.cdf.searchsorted(rng.random((1,)), side="right")
 
     if kind == SUBSET:
         return np.sort(rng.choice(dim, size=width, replace=False))

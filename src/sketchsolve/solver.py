@@ -43,6 +43,14 @@ which roundoff alone does not do. A read that is not finite is recomputed;
 if that is not finite either (finite input can overflow), the run stops with
 status ``NonFinite``.
 
+Anchored K runs (no carried ``s``, no ``observe``) read records in batches,
+in one ``D G`` product: a record waits, with its ``x``, skip count and
+generator state, for ``READ_BATCH`` records (fewer at a sparser
+``trace_every``; at most 150 steps run past one in K1, 15 in K3-K6), for
+``itmax`` or for the next periodic check. The rules above then judge them in
+order, re-reading after a re-anchor; one that stops the run restores its
+saved state, so steps run past it change nothing but the time taken.
+
 This is the only loop that runs the iteration: rate fits
 (:func:`theory.fit_empirical_rate`) run their trials through :func:`solve`
 and read the iterate after every step through its ``observe`` hook.
@@ -86,6 +94,9 @@ RECORD_RTOL = 1e-6
 # ones
 ANCHOR_MIN_RATIO = 4
 ANCHOR_MIN_SIZE = 2 ** 17
+# anchored K records wait, up to this many at the default cadence, for one
+# read that streams G once for all (2 MB at n = 500; sweep in BENCH_17.json)
+READ_BATCH = 16
 
 
 def _read_only(v: np.ndarray) -> np.ndarray:
@@ -264,14 +275,13 @@ class _MaintainedResidual:
     def __init__(self, r: np.ndarray, denom: float):
         self.r, self.denom = r, denom
 
-    def read(self, x: np.ndarray) -> tuple[float, float, float]:
-        """The relative residual at ``x``, a bound on the rounding of the
-        read, and one on how far a recompute's own rounding can move it."""
-        return float(np.linalg.norm(self.r)) / self.denom, 0.0, 0.0
+    def read(self, xs: list) -> list:
+        """As :meth:`_ResidualAnchor.read`, for the current iterate alone."""
+        return [(math.sqrt(float(self.r @ self.r)) / self.denom, 0.0, 0.0)]
 
-    def resync(self, x: np.ndarray, exact: np.ndarray, exact_s=None) -> float:
-        """Restart from the exact residual at ``x`` (``exact_s`` is not
-        used); returns the relative gap the tracked residual had from it."""
+    def resync(self, x: np.ndarray, read: float, exact: np.ndarray,
+               exact_s=None) -> float:
+        """As :meth:`_ResidualAnchor.resync`, for the carried ``r``."""
         gap = float(np.linalg.norm(self.r - exact)) / self.denom
         self.r[:] = exact
         return gap
@@ -300,52 +310,59 @@ class _ResidualAnchor:
     ``rounding``. Its ``floor`` is how far the read can still be from a
     recompute at ``x`` because both recomputes round: ``b - A x`` by ``u (|b|
     + |A| |x|)`` per entry, at ``x_a`` and at ``x``, and its norm by ``u
-    ||r||``. Without ``G`` it reads nothing, so every record is exact."""
+    ||r||``. Without ``G`` it reads nothing, so every record is exact.
+
+    A read takes a list of iterates; without a carried ``s`` (the current
+    iterate's) their ``G d`` are one product, which streams ``G`` once."""
 
     def __init__(self, gram: np.ndarray | None, x: np.ndarray, r: np.ndarray,
                  s: np.ndarray | None, norm_b: float, denom: float,
                  carry: bool = False):
         self.gram, self.norm_b, self.denom = gram, norm_b, denom
-        self.s = None
+        self.s = s.copy() if carry else None
         if gram is not None:
             self.unit = (r.shape[0] + gram.shape[0]) * np.finfo(float).eps
             self.norm_a = math.sqrt(float(np.trace(gram)))  # ||A||_F
             self._anchor(x, r, s)
-            if carry:
-                self.s = s.copy()
 
     def _anchor(self, x: np.ndarray, r: np.ndarray, s: np.ndarray):
         self.x_a, self.s_a = x.copy(), s
         self.q_a = float(r @ r)
         self.floor_a = self.norm_b + self.norm_a * float(np.linalg.norm(x))
 
-    def read(self, x: np.ndarray) -> tuple[float, float, float]:
-        """The relative residual at ``x``, a bound on the rounding of the
-        read, and one on how far a recompute's own rounding can move it."""
+    def read(self, xs: list) -> list:
+        """For each iterate ``x`` in ``xs``: the relative residual at ``x``, a
+        bound on the rounding of the read, and one on how far a recompute's
+        own rounding can move it."""
         if self.gram is None:
-            return 0.0, math.inf, 0.0
-        d = x - self.x_a
-        if self.s is None:
-            q = self.q_a - 2.0 * float(d @ self.s_a) + float(d @ (self.gram @ d))
-        else:
-            q = self.q_a - float(d @ (self.s_a + self.s))
-        err = self.unit * (math.sqrt(self.q_a)
-                           + self.norm_a * float(np.linalg.norm(d))) ** 2
-        q = max(q, 0.0)
-        norm = math.sqrt(q)
-        rounding = max(norm - math.sqrt(max(q - err, 0.0)),
-                       math.sqrt(q + err) - norm)
-        floor = self.unit * (self.floor_a + self.norm_b + norm
-                             + self.norm_a * float(np.linalg.norm(x)))
-        self.last = norm / self.denom
-        return self.last, rounding / self.denom, floor / self.denom
+            return [(0.0, math.inf, 0.0)] * len(xs)
+        ds = np.array(xs) - self.x_a
+        # q = ||r_a||^2 - d^T v, with v = 2 s_a - G d, or s_a + s if carried
+        vs = (2.0 * self.s_a - ds @ self.gram if self.s is None
+              else [self.s_a + self.s])
+        out = []
+        for x, d, v in zip(xs, ds, vs):
+            q = self.q_a - float(d @ v)
+            err = self.unit * (math.sqrt(self.q_a)
+                               + self.norm_a * math.sqrt(float(d @ d))) ** 2
+            q = max(q, 0.0)
+            norm = math.sqrt(q)
+            rounding = max(norm - math.sqrt(max(q - err, 0.0)),
+                           math.sqrt(q + err) - norm)
+            floor = self.unit * (self.floor_a + self.norm_b + norm
+                                 + self.norm_a * math.sqrt(float(x @ x)))
+            out.append((norm / self.denom, rounding / self.denom,
+                        floor / self.denom))
+        return out
 
-    def resync(self, x: np.ndarray, exact: np.ndarray, exact_s=None) -> float:
+    def resync(self, x: np.ndarray, read: float, exact: np.ndarray,
+               exact_s=None) -> float:
         """Re-anchor at the exact residual at ``x`` and ``A^T`` of it; returns
-        the relative gap the last read, and a carried ``s``, had from them."""
+        the relative gap the value ``read`` at ``x``, and a carried ``s``,
+        had from them."""
         if self.gram is None:
             return 0.0
-        gap = abs(self.last - float(np.linalg.norm(exact)) / self.denom)
+        gap = abs(read - float(np.linalg.norm(exact)) / self.denom)
         self._anchor(x, exact, exact_s)
         if self.s is not None:
             gap = max(gap, float(np.linalg.norm(self.s - self.s_a))
@@ -361,10 +378,11 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
           ) -> tuple[np.ndarray, SolveTrace]:
     """Iterate ``scheme`` on ``problem`` until the stop rule fires.
 
-    Exactly one sketch is drawn from ``rng`` per iteration, so a run is
-    reproducible (and replayable step by step) from its seed. Returns the
-    final iterate and the trace; the trace holds a record for k = 0, every
-    ``trace_every``-th iteration, and the final iterate.
+    Exactly one sketch is drawn from ``rng`` per iteration (steps run past
+    a stopping record are undone), so a run is reproducible (and replayable
+    step by step) from its seed. Returns the final iterate and the trace;
+    the trace holds a record for k = 0, every ``trace_every``-th iteration,
+    and the final iterate.
 
     If given, ``observe(k, x)`` is called after each update k = 1, 2, ...,
     skipped steps included, before that iteration's record; it must not
@@ -391,14 +409,16 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
     def rel_norm(res: np.ndarray) -> float:
         return float(np.linalg.norm(res)) / res_denom
 
-    def record(k: int, rel_res: float) -> bool:
+    def record(k: int, x: np.ndarray, rel_res: float, drift=False) -> bool:
         # whether the record stops the run; a value that is not finite is exact
         rel_err = None
         if problem.x_star is not None:
-            rel_err = float(np.linalg.norm(x - problem.x_star)) / err_denom
+            e = x - problem.x_star
+            rel_err = math.sqrt(float(e @ e)) / err_denom
         trace.records.append(TraceRecord(k, rel_res, rel_err,
                                          time.perf_counter() - start))
-        trace.status = (NON_FINITE if not math.isfinite(rel_res) else
+        trace.status = (DRIFT if drift else
+                        NON_FINITE if not math.isfinite(rel_res) else
                         CONVERGED if rel_res < stop.tol else MAX_ITERS)
         return trace.status != MAX_ITERS
 
@@ -409,16 +429,14 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
     gram_space = use_gram and scheme.gram_form
     maintained = schemes.maintains_residual(scheme) and not gram_space
 
-    def exact_residual():  # b - A x, and A^T (b - A x) where an anchor reads G
+    def exact_residual(x):  # b - A x, and A^T (b - A x) where an anchor reads G
         trace.exact_recomputes += 1
         if use_gram and not maintained:
-            if not x.any():
-                return problem.zero_start
-            return normal_residual(a, b, x)
+            return normal_residual(a, b, x) if x.any() else problem.zero_start
         return b - a @ x, None
 
-    r, s = exact_residual()
-    if record(0, rel_norm(r)):
+    r, s = exact_residual(x)
+    if record(0, x, rel_norm(r)):
         return x, trace
     if maintained:
         tracked = _MaintainedResidual(r, res_denom)
@@ -427,30 +445,59 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
                                   norm_b, res_denom, carry=gram_space)
         r = tracked.s
     gram = problem.gram if gram_space else None
+    # records not yet judged, as (k, x, skip count, generator state): K steps
+    # never read the anchor, so they run on while a batch waits for one read
+    pending = []
+    batch = 1
+    if use_gram and not schemes.maintains_residual(scheme) and observe is None:
+        batch = max(1, READ_BATCH * default_trace_every(scheme) // trace_every)
 
-    for k in range(1, stop.itmax + 1):
-        draw = draw_sketch(scheme, (m, n), rng, sampler)
-        try:
-            x = schemes.step(scheme, a, b, x, draw, r=r, gram=gram)
-        except schemes.SkipStep:
-            trace.skip_count += 1
-        if observe is not None:
-            observe(k, x)
-        if k % trace_every == 0 or k == stop.itmax:
-            rel_res, rounding, floor = tracked.read(x)
+    def judge() -> bool:
+        # write the pending records in order; one that stops the run hands
+        # back the x, skip count and generator state it saw
+        nonlocal x
+        xs, reads = [p[1] for p in pending], None
+        for i, (k, x_k, skips, state) in enumerate(pending):
+            if reads is None:  # first, or after a re-anchor
+                reads, first = tracked.read(xs[i:]), i
+            rel_res, rounding, floor = reads[i - first]
+            drift = False
             # a NaN or infinite read, or a NaN bound, is recomputed too
             if (k == stop.itmax or len(trace.records) % EXACT_EVERY == 0
                     or rel_res - rounding - floor <= stop.tol
                     or not rounding <= RECORD_RTOL * rel_res < math.inf):
-                exact, exact_s = exact_residual()
-                rel_res = rel_norm(exact)
+                exact, exact_s = exact_residual(x_k)
+                read, rel_res, reads = rel_res, rel_norm(exact), None
                 # drift is a gap that rounding cannot explain
-                if (math.isfinite(rel_res) and tracked.resync(x, exact, exact_s)
-                        > DRIFT_RTOL + rounding + floor):
-                    record(k, rel_res)
-                    trace.status = DRIFT
-                    return x, trace
-            if record(k, rel_res):
+                drift = (math.isfinite(rel_res)
+                         and tracked.resync(x_k, read, exact, exact_s)
+                         > DRIFT_RTOL + rounding + floor)
+            if record(k, x_k, rel_res, drift):
+                x, trace.skip_count = x_k, skips
+                if state is not None:
+                    rng.bit_generator.state = state
+                return True
+        pending.clear()
+        return False
+
+    for k in range(1, stop.itmax + 1):
+        try:
+            draw = draw_sketch(scheme, (m, n), rng, sampler)
+            x = schemes.step(scheme, a, b, x, draw, r=r, gram=gram)
+        except schemes.SkipStep:
+            trace.skip_count += 1
+        except Exception:
+            if pending and judge():  # the failed step came after the stop
+                return x, trace
+            raise
+        if observe is not None:
+            observe(k, x)
+        if k % trace_every == 0 or k == stop.itmax:
+            pending.append((k, x, trace.skip_count,
+                            rng.bit_generator.state if batch > 1 else None))
+            if ((len(pending) == batch or k == stop.itmax or (
+                    len(trace.records) + len(pending) - 1) % EXACT_EVERY == 0)
+                    and judge()):
                 return x, trace
     return x, trace
 

@@ -149,6 +149,22 @@ class TestPairs:
                                               sort_keys=True) + "\n"
 
 
+def test_one_pair_exits_2_naming_the_rule(tmp_path):
+    # one seed per side has no quartiles; statistics raised StatisticsError
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        metrics = {name: 1.0 for name in bench_pairs.directions()}
+        _write_run(tmp_path / side, 1, 0, metrics, {})
+    script = ROOT / "scripts" / "bench_pairs.py"
+    done = subprocess.run([sys.executable, str(script), str(tmp_path / "parent"),
+                           str(tmp_path / "change")],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert "w has 1 pair of runs; the gain rule needs at least two pairs" \
+        in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_cold_sweep_solves_each_form_their_zero_start_record(monkeypatch):
     # _timed forces the use-G condition; monkeypatch restores it afterwards
     monkeypatch.setattr(solver, "ANCHOR_MIN_RATIO", solver.ANCHOR_MIN_RATIO)

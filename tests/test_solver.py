@@ -732,6 +732,207 @@ class TestZeroStart:
         assert np.array_equal(r0, want[0]) and np.array_equal(s0, want[1])
 
 
+def _with_zero_rows() -> Problem:
+    """Tall, consistent, with 10 zero rows among 200: K1 skips ~5% of its
+    steps."""
+    a = gaussian(32, 200, 20)
+    a[::20] = 0.0
+    return Problem(a=a, b=a @ np.ones(20), x_star=np.ones(20))
+
+
+def _blowing_up(monkeypatch, at: int, exc: Exception | None = None):
+    """Patch ``schemes.step`` to add 1e300 to x at step ``at``, or to raise
+    ``exc`` there; returns the list of steps taken."""
+    real_step, steps = schemes.step, []
+
+    def step_(scheme, a, b, x, draw, r=None, gram=None):
+        steps.append(1)
+        if len(steps) == at and exc is not None:
+            raise exc
+        x = real_step(scheme, a, b, x, draw, r=r, gram=gram)
+        return x + 1e300 if len(steps) == at else x
+
+    monkeypatch.setattr(schemes, "step", step_)
+    return steps
+
+
+class TestBatchedReads:
+    """Anchored K runs read their records in batches, one ``D G`` product
+    for up to ``READ_BATCH`` of them, while steps run on past them. A run
+    with ``READ_BATCH`` 1, which reads each record as it comes, is the
+    oracle: the batched run must return the same x, status, counts, record
+    ks, exact record values and generator state, and every other record
+    value must lie within the two reads' bounds of the oracle's."""
+
+    BATCH = solver.READ_BATCH
+
+    @pytest.fixture(autouse=True)
+    def _anchor_small_problems(self, monkeypatch):
+        monkeypatch.setattr(solver, "ANCHOR_MIN_SIZE", 0)
+
+    @staticmethod
+    def _run(monkeypatch, make, scheme, stop, batch, **kw):
+        monkeypatch.setattr(solver, "READ_BATCH", batch)
+        prob = make()
+        spied = {"exact": [], "reads": {}, "sizes": [], "draws": 0}
+        real_nr, real_read = solver.normal_residual, solver._ResidualAnchor.read
+        real_draw = solver.draw_sketch
+
+        def nr(a, b, x):
+            r, s = real_nr(a, b, x)
+            spied["exact"].append(float(np.linalg.norm(r))
+                                  / float(np.linalg.norm(prob.b)))
+            return r, s
+
+        def read(self, xs):
+            out = real_read(self, xs)
+            spied["sizes"].append(len(xs))
+            spied["reads"].update((v, rounding + floor)
+                                  for v, rounding, floor in out)
+            return out
+
+        def draw(*args):
+            spied["draws"] += 1
+            return real_draw(*args)
+
+        monkeypatch.setattr(solver, "normal_residual", nr)
+        monkeypatch.setattr(solver._ResidualAnchor, "read", read)
+        monkeypatch.setattr(solver, "draw_sketch", draw)
+        rng = make_rng(77)
+        x, trace = solve(prob, scheme, stop, rng, **kw)
+        spied["state"] = rng.bit_generator.state
+        for name, real in (("normal_residual", real_nr),
+                           ("draw_sketch", real_draw)):
+            monkeypatch.setattr(solver, name, real)
+        monkeypatch.setattr(solver._ResidualAnchor, "read", real_read)
+        return x, trace, spied
+
+    def _assert_as_oracle(self, monkeypatch, make, scheme, stop, **kw):
+        xb, tb, sb = self._run(monkeypatch, make, scheme, stop, self.BATCH,
+                               **kw)
+        xo, to, so = self._run(monkeypatch, make, scheme, stop, 1, **kw)
+        assert xb.tobytes() == xo.tobytes()
+        assert (tb.status, tb.iterations, tb.skip_count, tb.exact_recomputes) \
+            == (to.status, to.iterations, to.skip_count, to.exact_recomputes)
+        assert [r.k for r in tb.records] == [r.k for r in to.records]
+        assert sb["state"] == so["state"]
+        assert sb["exact"] == so["exact"]
+        assert max(so["sizes"], default=1) == 1 < max(sb["sizes"])
+        exact = set(so["exact"])
+        for rb, ro in zip(tb.records, to.records):
+            assert rb.rel_error == ro.rel_error
+            if ro.rel_residual in exact:
+                assert rb.rel_residual == ro.rel_residual
+            else:  # both reads lie within their bounds of the same value
+                assert abs(rb.rel_residual - ro.rel_residual) <= \
+                    sb["reads"][rb.rel_residual] + so["reads"][ro.rel_residual]
+        return tb, sb
+
+    @pytest.mark.parametrize("sid, block, make", [
+        ("K1", 1, lambda: _sparse_normal(1e-3)),
+        ("K1", 1, _with_zero_rows),
+        ("K3", 8, lambda: _sparse_normal(1e-3)),
+        ("K4", 4, lambda: _sparse_normal(1e-3)),
+    ])
+    def test_convergence_mid_batch(self, monkeypatch, sid, block, make):
+        scheme = make_scheme(sid, block_size=block)
+        trace, spied = self._assert_as_oracle(
+            monkeypatch, make, scheme, StopRule(itmax=20_000, tol=1e-3))
+        assert trace.status == CONVERGED
+        # steps ran past the stopping record, and no further than the cap
+        every = solver.default_trace_every(scheme)
+        assert 0 < spied["draws"] - trace.iterations <= \
+            (self.BATCH - 1) * every
+
+    @pytest.mark.parametrize("sid, block", [("K1", 1), ("K3", 8), ("K4", 4)])
+    def test_itmax(self, monkeypatch, sid, block):
+        trace, spied = self._assert_as_oracle(
+            monkeypatch, _with_zero_rows, make_scheme(sid, block_size=block),
+            StopRule(itmax=1234, tol=1e-300))
+        assert trace.status == MAX_ITERS
+        assert spied["draws"] == trace.iterations == 1234
+
+    @pytest.mark.parametrize("sid, block", [("K1", 1), ("K3", 3), ("K4", 3)])
+    def test_drift(self, monkeypatch, sid, block):
+        def make():
+            prob = _consistent_problem(21, 60, 8)
+            monkeypatch.setattr(prob, "gram", prob.gram * (1.0 + 1e-6))
+            return prob
+
+        # caught by the exact record near tol, mid-batch
+        trace, spied = self._assert_as_oracle(
+            monkeypatch, make, make_scheme(sid, block_size=block),
+            StopRule(itmax=5000, tol=1e-3))
+        assert trace.status == DRIFT
+        assert spied["draws"] > trace.iterations
+
+    @pytest.mark.parametrize("sid, block", [("K1", 1), ("K3", 3), ("K4", 3)])
+    def test_non_finite(self, monkeypatch, sid, block):
+        steps = _blowing_up(monkeypatch, 13)
+
+        def make():  # each run blows up at its own step 13
+            steps.clear()
+            return _consistent_problem(5, 120, 6)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace, spied = self._assert_as_oracle(
+                monkeypatch, make,
+                make_scheme(sid, block_size=block),
+                StopRule(itmax=1000, tol=1e-14))
+        assert trace.status == NON_FINITE
+        assert spied["draws"] > trace.iterations
+
+    def test_step_raising_past_the_stopping_record_does_not_escape(
+            self, monkeypatch):
+        scheme, stop = make_scheme("K1"), StopRule(itmax=20_000, tol=1e-3)
+        make = lambda: _sparse_normal(1e-3)  # noqa: E731
+        x_o, trace_o, _ = self._run(monkeypatch, make, scheme, stop, 1)
+        steps = _blowing_up(monkeypatch, trace_o.iterations + 1,
+                            RuntimeError("past the stop"))
+        x, trace, _ = self._run(monkeypatch, make, scheme, stop, self.BATCH)
+        assert len(steps) == trace_o.iterations + 1
+        assert x.tobytes() == x_o.tobytes()
+        assert (trace.status, trace.iterations) == (CONVERGED,
+                                                    trace_o.iterations)
+
+    def test_step_raising_with_no_stopping_record_pending_raises(
+            self, monkeypatch):
+        steps = _blowing_up(monkeypatch, 35, RuntimeError("mid-batch"))
+        with pytest.raises(RuntimeError, match="mid-batch"):
+            solve(_sparse_normal(1e-3), make_scheme("K1"),
+                  StopRule(itmax=20_000, tol=1e-3), make_rng(77))
+        assert len(steps) == 35
+
+    @pytest.mark.parametrize("sid", ["K1", "K3"])
+    def test_observe_sees_exactly_the_steps_of_the_run(self, monkeypatch, sid):
+        steps, seen = _blowing_up(monkeypatch, -1), []
+        _, trace = solve(_sparse_normal(1e-3), make_scheme(sid, block_size=8),
+                         StopRule(itmax=20_000, tol=1e-3), make_rng(77),
+                         observe=lambda k, x: seen.append(k))
+        assert trace.status == CONVERGED
+        assert len(steps) == trace.iterations
+        assert seen == list(range(1, trace.iterations + 1))
+
+    @pytest.mark.parametrize("sid, trace_every", [
+        ("K1", None), ("K1", 5), ("K1", 100), ("K3", None), ("K3", 3),
+        ("K3", 40)])
+    def test_batch_cap(self, monkeypatch, sid, trace_every):
+        scheme = make_scheme(sid, block_size=4)
+        every = solver.default_trace_every(scheme)
+        cap = max(1, self.BATCH * every // (trace_every or every))
+        _, trace, spied = self._run(
+            monkeypatch, lambda: _noisy_problem(30, 400, 10, 0.3), scheme,
+            StopRule(itmax=6000, tol=1e-3), self.BATCH,
+            trace_every=trace_every)
+        assert trace.status == MAX_ITERS
+        assert max(spied["sizes"]) == cap
+        # exact only at k = 0, the periodic checks, which end a batch, and
+        # itmax: no record is read twice
+        records = len(trace.records) - 1
+        assert trace.exact_recomputes == 1 + -(-records // EXACT_EVERY)
+        assert sum(spied["sizes"]) == records
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("sid, block", [("K1", 1), ("C1", 1), ("K3", 7),
                                             ("C3", 7)])
