@@ -46,7 +46,7 @@ status ``NonFinite``.
 Anchored K runs (no carried ``s``, no ``observe``) read records in batches,
 in one ``D G`` product: a record waits, with its ``x``, skip count and
 generator state, for ``READ_BATCH`` records (fewer at a sparser
-``trace_every``; at most 150 steps run past one in K1, 15 in K3-K6), for
+``trace_every``: under 160 steps run past one in K1, 16 in K3-K6), for
 ``itmax`` or for the next periodic check. The rules above then judge them in
 order, re-reading after a re-anchor; one that stops the run restores its
 saved state, so steps run past it change nothing but the time taken.

@@ -91,6 +91,15 @@ class TestCommittedPairs:
         bench = json.loads((ROOT / "BENCH_15_zero_start.json").read_text())
         assert _claims(bench) == set()
 
+    def test_bench_17_claims(self):
+        # the first set missed the IQR on solve_s.scalar; the dense rerun
+        # met it
+        first = json.loads((ROOT / "BENCH_17.json").read_text())
+        rerun = json.loads((ROOT / "BENCH_17_dense_rerun.json").read_text())
+        assert _claims(first) == {("dense-20000x500", "cell K3")}
+        assert _claims(rerun) == {("dense-20000x500", name) for name in
+                                  ("solve_s.scalar", "cell K1", "cell K3")}
+
 
 def _write_run(directory: Path, seed, trace, metrics, cells=None):
     run = {"workload": "w", "seed": seed, "metrics": metrics,

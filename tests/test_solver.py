@@ -740,9 +740,10 @@ def _with_zero_rows() -> Problem:
     return Problem(a=a, b=a @ np.ones(20), x_star=np.ones(20))
 
 
-def _blowing_up(monkeypatch, at: int, exc: Exception | None = None):
-    """Patch ``schemes.step`` to add 1e300 to x at step ``at``, or to raise
-    ``exc`` there; returns the list of steps taken."""
+def _counting_step(monkeypatch, at: int | None = None,
+                   exc: Exception | None = None):
+    """Patch ``schemes.step`` to count its calls, and to add 1e300 to x at
+    call ``at``, or raise ``exc`` there; returns the list of calls."""
     real_step, steps = schemes.step, []
 
     def step_(scheme, a, b, x, draw, r=None, gram=None):
@@ -868,7 +869,7 @@ class TestBatchedReads:
 
     @pytest.mark.parametrize("sid, block", [("K1", 1), ("K3", 3), ("K4", 3)])
     def test_non_finite(self, monkeypatch, sid, block):
-        steps = _blowing_up(monkeypatch, 13)
+        steps = _counting_step(monkeypatch, 13)
 
         def make():  # each run blows up at its own step 13
             steps.clear()
@@ -887,7 +888,7 @@ class TestBatchedReads:
         scheme, stop = make_scheme("K1"), StopRule(itmax=20_000, tol=1e-3)
         make = lambda: _sparse_normal(1e-3)  # noqa: E731
         x_o, trace_o, _ = self._run(monkeypatch, make, scheme, stop, 1)
-        steps = _blowing_up(monkeypatch, trace_o.iterations + 1,
+        steps = _counting_step(monkeypatch, trace_o.iterations + 1,
                             RuntimeError("past the stop"))
         x, trace, _ = self._run(monkeypatch, make, scheme, stop, self.BATCH)
         assert len(steps) == trace_o.iterations + 1
@@ -897,7 +898,7 @@ class TestBatchedReads:
 
     def test_step_raising_with_no_stopping_record_pending_raises(
             self, monkeypatch):
-        steps = _blowing_up(monkeypatch, 35, RuntimeError("mid-batch"))
+        steps = _counting_step(monkeypatch, 35, RuntimeError("mid-batch"))
         with pytest.raises(RuntimeError, match="mid-batch"):
             solve(_sparse_normal(1e-3), make_scheme("K1"),
                   StopRule(itmax=20_000, tol=1e-3), make_rng(77))
@@ -905,7 +906,7 @@ class TestBatchedReads:
 
     @pytest.mark.parametrize("sid", ["K1", "K3"])
     def test_observe_sees_exactly_the_steps_of_the_run(self, monkeypatch, sid):
-        steps, seen = _blowing_up(monkeypatch, -1), []
+        steps, seen = _counting_step(monkeypatch), []
         _, trace = solve(_sparse_normal(1e-3), make_scheme(sid, block_size=8),
                          StopRule(itmax=20_000, tol=1e-3), make_rng(77),
                          observe=lambda k, x: seen.append(k))
