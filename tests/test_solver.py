@@ -773,7 +773,6 @@ class TestBatchedReads:
 
     @staticmethod
     def _run(monkeypatch, make, scheme, stop, batch, **kw):
-        monkeypatch.setattr(solver, "READ_BATCH", batch)
         prob = make()
         spied = {"exact": [], "reads": {}, "sizes": [], "draws": 0}
         real_nr, real_read = solver.normal_residual, solver._ResidualAnchor.read
@@ -796,16 +795,14 @@ class TestBatchedReads:
             spied["draws"] += 1
             return real_draw(*args)
 
-        monkeypatch.setattr(solver, "normal_residual", nr)
-        monkeypatch.setattr(solver._ResidualAnchor, "read", read)
-        monkeypatch.setattr(solver, "draw_sketch", draw)
-        rng = make_rng(77)
-        x, trace = solve(prob, scheme, stop, rng, **kw)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "READ_BATCH", batch)
+            patch.setattr(solver, "normal_residual", nr)
+            patch.setattr(solver._ResidualAnchor, "read", read)
+            patch.setattr(solver, "draw_sketch", draw)
+            rng = make_rng(77)
+            x, trace = solve(prob, scheme, stop, rng, **kw)
         spied["state"] = rng.bit_generator.state
-        for name, real in (("normal_residual", real_nr),
-                           ("draw_sketch", real_draw)):
-            monkeypatch.setattr(solver, name, real)
-        monkeypatch.setattr(solver._ResidualAnchor, "read", real_read)
         return x, trace, spied
 
     def _assert_as_oracle(self, monkeypatch, make, scheme, stop, **kw):
