@@ -3,15 +3,19 @@
 on a 1000x100 uniform(0,1) system, one trace CSV per scheme.
 
 Plot res/err against iter or time_s from the CSVs to reproduce the usual
-scalar-vs-block comparison figures.
+scalar-vs-block comparison figures. BLAS is pinned to one thread.
 """
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
-from sketchsolve.cli import run_bench
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from sketchsolve.cli import run_bench  # noqa: E402
 
 
 def main() -> int:

@@ -49,7 +49,8 @@ def pseudoinverse(m) -> np.ndarray:
     cond_2 far below the SVD cutoff, is returned as its LU inverse. All else
     goes through the SVD: singular values sigma <= max(rows, cols) *
     sigma_max * eps are treated as zero, so rank-deficient and zero matrices
-    are handled without error.
+    are handled without error. A non-finite matrix raises ``LinAlgError``,
+    as LAPACK's SVD can loop without end on one.
     """
     m = as_matrix(m)
     if m.shape[0] == m.shape[1]:
@@ -58,6 +59,8 @@ def pseudoinverse(m) -> np.ndarray:
             # squared, in Python floats: overflow gives inf, inf * 0 nan; both fail
             if float(np.vdot(m, m)) * float(np.vdot(inv, inv)) <= _INV_BOUND_SQ:
                 return inv
+    if not np.isfinite(m).all():
+        raise np.linalg.LinAlgError("pseudoinverse of a non-finite matrix")
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((m.shape[1], m.shape[0]))
@@ -141,15 +144,12 @@ def squared_norms(a: np.ndarray, axis: int) -> np.ndarray:
 
 def normal_residual(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> tuple:
     """``r = b - A x`` and ``s = A^T r`` in one pass over row blocks of ``a``
-    (``NORMAL_BLOCK`` entries in a multiple of 8 rows, the last with the rest;
-    under two blocks, the two products). With one BLAS thread ``r`` is ``b -
-    a @ x`` bit for bit, and ``s`` is ``a.T @ r`` summed in another order."""
+    (``NORMAL_BLOCK`` entries in a multiple of 8 rows, the last with the rest,
+    so one block below two). With one BLAS thread ``r`` is ``b - a @ x`` bit
+    for bit, and ``s`` is ``a.T @ r``, summed in another order past one block."""
     m, n = a.shape
     rows = max(8, NORMAL_BLOCK // n // 8 * 8)
-    if m < 2 * rows:
-        r = b - a @ x
-        return r, a.T @ r
-    edges = [*range(0, m - rows + 1, rows), m]
+    edges = [*range(0, max(m - rows, 0) + 1, rows), m]
     r, s = np.empty(m), np.zeros(n)
     for lo, hi in zip(edges, edges[1:]):
         blk, r_blk = a[lo:hi], r[lo:hi]
@@ -174,13 +174,7 @@ class SpdMatrix:
         if lo <= 0.0:
             raise ValueError(f"matrix is not positive definite "
                              f"(smallest eigenvalue {lo:.3e})")
-        self.mat = sym
-        self.n = sym.shape[0]
-        self._eig_min = lo
-
-    @property
-    def eig_min(self) -> float:
-        return self._eig_min
+        self.mat, self.n, self.eig_min = sym, sym.shape[0], lo
 
     def __repr__(self) -> str:
         return f"SpdMatrix(n={self.n})"

@@ -77,7 +77,7 @@ _KIND_FOR = {
 
 class SkipStep(Exception):
     """Raised when a scalar id's draw hits a degenerate denominator (zero
-    row/column); the solver keeps the iterate unchanged and counts the step."""
+    row/column); the solver counts the null step, as for ``LinAlgError``."""
 
 
 def family(scheme_id: str) -> str:
@@ -266,7 +266,8 @@ def step(scheme: Scheme, a: np.ndarray, b: np.ndarray,
     to one index or one vector, the sketched system is 1 x 1 and solved in
     closed form, and :class:`SkipStep` is raised when its entry is not
     positive (a zero row or column, a nonpositive diagonal entry). The block
-    ids solve through the pseudoinverse, also at l = 1, and never skip.
+    ids solve through the pseudoinverse, also at l = 1, and raise its
+    ``LinAlgError`` on a sketched system with a non-finite entry.
 
     For schemes that :func:`maintains_residual`, ``r`` may carry the current
     residual ``b - A x``; the update then reads ``Y^T r`` from it and

@@ -29,19 +29,22 @@ read ``||r||`` in O(m) (:class:`_MaintainedResidual`).
 A read comes with two bounds: its own rounding, and a floor for how far the
 rounding of ``b - A x`` itself can move a recompute (both first order in
 ``(m + n) eps``; the maintained residual has no cheap bound and reads 0 for
-both). The exact residual is recomputed every ``EXACT_EVERY`` records, on
-the record at ``itmax``, whenever the value read minus both bounds is not
-above the tolerance, and whenever the rounding exceeds ``RECORD_RTOL`` of
-the value. That record carries the exact value and the tracker restarts
-from it, so ``Converged`` is only ever returned on an exact residual, and
-a row scheme stops on the record where exact records would have stopped
-it, up to second-order rounding. If the tracked value is further from the
-exact one than both bounds plus ``DRIFT_RTOL * ||b||``, or a carried ``s``
-further from ``A^T (b - A x)`` than that times ``||A||_F``, the run stops
-with status ``Drift``: the incremental updates lost track of the iterate,
-which roundoff alone does not do. A read that is not finite is recomputed;
-if that is not finite either (finite input can overflow), the run stops with
-status ``NonFinite``.
+both). The exact residual is recomputed on the record at ``itmax`` and on
+every ``EXACT_EVERY``-th record from k = 0 (a schedule set as records are
+made), whenever the value read minus both bounds is not above the
+tolerance, and whenever the rounding exceeds ``RECORD_RTOL`` of the value.
+That record carries the exact value and the tracker restarts from it, so
+``Converged`` is only ever returned on an exact residual, and a row scheme
+stops on the record where exact records would have stopped it, up to
+second-order rounding. If the tracked value is further from the exact one
+than both bounds plus ``DRIFT_RTOL * ||b||``, or a carried ``s`` further
+from ``A^T (b - A x)`` than that times ``||A||_F``, the run stops with
+status ``Drift``: the incremental updates lost track of the iterate, which
+roundoff alone does not do. A read that is not finite is recomputed; if
+that is not finite either (finite input can overflow), the run stops with
+status ``NonFinite``. A block step whose sketched system numpy cannot
+factor (``LinAlgError``: say it overflowed) is a null step, as is a scalar
+id's :class:`schemes.SkipStep`; both count in ``skip_count``.
 
 Anchored K runs (no carried ``s``, no ``observe``) read records in batches,
 in one ``D G`` product: a record waits, with its ``x``, skip count and
@@ -77,7 +80,7 @@ DRIFT = "Drift"
 NON_FINITE = "NonFinite"
 
 CONSISTENCY_RTOL = 1e-8
-# records between exact recomputes of a tracked residual
+# a record whose index from k = 0 is a multiple of this is exact by schedule
 EXACT_EVERY = 100
 # largest tolerated gap between a tracked and the exact residual, relative to
 # ||b||; roundoff measured on the benchmark problems stays below 1e-14 over
@@ -445,8 +448,8 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
                                   norm_b, res_denom, carry=gram_space)
         r = tracked.s
     gram = problem.gram if gram_space else None
-    # records not yet judged, as (k, x, skip count, generator state): K steps
-    # never read the anchor, so they run on while a batch waits for one read
+    # records not yet judged, as (k, x, skips, exact by schedule, generator
+    # state): K steps never read the anchor, so they run on while a batch waits
     pending = []
     batch = 1
     if use_gram and not schemes.maintains_residual(scheme) and observe is None:
@@ -457,14 +460,13 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
         # back the x, skip count and generator state it saw
         nonlocal x
         xs, reads = [p[1] for p in pending], None
-        for i, (k, x_k, skips, state) in enumerate(pending):
+        for i, (k, x_k, skips, scheduled, state) in enumerate(pending):
             if reads is None:  # first, or after a re-anchor
                 reads, first = tracked.read(xs[i:]), i
             rel_res, rounding, floor = reads[i - first]
             drift = False
             # a NaN or infinite read, or a NaN bound, is recomputed too
-            if (k == stop.itmax or len(trace.records) % EXACT_EVERY == 0
-                    or rel_res - rounding - floor <= stop.tol
+            if (scheduled or rel_res - rounding - floor <= stop.tol
                     or not rounding <= RECORD_RTOL * rel_res < math.inf):
                 exact, exact_s = exact_residual(x_k)
                 read, rel_res, reads = rel_res, rel_norm(exact), None
@@ -484,7 +486,7 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
         try:
             draw = draw_sketch(scheme, (m, n), rng, sampler)
             x = schemes.step(scheme, a, b, x, draw, r=r, gram=gram)
-        except schemes.SkipStep:
+        except (schemes.SkipStep, np.linalg.LinAlgError):
             trace.skip_count += 1
         except Exception:
             if pending and judge():  # the failed step came after the stop
@@ -493,11 +495,11 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
         if observe is not None:
             observe(k, x)
         if k % trace_every == 0 or k == stop.itmax:
-            pending.append((k, x, trace.skip_count,
+            scheduled = k == stop.itmax or (
+                len(trace.records) + len(pending)) % EXACT_EVERY == 0
+            pending.append((k, x, trace.skip_count, scheduled,
                             rng.bit_generator.state if batch > 1 else None))
-            if ((len(pending) == batch or k == stop.itmax or (
-                    len(trace.records) + len(pending) - 1) % EXACT_EVERY == 0)
-                    and judge()):
+            if (len(pending) == batch or scheduled) and judge():
                 return x, trace
     return x, trace
 

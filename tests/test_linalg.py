@@ -89,11 +89,19 @@ class TestPseudoinverseInverseFastPath:
         with pytest.raises(np.linalg.LinAlgError):
             pseudoinverse([[1.0, np.nan], [0.0, 1.0]])
 
-    def test_inf_entry_gives_zeros(self):
-        # an infinite sigma_max sends every singular value under the cutoff;
+    def test_inf_entry_raises(self):
         # LU alone would return the finite "inverse" diag(0, 1)
-        out = pseudoinverse([[np.inf, 0.0], [0.0, 1.0]])
-        assert np.all(out == 0.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            pseudoinverse([[np.inf, 0.0], [0.0, 1.0]])
+
+    def test_inf_matrix_that_hung_the_svd_raises(self):
+        # LAPACK's SVD ran for over 30 s on this matrix
+        big = [[np.inf, np.inf, 1.144e308], [np.inf, np.inf, 1.106e308],
+               [1.144e308, 1.106e308, 1.256e308]]
+        with pytest.raises(np.linalg.LinAlgError):
+            pseudoinverse(big)
+        with pytest.raises(np.linalg.LinAlgError):
+            pseudoinverse(np.array(big)[:, :2])
 
 
 class TestExtremalEigs:
@@ -183,6 +191,21 @@ class TestNormalResidual:
         assert np.array_equal(r, want)
         bound = (m + n) * np.finfo(float).eps * (np.abs(a).T @ np.abs(want))
         assert (np.abs(s - a.T @ want) <= bound).all()
+
+    # at a budget of 2**10 entries a block is 24 rows at n = 37, 8 at n = 500
+    @pytest.mark.parametrize("m, n", [(1, 37), (17, 37), (24, 37), (47, 37),
+                                      (12, 500)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_one_block_is_the_plain_products_bit_for_bit(self, monkeypatch, m,
+                                                         n, order):
+        monkeypatch.setattr(linalg, "NORMAL_BLOCK", 1 << 10)
+        rng = np.random.default_rng(m * n)
+        a = np.asarray(rng.standard_normal((m, n)), order=order)
+        b, x = rng.standard_normal(m), rng.standard_normal(n)
+        r, s = normal_residual(a, b, x)
+        want = b - a @ x
+        assert np.array_equal(r, want)
+        assert np.array_equal(s, a.T @ want)
 
     def test_blocks_are_multiples_of_eight_rows_and_cover_a(self, monkeypatch):
         monkeypatch.setattr(linalg, "NORMAL_BLOCK", 1 << 10)

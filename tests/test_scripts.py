@@ -100,6 +100,15 @@ class TestCommittedPairs:
         assert _claims(rerun) == {("dense-20000x500", name) for name in
                                   ("solve_s.scalar", "cell K1", "cell K3")}
 
+    def test_bench_18_claims_nothing_and_nothing_is_worse(self):
+        bench = json.loads((ROOT / "BENCH_18.json").read_text())
+        assert _claims(bench) == set()
+        verdicts = [e["verdict"] for w in bench["benchmark_pairs"]
+                    for e in bench["benchmark_pairs"][w]["metrics"].values()]
+        verdicts += [e["verdict"] for cells in bench["cell_seconds"].values()
+                     for e in cells.values()]
+        assert len(verdicts) == 21 and "worse" not in verdicts
+
 
 def _write_run(directory: Path, seed, trace, metrics, cells=None):
     run = {"workload": "w", "seed": seed, "metrics": metrics,

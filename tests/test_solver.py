@@ -740,6 +740,14 @@ def _with_zero_rows() -> Problem:
     return Problem(a=a, b=a @ np.ones(20), x_star=np.ones(20))
 
 
+def _identity_weighted(sid: str, shape: tuple, block: int) -> schemes.Scheme:
+    """``sid`` at ``block``, with an identity weight where it takes one."""
+    g = None
+    if sid in schemes.WEIGHTED_SCHEMES:
+        g = SpdMatrix(np.eye(schemes.weight_dim(sid, shape)))
+    return make_scheme(sid, block_size=block, g=g)
+
+
 def _counting_step(monkeypatch, at: int | None = None,
                    exc: Exception | None = None):
     """Patch ``schemes.step`` to count its calls, and to add 1e300 to x at
@@ -931,6 +939,47 @@ class TestBatchedReads:
         assert sum(spied["sizes"]) == records
 
 
+class TestExactSchedule:
+    """A record is exact by schedule at ``itmax`` and when its index, counted
+    from the k = 0 record, is a multiple of ``EXACT_EVERY``: an exact record
+    forced in between by its read's rounding does not move the schedule."""
+
+    @pytest.mark.parametrize("sid", ["K3", "C3"])  # K batched, C in Gram space
+    def test_forced_exact_record_does_not_move_the_schedule(self, monkeypatch,
+                                                            sid):
+        monkeypatch.setattr(solver, "ANCHOR_MIN_SIZE", 0)
+        monkeypatch.setattr(solver, "EXACT_EVERY", 5)
+        ks, exact = {}, []  # the k of each iterate; ks of exact records
+        real_step, real_read = schemes.step, solver._ResidualAnchor.read
+        real_nr = solver.normal_residual
+
+        def step_(scheme, a, b, x, draw, r=None, gram=None):
+            x = real_step(scheme, a, b, x, draw, r=r, gram=gram)
+            ks[x.tobytes()] = len(ks) + 1
+            return x
+
+        def read(self, xs):
+            # bounds of 0, so only the schedule and record 3 are exact; record
+            # 3's rounding is the value read, far above RECORD_RTOL of it
+            return [(v, v if ks[x.tobytes()] == 3 else 0.0, 0.0)
+                    for x, (v, _, _) in zip(xs, real_read(self, xs))]
+
+        def nr(a, b, x):
+            exact.append(ks.get(x.tobytes(), 0))
+            return real_nr(a, b, x)
+
+        monkeypatch.setattr(schemes, "step", step_)
+        monkeypatch.setattr(solver._ResidualAnchor, "read", read)
+        monkeypatch.setattr(solver, "normal_residual", nr)
+        _, trace = solve(_noisy_problem(30, 400, 10, 0.3),
+                         make_scheme(sid, block_size=4),
+                         StopRule(itmax=23, tol=1e-3), make_rng(4))
+        assert trace.status == MAX_ITERS and len(ks) == 23
+        # counted from the forced record instead: 0, 3, 8, 13, 18, 23
+        assert exact == [0, 3, 5, 10, 15, 20, 23]
+        assert trace.exact_recomputes == len(exact)
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("sid, block", [("K1", 1), ("C1", 1), ("K3", 7),
                                             ("C3", 7)])
@@ -960,6 +1009,31 @@ class TestNonFinite:
         assert trace.status == MAX_ITERS
         assert trace.skip_count == trace.iterations == 3000
         assert not x.any()
+
+    @pytest.mark.parametrize("sid", ["K3", "K4", "K5", "K6", "C3", "C4",
+                                     "C5", "C6"])
+    def test_unfactorable_block_step_is_a_null_step(self, sid):
+        # the sketched systems overflow; numpy's SVD failed to converge on
+        # them, and its LinAlgError escaped from solve
+        a = np.random.default_rng(0).random((2000, 50)) * 1e160
+        prob = Problem(a=a, b=np.ones(2000))
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, trace = solve(prob, _identity_weighted(sid, a.shape, 7),
+                             StopRule(itmax=60, tol=1e-6), make_rng(1))
+        assert trace.status == MAX_ITERS
+        assert trace.skip_count == trace.iterations == 60
+        assert not x.any()
+
+    def test_block_step_that_hung_the_svd_ends_in_a_status(self):
+        # at this seed a sketched system with inf entries reached the SVD,
+        # which ran without end; other seeds raised LinAlgError
+        a = np.random.default_rng(3).random((60, 8)) * 1e154
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, trace = solve(Problem(a=a, b=np.ones(60)),
+                             make_scheme("K3", block_size=3),
+                             StopRule(itmax=3000, tol=1e-6), make_rng(8))
+        assert trace.status == MAX_ITERS
+        assert 0 < trace.skip_count < trace.iterations == 3000
 
     def test_overflow_mid_run_stops_on_the_next_record(self, monkeypatch):
         prob = _consistent_problem(5, 30, 6)
@@ -1021,6 +1095,33 @@ class TestNonFinite:
         assert trace.iterations == 3
         assert trace.final.rel_residual == \
             np.linalg.norm(prob.b - prob.a @ x) / np.linalg.norm(prob.b)
+
+
+class TestEveryFiniteInputEndsInAStatus:
+    """Finite A scaled from 1 to near the float maximum, with b = ones and b =
+    A 1: a solve returns a named status, or the problem refuses the input,
+    whatever overflows on the way."""
+
+    SCALES = (1e0, 1e30, 1e60, 1e100, 1e150, 1e154, 1e160, 1e200, 1e250,
+              1e300, 1e307)
+
+    @pytest.mark.parametrize("sid", schemes.ALL_SCHEMES)
+    def test_grid(self, sid):
+        base = (random_spd(4, 12) if sid[0] == "S"
+                else np.random.default_rng(3).random((60, 8)))
+        scheme = _identity_weighted(sid, base.shape, 3)
+        for scale in self.SCALES:
+            a = base * scale
+            for b in (np.ones(a.shape[0]), a @ np.ones(a.shape[1])):
+                try:
+                    prob = Problem(a=a, b=b)
+                except ValueError:
+                    continue
+                with np.errstate(over="ignore", invalid="ignore"):
+                    _, trace = solve(prob, scheme,
+                                     StopRule(itmax=200, tol=1e-6), make_rng(8))
+                assert trace.status in (CONVERGED, MAX_ITERS, DRIFT,
+                                        NON_FINITE)
 
 
 class TestLeastSquares:
