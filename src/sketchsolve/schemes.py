@@ -256,7 +256,8 @@ def maintains_residual(scheme: Scheme) -> bool:
 def step(scheme: Scheme, a: np.ndarray, b: np.ndarray,
          x: np.ndarray, draw: np.ndarray,
          r: np.ndarray | None = None,
-         gram: np.ndarray | None = None) -> np.ndarray:
+         gram: np.ndarray | None = None,
+         az: np.ndarray | None = None) -> np.ndarray:
     """One iteration via the specialized update for ``scheme``.
 
     K ids go through the row kernel and C and S ids through the column
@@ -279,10 +280,16 @@ def step(scheme: Scheme, a: np.ndarray, b: np.ndarray,
     path on ``G``, with ``r`` holding ``s = A^T (b - A x)`` and left
     holding ``A^T (b - A x_next)``. Its draws and steps are those of the
     A-space update, up to rounding.
+
+    A Gaussian C or S id may be given its sketched columns ``az``, ``A
+    draw`` (``G^T draw`` in Gram space), which :func:`solver.solve` forms
+    for a block of draws in one product; they are used as given.
     """
     _check_draw(scheme, draw, a.shape)
     if gram is not None and not scheme.gram_form:
         raise ValueError(f"scheme {scheme.id} has no Gram-space update")
+    if az is not None and (scheme.kind != GAUSS or scheme.id[0] == "K"):
+        raise ValueError(f"scheme {scheme.id} takes no sketched columns")
     if maintains_residual(scheme):
         if r is None:
             r = b - a @ x if gram is None else normal_residual(a, b, x)[1]
@@ -293,14 +300,14 @@ def step(scheme: Scheme, a: np.ndarray, b: np.ndarray,
     if scalar:
         # an int index or a 1-D w: every gather below is then a 1-D view
         draw = draw[:, 0] if gauss else draw[0]
+        az = None if az is None else az[:, 0]
     idx, w = (None, draw) if gauss else (draw, None)
-    g = scheme.g.mat if scheme.g is not None else None
     if scheme.id[0] == "K":
-        return _row_kernel(a, b, x, idx, w, g, scalar)
+        return _row_kernel(a, b, x, idx, w, scheme.g, scalar)
     if gram is not None:
         # G^T: its columns are G's contiguous rows
-        return _col_kernel("S", gram.T, x, r, idx, w, None, scalar)
-    return _col_kernel(scheme.id[0], a, x, r, idx, w, g, scalar)
+        return _col_kernel("S", gram.T, x, r, idx, w, None, scalar, az)
+    return _col_kernel(scheme.id[0], a, x, r, idx, w, scheme.g, scalar, az)
 
 
 def _solve(e, ytr, scalar):
@@ -339,12 +346,13 @@ def _row_kernel(a, b, x, rows, w, g, scalar):
     return x + (d * z if scalar else z @ d)
 
 
-def _col_kernel(fam, a, x, r, cols, w, g, scalar):
-    """C1-C6, S1-S4: the sketched columns ``az = A Z`` give ``Y = az``
-    (``G az`` when weighted) for C and ``Y = Z`` for S; solves for the step
-    ``d`` in Z's coordinates and moves ``r`` by ``az d`` in place."""
+def _col_kernel(fam, a, x, r, cols, w, g, scalar, az):
+    """C1-C6, S1-S4: the sketched columns ``az = A Z``, formed here unless
+    given, give ``Y = az`` (``G az`` when weighted) for C and ``Y = Z`` for
+    S; solves for the step ``d`` in Z's coordinates and moves ``r`` by
+    ``az d`` in place."""
     if cols is None:
-        az = a @ w
+        az = a @ w if az is None else az
     elif scalar or not a.flags.c_contiguous:
         # one column stays a strided view: a contiguous copy can round its
         # dot products differently; and np.take would first copy an array

@@ -78,11 +78,14 @@ def draw_dim(scheme, dims: tuple[int, int]) -> int:
 
 
 def draw_sketch(scheme, dims: tuple[int, int], rng: np.random.Generator,
-                sampler: IndexCdf | None = None) -> np.ndarray:
+                sampler: IndexCdf | None = None,
+                count: int | None = None) -> np.ndarray:
     """Realize one draw of ``scheme`` against an m x n system, as its
     ``kind``, ``axis``, ``block_size`` and ``distribution`` say: a 1-D
     integer array of ``block_size`` indices for ``INDEX`` and ``SUBSET``, a
-    ``(dim, block_size)`` float block for ``GAUSS``.
+    ``(dim, block_size)`` float block for ``GAUSS``. Given ``count``, a
+    ``GAUSS`` scheme draws a ``(count, dim, block_size)`` stack in one
+    generator call: the numbers and end state of ``count`` single draws.
 
     The proportional distributions need ``sampler``, the :func:`index_cdf`
     of the weights (squared row/column norms or diagonal entries), built once
@@ -93,6 +96,8 @@ def draw_sketch(scheme, dims: tuple[int, int], rng: np.random.Generator,
     dim = draw_dim(scheme, dims)
     if width > dim:
         raise ValueError(f"block_size {width} exceeds dimension {dim}")
+    if count is not None and kind != GAUSS:
+        raise ValueError("only Gaussian draws come in blocks")
 
     if kind == INDEX:
         if scheme.distribution == UNIFORM:
@@ -106,5 +111,6 @@ def draw_sketch(scheme, dims: tuple[int, int], rng: np.random.Generator,
     if kind == SUBSET:
         return np.sort(rng.choice(dim, size=width, replace=False))
 
-    # GAUSS: fresh i.i.d. standard-normal entries every draw
-    return rng.standard_normal((dim, width))
+    # GAUSS: fresh i.i.d. standard-normal entries every draw, in C order
+    return rng.standard_normal((dim, width) if count is None
+                               else (count, dim, width))

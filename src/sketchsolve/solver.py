@@ -1,8 +1,9 @@
 """Generic iteration driver: run one scheme on one problem to a stop rule.
 
-The loop is deliberately dumb: one sketch draw per iteration, one update,
-and a residual record at trace points only (every iteration for block
-schemes, every tenth by default for the scalar ones).
+The loop is deliberately dumb: one sketch draw per iteration (taken from a
+block drawn ahead for the Gaussian C and S ids, see below), one update, and
+a residual record at trace points only (every iteration for block schemes,
+every tenth by default for the scalar ones).
 
 Every record takes one path: read a tracked residual norm, recompute
 ``b - A x`` exactly when a rule fires, check the drift, resync. Which
@@ -54,6 +55,12 @@ generator state, for ``READ_BATCH`` records (fewer at a sparser
 order, re-reading after a re-anchor; one that stops the run restores its
 saved state, so steps run past it change nothing but the time taken.
 
+C2, C4, C6, S2 and S4 draw their next steps' Gaussian blocks in one call
+(``SKETCH_BLOCK`` bytes of sketched columns, never past ``itmax``) and form
+the columns in one product, handing each :func:`schemes.step` its own. A
+run that stops or raises inside a block resets the generator to the block's
+start and redraws the steps taken.
+
 This is the only loop that runs the iteration: rate fits
 (:func:`theory.fit_empirical_rate`) run their trials through :func:`solve`
 and read the iterate after every step through its ``observe`` hook.
@@ -72,7 +79,7 @@ import numpy as np
 from . import schemes
 from .linalg import (SpdMatrix, aligned_empty, as_matrix, as_vector,
                      normal_residual)
-from .sketch import IndexCdf, draw_sketch
+from .sketch import GAUSS, IndexCdf, draw_sketch
 
 CONVERGED = "Converged"
 MAX_ITERS = "MaxIters"
@@ -100,6 +107,9 @@ ANCHOR_MIN_SIZE = 2 ** 17
 # anchored K records wait, up to this many at the default cadence, for one
 # read that streams G once for all (2 MB at n = 500; sweep in BENCH_17.json)
 READ_BATCH = 16
+# bytes of sketched columns per block of Gaussian draws in C2, C4, C6, S2 and
+# S4 (sweep in BENCH_19.json)
+SKETCH_BLOCK = 2 ** 19
 
 
 def _read_only(v: np.ndarray) -> np.ndarray:
@@ -381,11 +391,11 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
           ) -> tuple[np.ndarray, SolveTrace]:
     """Iterate ``scheme`` on ``problem`` until the stop rule fires.
 
-    Exactly one sketch is drawn from ``rng`` per iteration (steps run past
-    a stopping record are undone), so a run is reproducible (and replayable
-    step by step) from its seed. Returns the final iterate and the trace;
-    the trace holds a record for k = 0, every ``trace_every``-th iteration,
-    and the final iterate.
+    ``rng`` is left where one sketch draw per iteration leaves it (steps run
+    past a stopping record, and draws made ahead in a block, are undone), so
+    a run is reproducible (and replayable step by step) from its seed.
+    Returns the final iterate and the trace; the trace holds a record for
+    k = 0, every ``trace_every``-th iteration, and the final iterate.
 
     If given, ``observe(k, x)`` is called after each update k = 1, 2, ...,
     skipped steps included, before that iteration's record; it must not
@@ -482,24 +492,46 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
         pending.clear()
         return False
 
-    for k in range(1, stop.itmax + 1):
-        try:
-            draw = draw_sketch(scheme, (m, n), rng, sampler)
-            x = schemes.step(scheme, a, b, x, draw, r=r, gram=gram)
-        except (schemes.SkipStep, np.linalg.LinAlgError):
-            trace.skip_count += 1
-        except Exception:
-            if pending and judge():  # the failed step came after the stop
-                return x, trace
-            raise
-        if observe is not None:
-            observe(k, x)
-        if k % trace_every == 0 or k == stop.itmax:
-            scheduled = k == stop.itmax or (
-                len(trace.records) + len(pending)) % EXACT_EVERY == 0
-            pending.append((k, x, trace.skip_count, scheduled,
-                            rng.bit_generator.state if batch > 1 else None))
-            if (len(pending) == batch or scheduled) and judge():
-                return x, trace
+    # ``block``: the draws W of steps ``first`` on, drawn from generator state
+    # ``state``; ``cols``: their A W (G^T W in Gram space), one product W^T A^T
+    # laid out as A @ w would be, so that a step rounds alike
+    blocked = scheme.kind == GAUSS and scheme.axis == "cols"
+    op = a if gram is None else gram.T
+    per_block = max(1, SKETCH_BLOCK // (8 * scheme.block_size * op.shape[0]))
+    block, first = (), 1
+    try:
+        for k in range(1, stop.itmax + 1):
+            try:
+                if not blocked:
+                    draw = draw_sketch(scheme, (m, n), rng, sampler)
+                    x = schemes.step(scheme, a, b, x, draw, r=r, gram=gram)
+                else:
+                    if k - first == len(block):  # never past itmax
+                        first, state = k, rng.bit_generator.state
+                        block = draw_sketch(scheme, (m, n), rng, sampler, count=min(
+                            per_block, stop.itmax - k + 1))
+                        cols = np.ascontiguousarray(
+                            np.tensordot(block, op, (1, 1)).transpose(0, 2, 1))
+                    x = schemes.step(scheme, a, b, x, block[k - first], r=r,
+                                     gram=gram, az=cols[k - first])
+            except (schemes.SkipStep, np.linalg.LinAlgError):
+                trace.skip_count += 1
+            except Exception:
+                if pending and judge():  # the failed step came after the stop
+                    return x, trace
+                raise
+            if observe is not None:
+                observe(k, x)
+            if k % trace_every == 0 or k == stop.itmax:
+                scheduled = k == stop.itmax or (
+                    len(trace.records) + len(pending)) % EXACT_EVERY == 0
+                pending.append((k, x, trace.skip_count, scheduled,
+                                rng.bit_generator.state if batch > 1 else None))
+                if (len(pending) == batch or scheduled) and judge():
+                    return x, trace
+    finally:  # drawn past the last step: leave rng where one draw a step would
+        if len(block) > k - first + 1:
+            rng.bit_generator.state = state
+            draw_sketch(scheme, (m, n), rng, sampler, count=k - first + 1)
     return x, trace
 

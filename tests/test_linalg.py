@@ -298,6 +298,22 @@ class TestSpdMatrix:
         s = s + s.T * (1.0 + 1e-14)
         assert np.array_equal(check_symmetric(s), 0.5 * (s + s.T))
 
+    def test_diagonal_product_is_the_dense_product_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        w = SpdMatrix(np.diag(1.0 + rng.random(30)))
+        assert w.diag is not None
+        for v in (rng.standard_normal(30), rng.standard_normal((30, 7)),
+                  rng.standard_normal((7, 30)).T):  # C and F order
+            out = w @ v
+            assert out.flags.c_contiguous
+            assert out.tobytes() == (w.mat @ v).tobytes()
+
+    def test_dense_weight_keeps_no_diagonal(self):
+        w = SpdMatrix(random_spd(5, 6))
+        v = np.random.default_rng(5).standard_normal((6, 3))
+        assert w.diag is None
+        assert np.array_equal(w @ v, w.mat @ v)
+
     def test_diagonal_eig_min_is_eigvalsh(self):
         rng = np.random.default_rng(3)
         for _ in range(50):

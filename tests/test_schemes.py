@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 import hypothesis.strategies as st
@@ -149,6 +151,49 @@ class TestUpdates:
         if sid in GRAM_SCHEMES:
             step(scheme, a, b, x, draw, gram=a.T @ a)
             assert len(calls) == (0 if sid in schemes.SCALAR_SCHEMES else 2)
+
+
+class TestWeightProducts:
+    @pytest.mark.parametrize("sid", ["K5", "K6", "C5", "C6"])
+    def test_diagonal_weight_steps_as_the_dense_product(self, sid):
+        # a diagonal weight scales instead of multiplying: the same bits
+        a = gaussian(7, 12, 5)
+        d = schemes.weight_dim(sid, a.shape)
+        g = SpdMatrix(np.diag(1.0 + make_rng(d).random(d)))
+        dense = copy.copy(g)
+        dense.diag = None
+        scaled, full = (make_scheme(sid, block_size=3, g=w) for w in (g, dense))
+        rng = make_rng(8)
+        b, x = rng.standard_normal(12), rng.standard_normal(5)
+        for _ in range(5):
+            draw = draw_sketch(scaled, a.shape, rng)
+            assert step(scaled, a, b, x, draw).tobytes() == \
+                step(full, a, b, x, draw).tobytes()
+
+
+class TestGivenColumns:
+    """``step(..., az=...)`` takes a Gaussian column or symmetric id's
+    sketched columns from the caller instead of forming them."""
+
+    @pytest.mark.parametrize("sid, gram", [
+        ("C2", False), ("C4", False), ("C6", False), ("S2", False),
+        ("S4", False), ("C2", True), ("C4", True)])
+    def test_given_columns_step_as_formed_ones(self, sid, gram):
+        scheme, a, b, x, draw = _instance(sid, 21, block=3)
+        g = a.T @ a if gram else None
+        op = a if g is None else g.T
+        r = b - a @ x if g is None else a.T @ (b - a @ x)
+        r_given = r.copy()
+        out = step(scheme, a, b, x, draw, r=r, gram=g)
+        given = step(scheme, a, b, x, draw, r=r_given, gram=g, az=op @ draw)
+        assert np.allclose(given, out, rtol=1e-13, atol=0.0)
+        assert np.allclose(r_given, r, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("sid", ["K2", "K4", "C1", "C3", "S3"])
+    def test_only_gaussian_column_ids_take_columns(self, sid):
+        scheme, a, b, x, draw = _instance(sid, 22, block=3)
+        with pytest.raises(ValueError, match="takes no sketched columns"):
+            step(scheme, a, b, x, draw, az=np.zeros((a.shape[0], 3)))
 
 
 class TestMonotonicity:

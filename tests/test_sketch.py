@@ -6,7 +6,7 @@ from hypothesis import given
 from helpers import gaussian, random_spd
 from sketchsolve import schemes
 from sketchsolve.linalg import SpdMatrix
-from sketchsolve.sketch import (NORM_PROPORTIONAL, TRACE_PROPORTIONAL,
+from sketchsolve.sketch import (GAUSS, NORM_PROPORTIONAL, TRACE_PROPORTIONAL,
                                 UNIFORM,
                                 draw_sketch, index_cdf, make_rng,
                                 rng_from_keys)
@@ -210,6 +210,25 @@ class TestDrawContract:
                 assert np.array_equal(d,
                                       ref.standard_normal((dim, width)))
         assert mine.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("sid", [sid for sid in schemes.ALL_SCHEMES
+                                     if schemes.sketch_kind(sid) == GAUSS])
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_block_of_draws_is_its_single_draws(self, sid, count):
+        scheme = self._scheme(sid, UNIFORM)
+        mine, ref = make_rng(4), make_rng(4)
+        block = draw_sketch(scheme, (self.M, self.N), mine, count=count)
+        singles = [draw_sketch(scheme, (self.M, self.N), ref)
+                   for _ in range(count)]
+        assert block.shape == (count, *singles[0].shape)
+        assert np.array_equal(block, np.stack(singles))
+        assert mine.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("sid", ["K1", "K3", "C1", "S3"])
+    def test_index_draws_come_one_at_a_time(self, sid):
+        with pytest.raises(ValueError, match="only Gaussian draws"):
+            draw_sketch(self._scheme(sid, UNIFORM), (self.M, self.N),
+                        make_rng(0), count=2)
 
 
 class TestSamplingWeights:

@@ -547,13 +547,13 @@ class TestAnchorPolicy:
         real_step = schemes.step
         grams = set()
 
-        def spying_step(scheme, a, b, x, draw, r=None, gram=None):
+        def spying_step(scheme, a, b, x, draw, r=None, gram=None, **kw):
             # r carries b - A x in A space and A^T (b - A x) in Gram space
             grams.add(gram is not None)
             want = b - a @ x if gram is None else a.T @ (b - a @ x)
             scale = np.linalg.norm(b) * (1.0 if gram is None else np.linalg.norm(a))
             assert np.linalg.norm(r - want) <= 1e-12 * scale
-            return real_step(scheme, a, b, x, draw, r=r, gram=gram)
+            return real_step(scheme, a, b, x, draw, r=r, gram=gram, **kw)
 
         monkeypatch.setattr(schemes, "step", spying_step)
         solve(prob, make_scheme(sid, block_size=4, g=g),
@@ -937,6 +937,146 @@ class TestBatchedReads:
         records = len(trace.records) - 1
         assert trace.exact_recomputes == 1 + -(-records // EXACT_EVERY)
         assert sum(spied["sizes"]) == records
+
+
+class TestSketchBlocks:
+    """C2, C4, C6, S2 and S4 draw their steps' Gaussian blocks ``B`` at a
+    time and form their sketched columns in one product. The same run with
+    one draw per block (``SKETCH_BLOCK`` patched) is the oracle: a block run
+    must return the same x, status, counts, record ks, record values and
+    generator state. Only C2 and S2, whose one-column products round as
+    one product with several columns, may differ, within rounding. Blocks
+    hold ``B`` draws here, and every run stops inside one."""
+
+    B = 7
+    CASES = [("C2", 1, False), ("C4", 4, False), ("C6", 4, False),
+             ("S2", 1, False), ("S4", 4, False),
+             ("C2", 1, True), ("C4", 4, True)]  # the last two in Gram space
+
+    @pytest.fixture(autouse=True)
+    def _anchor_small_problems(self, monkeypatch):
+        monkeypatch.setattr(solver, "ANCHOR_MIN_SIZE", 0)
+
+    @staticmethod
+    def _case(sid, block, gram):
+        if sid[0] == "S":
+            a = random_spd(8, 30)
+            prob = Problem(a=a, b=a @ np.ones(30), x_star=np.ones(30))
+        else:  # tall enough for Gram space, or not
+            prob = _consistent_problem(8, 120 if gram else 60, 24)
+        m = prob.shape[0]
+        g = SpdMatrix(np.diag(1.0 + make_rng(m).random(m))) if sid == "C6" \
+            else None
+        return prob, make_scheme(sid, block_size=block, g=g)
+
+    @staticmethod
+    def _failing_step(at, how):
+        # schemes.step that, at its call ``at``, raises, perturbs the carried
+        # residual or overflows x
+        real_step, calls = schemes.step, []
+
+        def step_(scheme, a, b, x, draw, r=None, **kw):
+            calls.append(1)
+            if len(calls) == at and how == "raise":
+                raise RuntimeError("mid-block")
+            x = real_step(scheme, a, b, x, draw, r=r, **kw)
+            if len(calls) == at and how == "drift":
+                r[0] += 1e-6 * np.linalg.norm(b)
+            return x + 1e300 if len(calls) == at and how == "overflow" else x
+
+        return step_
+
+    def _run(self, monkeypatch, case, per_block, stop, fail=None):
+        prob, scheme = self._case(*case)
+        rows = prob.shape[1] if case[2] else prob.shape[0]
+        real_draw, counts = solver.draw_sketch, []
+
+        def draw(*args, count=None):
+            counts.append(count)
+            return real_draw(*args, count=count)
+
+        rng = make_rng(77)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "SKETCH_BLOCK",
+                          per_block * 8 * scheme.block_size * rows)
+            patch.setattr(solver, "draw_sketch", draw)
+            if fail is not None:
+                patch.setattr(schemes, "step", self._failing_step(*fail))
+            try:
+                x, trace = solve(prob, scheme, stop, rng)
+            except RuntimeError:
+                x, trace = None, None
+        return x, trace, rng.bit_generator.state, counts
+
+    def _assert_as_oracle(self, monkeypatch, case, stop, fail=None):
+        xb, tb, sb, cb = self._run(monkeypatch, case, self.B, stop, fail)
+        xo, to, so, co = self._run(monkeypatch, case, 1, stop, fail)
+        assert sb == so
+        assert set(co) == {1} and max(cb) == self.B
+        if tb is None:  # both raised
+            assert to is None
+            return None, cb, sb
+        assert (tb.status, tb.iterations, tb.skip_count, tb.exact_recomputes) \
+            == (to.status, to.iterations, to.skip_count, to.exact_recomputes)
+        assert [r.k for r in tb.records] == [r.k for r in to.records]
+        block_values = [(r.rel_residual, r.rel_error) for r in tb.records]
+        oracle_values = [(r.rel_residual, r.rel_error) for r in to.records]
+        if case[1] > 1:
+            assert xb.tobytes() == xo.tobytes()
+            assert block_values == oracle_values
+        else:
+            with np.errstate(invalid="ignore"):
+                np.testing.assert_allclose(xb, xo, rtol=1e-9, atol=1e-12)
+                np.testing.assert_allclose(block_values, oracle_values,
+                                           rtol=1e-9, atol=1e-12)
+        return tb, cb, sb
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_converged(self, monkeypatch, case):
+        trace, _, _ = self._assert_as_oracle(
+            monkeypatch, case, StopRule(itmax=20_000, tol=1e-6))
+        assert trace.status == CONVERGED
+        assert trace.iterations % self.B
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_itmax_not_a_multiple_of_the_block(self, monkeypatch, case):
+        itmax = 30 * self.B + 3
+        trace, counts, _ = self._assert_as_oracle(
+            monkeypatch, case, StopRule(itmax=itmax, tol=1e-300))
+        assert trace.status == MAX_ITERS and trace.iterations == itmax
+        # never drawn past itmax: the last block is short, and none redrawn
+        assert sum(counts) == itmax and counts[-1] == 3
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_non_finite(self, monkeypatch, case):
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace, _, _ = self._assert_as_oracle(
+                monkeypatch, case, StopRule(itmax=5000, tol=1e-14),
+                fail=(13, "overflow"))
+        assert trace.status == NON_FINITE
+        assert trace.iterations % self.B
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_drift(self, monkeypatch, case):
+        trace, _, _ = self._assert_as_oracle(
+            monkeypatch, case, StopRule(itmax=5000, tol=1e-14),
+            fail=(3, "drift"))
+        assert trace.status == DRIFT
+        assert trace.iterations % self.B
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_step_raising_mid_block(self, monkeypatch, case):
+        at = 2 * self.B + 5
+        _, counts, state = self._assert_as_oracle(
+            monkeypatch, case, StopRule(itmax=5000, tol=1e-14),
+            fail=(at, "raise"))
+        # the third block was drawn whole, then rewound to its first 5 draws
+        assert counts == [self.B] * 3 + [5]
+        prob, scheme = self._case(*case)
+        ref = make_rng(77)
+        for _ in range(at):
+            draw_sketch(scheme, prob.shape, ref)
+        assert state == ref.bit_generator.state
 
 
 class TestExactSchedule:
