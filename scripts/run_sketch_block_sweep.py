@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Sweep ``solver.SKETCH_BLOCK``: seconds of the Gaussian column-side cells
-of the SPD benchmark workload, and peak RSS, for each byte budget.
+"""Sweep ``solver.SKETCH_BLOCK``: seconds of the Gaussian cells (S2, S4,
+``fit.S4``) of the SPD benchmark workload, and peak RSS, for each budget.
 
     PYTHONPATH=src python scripts/run_sketch_block_sweep.py [--reps 5] \\
         [--values 15,16,17,18,19,20] [--out BENCH_N.json]

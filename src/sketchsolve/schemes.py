@@ -281,14 +281,14 @@ def step(scheme: Scheme, a: np.ndarray, b: np.ndarray,
     holding ``A^T (b - A x_next)``. Its draws and steps are those of the
     A-space update, up to rounding.
 
-    A Gaussian C or S id may be given its sketched columns ``az``, ``A
-    draw`` (``G^T draw`` in Gram space), which :func:`solver.solve` forms
-    for a block of draws in one product; they are used as given.
+    S2 and S4 may be given their sketched columns ``az = A draw``, which
+    :func:`solver.solve` forms for a block of draws in one product; they
+    are used as given.
     """
     _check_draw(scheme, draw, a.shape)
     if gram is not None and not scheme.gram_form:
         raise ValueError(f"scheme {scheme.id} has no Gram-space update")
-    if az is not None and (scheme.kind != GAUSS or scheme.id[0] == "K"):
+    if az is not None and (scheme.kind != GAUSS or scheme.id[0] != "S"):
         raise ValueError(f"scheme {scheme.id} takes no sketched columns")
     if maintains_residual(scheme):
         if r is None:
@@ -306,7 +306,7 @@ def step(scheme: Scheme, a: np.ndarray, b: np.ndarray,
         return _row_kernel(a, b, x, idx, w, scheme.g, scalar)
     if gram is not None:
         # G^T: its columns are G's contiguous rows
-        return _col_kernel("S", gram.T, x, r, idx, w, None, scalar, az)
+        return _col_kernel("S", gram.T, x, r, idx, w, None, scalar)
     return _col_kernel(scheme.id[0], a, x, r, idx, w, scheme.g, scalar, az)
 
 
@@ -346,7 +346,7 @@ def _row_kernel(a, b, x, rows, w, g, scalar):
     return x + (d * z if scalar else z @ d)
 
 
-def _col_kernel(fam, a, x, r, cols, w, g, scalar, az):
+def _col_kernel(fam, a, x, r, cols, w, g, scalar, az=None):
     """C1-C6, S1-S4: the sketched columns ``az = A Z``, formed here unless
     given, give ``Y = az`` (``G az`` when weighted) for C and ``Y = Z`` for
     S; solves for the step ``d`` in Z's coordinates and moves ``r`` by

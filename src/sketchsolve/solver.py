@@ -1,7 +1,7 @@
 """Generic iteration driver: run one scheme on one problem to a stop rule.
 
 The loop is deliberately dumb: one sketch draw per iteration (taken from a
-block drawn ahead for the Gaussian C and S ids, see below), one update, and
+block drawn ahead for the Gaussian S ids, see below), one update, and
 a residual record at trace points only (every iteration for block schemes,
 every tenth by default for the scalar ones).
 
@@ -55,11 +55,11 @@ generator state, for ``READ_BATCH`` records (fewer at a sparser
 order, re-reading after a re-anchor; one that stops the run restores its
 saved state, so steps run past it change nothing but the time taken.
 
-C2, C4, C6, S2 and S4 draw their next steps' Gaussian blocks in one call
-(``SKETCH_BLOCK`` bytes of sketched columns, never past ``itmax``) and form
-the columns in one product, handing each :func:`schemes.step` its own. A
-run that stops or raises inside a block resets the generator to the block's
-start and redraws the steps taken.
+S2 and S4 draw their next steps' Gaussian blocks in one call (up to
+``SKETCH_BLOCK`` bytes each of draws and of sketched columns, never past
+``itmax``) and form the columns in one product, handing each
+:func:`schemes.step` its own. A run that stops or raises inside a block
+resets the generator to the block's start and redraws the steps taken.
 
 This is the only loop that runs the iteration: rate fits
 (:func:`theory.fit_empirical_rate`) run their trials through :func:`solve`
@@ -107,8 +107,8 @@ ANCHOR_MIN_SIZE = 2 ** 17
 # anchored K records wait, up to this many at the default cadence, for one
 # read that streams G once for all (2 MB at n = 500; sweep in BENCH_17.json)
 READ_BATCH = 16
-# bytes of sketched columns per block of Gaussian draws in C2, C4, C6, S2 and
-# S4 (sweep in BENCH_19.json)
+# bytes of draws, and of sketched columns, per block of Gaussian draws in S2
+# and S4 (sweep in BENCH_19.json)
 SKETCH_BLOCK = 2 ** 19
 
 
@@ -492,12 +492,14 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
         pending.clear()
         return False
 
-    # ``block``: the draws W of steps ``first`` on, drawn from generator state
-    # ``state``; ``cols``: their A W (G^T W in Gram space), one product W^T A^T
-    # laid out as A @ w would be, so that a step rounds alike
-    blocked = scheme.kind == GAUSS and scheme.axis == "cols"
-    op = a if gram is None else gram.T
-    per_block = max(1, SKETCH_BLOCK // (8 * scheme.block_size * op.shape[0]))
+    # S2 and S4: ``block`` holds the draws W of steps ``first`` on, drawn from
+    # generator state ``state``; ``cols`` their A W, one product W^T A^T laid
+    # out as A @ w would be, so that a step rounds alike. SKETCH_BLOCK bounds
+    # both, each B x n x l as A is square. The rewind in ``finally`` is the
+    # only one: S ids carry their residual, so batch == 1 and no pending
+    # record holds a generator state
+    blocked = scheme.kind == GAUSS and scheme.id[0] == "S"
+    per_block = max(1, SKETCH_BLOCK // (8 * scheme.block_size * n))
     block, first = (), 1
     try:
         for k in range(1, stop.itmax + 1):
@@ -511,9 +513,9 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
                         block = draw_sketch(scheme, (m, n), rng, sampler, count=min(
                             per_block, stop.itmax - k + 1))
                         cols = np.ascontiguousarray(
-                            np.tensordot(block, op, (1, 1)).transpose(0, 2, 1))
+                            np.tensordot(block, a, (1, 1)).transpose(0, 2, 1))
                     x = schemes.step(scheme, a, b, x, block[k - first], r=r,
-                                     gram=gram, az=cols[k - first])
+                                     az=cols[k - first])
             except (schemes.SkipStep, np.linalg.LinAlgError):
                 trace.skip_count += 1
             except Exception:

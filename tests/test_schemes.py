@@ -172,24 +172,21 @@ class TestWeightProducts:
 
 
 class TestGivenColumns:
-    """``step(..., az=...)`` takes a Gaussian column or symmetric id's
-    sketched columns from the caller instead of forming them."""
+    """``step(..., az=...)`` takes a Gaussian symmetric id's sketched
+    columns from the caller instead of forming them."""
 
-    @pytest.mark.parametrize("sid, gram", [
-        ("C2", False), ("C4", False), ("C6", False), ("S2", False),
-        ("S4", False), ("C2", True), ("C4", True)])
-    def test_given_columns_step_as_formed_ones(self, sid, gram):
+    @pytest.mark.parametrize("sid", ["S2", "S4"])
+    def test_given_columns_step_as_formed_ones(self, sid):
         scheme, a, b, x, draw = _instance(sid, 21, block=3)
-        g = a.T @ a if gram else None
-        op = a if g is None else g.T
-        r = b - a @ x if g is None else a.T @ (b - a @ x)
+        r = b - a @ x
         r_given = r.copy()
-        out = step(scheme, a, b, x, draw, r=r, gram=g)
-        given = step(scheme, a, b, x, draw, r=r_given, gram=g, az=op @ draw)
+        out = step(scheme, a, b, x, draw, r=r)
+        given = step(scheme, a, b, x, draw, r=r_given, az=a @ draw)
         assert np.allclose(given, out, rtol=1e-13, atol=0.0)
         assert np.allclose(r_given, r, rtol=1e-12, atol=1e-14)
 
-    @pytest.mark.parametrize("sid", ["K2", "K4", "C1", "C3", "S3"])
+    @pytest.mark.parametrize("sid", ["K2", "K4", "C1", "C2", "C3", "C6",
+                                     "S3"])
     def test_only_gaussian_column_ids_take_columns(self, sid):
         scheme, a, b, x, draw = _instance(sid, 22, block=3)
         with pytest.raises(ValueError, match="takes no sketched columns"):

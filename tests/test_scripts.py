@@ -109,21 +109,20 @@ class TestCommittedPairs:
                      for e in cells.values()]
         assert len(verdicts) == 21 and "worse" not in verdicts
 
-    def test_bench_19_claims(self):
-        # the final code's 30 s pairs claim the S2 cell only (the scalar
-        # group won 9 of 11); its 60 s spd pairs, and an earlier revision's
-        # 30 s pairs, claim both groups and the S2 and S4 cells
+    def test_bench_19_claims_and_nothing_is_worse(self):
+        # the final code's 60 s pairs; the pairs_* sets measured earlier
+        # revisions and are kept as runs made, not judged here
         bench = json.loads((ROOT / "BENCH_19.json").read_text())
-        both = {("spd-400-rates", name) for name in (
-            "solve_s.scalar", "solve_s.block", "cell S2", "cell S4")}
-        assert _claims(bench) == {("spd-400-rates", "cell S2")}
-        assert _claims(bench["pairs_spd_60s"]) == both
-        assert _claims(bench["pairs_first_revision"]) == both
-        for pairs in (bench, bench["pairs_spd_60s"],
-                      bench["pairs_first_revision"]):
-            for pair in pairs["benchmark_pairs"].values():
-                for its in pair["iterations"].values():
-                    assert its["parent"] == its["change"]
+        assert _claims(bench) == {("spd-400-rates", name) for name in (
+            "solve_s.scalar", "cell S2", "cell S4")}
+        verdicts = [e["verdict"] for w in bench["benchmark_pairs"]
+                    for e in bench["benchmark_pairs"][w]["metrics"].values()]
+        verdicts += [e["verdict"] for cells in bench["cell_seconds"].values()
+                     for e in cells.values()]
+        assert len(verdicts) == 21 and "worse" not in verdicts
+        for pair in bench["benchmark_pairs"].values():
+            for its in pair["iterations"].values():
+                assert its["parent"] == its["change"]
 
 
 def _write_run(directory: Path, seed, trace, metrics, cells=None):

@@ -547,13 +547,13 @@ class TestAnchorPolicy:
         real_step = schemes.step
         grams = set()
 
-        def spying_step(scheme, a, b, x, draw, r=None, gram=None, **kw):
+        def spying_step(scheme, a, b, x, draw, r=None, gram=None):
             # r carries b - A x in A space and A^T (b - A x) in Gram space
             grams.add(gram is not None)
             want = b - a @ x if gram is None else a.T @ (b - a @ x)
             scale = np.linalg.norm(b) * (1.0 if gram is None else np.linalg.norm(a))
             assert np.linalg.norm(r - want) <= 1e-12 * scale
-            return real_step(scheme, a, b, x, draw, r=r, gram=gram, **kw)
+            return real_step(scheme, a, b, x, draw, r=r, gram=gram)
 
         monkeypatch.setattr(schemes, "step", spying_step)
         solve(prob, make_scheme(sid, block_size=4, g=g),
@@ -940,34 +940,34 @@ class TestBatchedReads:
 
 
 class TestSketchBlocks:
-    """C2, C4, C6, S2 and S4 draw their steps' Gaussian blocks ``B`` at a
-    time and form their sketched columns in one product. The same run with
-    one draw per block (``SKETCH_BLOCK`` patched) is the oracle: a block run
-    must return the same x, status, counts, record ks, record values and
-    generator state. Only C2 and S2, whose one-column products round as
-    one product with several columns, may differ, within rounding. Blocks
-    hold ``B`` draws here, and every run stops inside one."""
+    """S2 and S4 draw their steps' Gaussian blocks ``B`` at a time and form
+    their sketched columns in one product. The same run with one draw per
+    block (``SKETCH_BLOCK`` patched) is the oracle: a block run must return
+    the same x, status, counts, record ks, record values and generator
+    state. Only S2, whose one-column products round as one product with
+    several columns, may differ, within rounding. Blocks hold ``B`` draws
+    here, and every run stops inside one."""
 
     B = 7
-    CASES = [("C2", 1, False), ("C4", 4, False), ("C6", 4, False),
-             ("S2", 1, False), ("S4", 4, False),
-             ("C2", 1, True), ("C4", 4, True)]  # the last two in Gram space
-
-    @pytest.fixture(autouse=True)
-    def _anchor_small_problems(self, monkeypatch):
-        monkeypatch.setattr(solver, "ANCHOR_MIN_SIZE", 0)
+    CASES = [("S2", 1), ("S4", 4)]
 
     @staticmethod
-    def _case(sid, block, gram):
-        if sid[0] == "S":
-            a = random_spd(8, 30)
-            prob = Problem(a=a, b=a @ np.ones(30), x_star=np.ones(30))
-        else:  # tall enough for Gram space, or not
-            prob = _consistent_problem(8, 120 if gram else 60, 24)
-        m = prob.shape[0]
-        g = SpdMatrix(np.diag(1.0 + make_rng(m).random(m))) if sid == "C6" \
-            else None
-        return prob, make_scheme(sid, block_size=block, g=g)
+    def _case(sid, block, n=30):
+        a = random_spd(8, n)
+        prob = Problem(a=a, b=a @ np.ones(n), x_star=np.ones(n))
+        return prob, make_scheme(sid, block_size=block)
+
+    @staticmethod
+    def _spied_draws(patch, drawn):
+        # solver.draw_sketch, appending each call's count and array to drawn
+        real_draw = solver.draw_sketch
+
+        def draw(*args, count=None):
+            out = real_draw(*args, count=count)
+            drawn.append((count, out))
+            return out
+
+        patch.setattr(solver, "draw_sketch", draw)
 
     @staticmethod
     def _failing_step(at, how):
@@ -988,25 +988,18 @@ class TestSketchBlocks:
 
     def _run(self, monkeypatch, case, per_block, stop, fail=None):
         prob, scheme = self._case(*case)
-        rows = prob.shape[1] if case[2] else prob.shape[0]
-        real_draw, counts = solver.draw_sketch, []
-
-        def draw(*args, count=None):
-            counts.append(count)
-            return real_draw(*args, count=count)
-
-        rng = make_rng(77)
+        rng, drawn = make_rng(77), []
         with monkeypatch.context() as patch:
             patch.setattr(solver, "SKETCH_BLOCK",
-                          per_block * 8 * scheme.block_size * rows)
-            patch.setattr(solver, "draw_sketch", draw)
+                          per_block * 8 * scheme.block_size * prob.shape[0])
+            self._spied_draws(patch, drawn)
             if fail is not None:
                 patch.setattr(schemes, "step", self._failing_step(*fail))
             try:
                 x, trace = solve(prob, scheme, stop, rng)
             except RuntimeError:
                 x, trace = None, None
-        return x, trace, rng.bit_generator.state, counts
+        return x, trace, rng.bit_generator.state, [c for c, _ in drawn]
 
     def _assert_as_oracle(self, monkeypatch, case, stop, fail=None):
         xb, tb, sb, cb = self._run(monkeypatch, case, self.B, stop, fail)
@@ -1077,6 +1070,38 @@ class TestSketchBlocks:
         for _ in range(at):
             draw_sketch(scheme, prob.shape, ref)
         assert state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("sid, block, n", [
+        ("S2", 1, 30), ("S4", 4, 30), ("S4", 20, 400)])
+    def test_blocks_stay_within_the_budget(self, monkeypatch, sid, block, n):
+        # B = SKETCH_BLOCK // (8 l n): the drawn stack and its columns each
+        # fit the budget, and B + 1 draws would not
+        prob, scheme = self._case(sid, block, n)
+        budget = 6 * 8 * block * n - 1
+        drawn = []
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "SKETCH_BLOCK", budget)
+            self._spied_draws(patch, drawn)
+            solve(prob, scheme, StopRule(itmax=23, tol=1e-300), make_rng(3))
+        assert [c for c, _ in drawn] == [5, 5, 5, 5, 3]
+        assert all(w.shape == (c, n, block) and w.nbytes <= budget
+                   for c, w in drawn)
+
+    @pytest.mark.parametrize("sid, gram", [
+        ("C2", False), ("C4", False), ("C6", False), ("C2", True)])
+    def test_gaussian_column_ids_draw_one_at_a_time(self, monkeypatch, sid,
+                                                    gram):
+        prob = _consistent_problem(8, 120 if gram else 60, 24)
+        m = prob.shape[0]
+        g = SpdMatrix(np.diag(1.0 + make_rng(m).random(m))) if sid == "C6" \
+            else None
+        drawn = []
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "ANCHOR_MIN_SIZE", 0)
+            self._spied_draws(patch, drawn)
+            solve(prob, make_scheme(sid, block_size=4, g=g),
+                  StopRule(itmax=30, tol=1e-300), make_rng(3))
+        assert [c for c, _ in drawn] == [None] * 30
 
 
 class TestExactSchedule:
