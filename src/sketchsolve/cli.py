@@ -14,8 +14,10 @@ Common flags: ``--config PATH`` (required), ``--seed N``, ``--out DIR``,
 ``--scheme K1,K3``, ``--override key.path=value`` (value parsed as JSON).
 
 Exit codes: 0 success, 1 config error, 2 any scheme failed, 3 rate-bound
-violation. All outputs except wall-clock fields are byte-reproducible for a
-fixed config and seed.
+violation. A problem that cannot be built is a config error; a missing,
+malformed or non-finite ``FromFile`` matrix is reported with its path and,
+once the file is read, the offending line. All outputs except wall-clock
+fields are byte-reproducible for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -74,6 +76,15 @@ def _problem_spec(cfg: dict) -> problems.ProblemSpec:
         return problems.ProblemSpec(**node)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad problem spec: {exc}")
+
+
+def _build_problem(spec: problems.ProblemSpec) -> solver.Problem:
+    """The problem ``spec`` describes; failing to read or build it is a config
+    error."""
+    try:
+        return problems.generate(spec)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot build the problem: {exc}") from exc
 
 
 def _config_int(node: dict, key: str, default: int | None,
@@ -206,7 +217,7 @@ def run_bench(cfg: dict) -> int:
     distribution = cfg.get("distribution")
     out = _out_dir(cfg)
 
-    problem = problems.generate(spec)
+    problem = _build_problem(spec)
     n = problem.shape[1]
     block = _resolve_block_size(cfg, None, n)
 
@@ -257,7 +268,7 @@ def run_rates(cfg: dict) -> int:
     tolerance = _config_float(cfg, "tolerance", 0.02)
     out = _out_dir(cfg)
 
-    problem = problems.generate(spec)
+    problem = _build_problem(spec)
     n = problem.shape[1]
     block = _resolve_block_size(cfg, 1, n)
 
@@ -292,7 +303,7 @@ def run_verify_expectation(cfg: dict) -> int:
     target = cfg.get("target", "propagator")
     seed = _config_int(cfg, "seed", 0, 0)
     out = _out_dir(cfg)
-    problem = problems.generate(spec)
+    problem = _build_problem(spec)
     a = problem.a
     g_mode = cfg.get("g_mode")
 
@@ -325,7 +336,7 @@ def run_verify_expectation(cfg: dict) -> int:
 def run_gen_problem(cfg: dict) -> int:
     spec = _problem_spec(cfg)
     out = _out_dir(cfg)
-    problem = problems.generate(spec)
+    problem = _build_problem(spec)
     problems.save_matrixmarket(out / "A.mtx", problem.a, fmt="array")
     problems.save_matrixmarket(out / "b.mtx", problem.b.reshape(-1, 1), fmt="array")
     _write_output(out / "meta.json", cfg, problem)

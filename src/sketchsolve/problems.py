@@ -166,8 +166,6 @@ def generate(spec: ProblemSpec) -> Problem:
             q = _random_orthogonal(n, rng)
             if n == 1:
                 lam = np.array([1.0])
-            elif n == 2:
-                lam = np.array([rc, 1.0])
             else:
                 interior = np.exp(rng.uniform(math.log(rc), 0.0, size=n - 2))
                 lam = np.sort(np.concatenate([[rc, 1.0], interior]))
@@ -177,8 +175,6 @@ def generate(spec: ProblemSpec) -> Problem:
             w = np.linalg.eigvalsh(a)
             stats = ProblemStats(kind=spec.kind, m=n, n=n, rc=rc,
                                  achieved_rc=float(w[0] / w[-1]))
-        else:  # pragma: no cover - guarded by ProblemSpec
-            raise ValueError(spec.kind)
 
     x_star = np.ones(a.shape[1])
     return Problem(a=a, b=a @ x_star, x_star=x_star, stats=stats)
@@ -201,7 +197,8 @@ def load_matrixmarket(path) -> np.ndarray:
 
     Supports coordinate and array formats, general and symmetric storage
     (symmetric files carry the lower triangle and are expanded). Malformed
-    content raises :class:`MatrixMarketError` with the offending line number.
+    content, a non-finite value included, raises :class:`MatrixMarketError`
+    with the offending line number.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -222,18 +219,18 @@ def load_matrixmarket(path) -> np.ndarray:
     if symmetry not in ("general", "symmetric"):
         raise MatrixMarketError(path, 1, f"unsupported symmetry {symmetry!r}")
 
-    # skip comments and blank lines to the size line
-    lineno = 1
-    while True:
-        lineno += 1
-        if lineno > len(lines):
-            raise MatrixMarketError(path, lineno, "missing size line")
-        text = lines[lineno - 1].strip()
-        if text and not text.startswith("%"):
-            break
+    # the lines after the header that are neither blank nor comments, with
+    # their line numbers: the size line, then one line per entry
+    stripped = enumerate((raw.strip() for raw in lines[1:]), start=2)
+    numbered = [(lno, text) for lno, text in stripped
+                if text and not text.startswith("%")]
+    if not numbered:
+        raise MatrixMarketError(path, len(lines) + 1, "missing size line")
+    (lineno, text), data_lines = numbered[0], numbered[1:]
 
+    coordinate, symmetric = fmt == "coordinate", symmetry == "symmetric"
     size_tokens = text.split()
-    want = 3 if fmt == "coordinate" else 2
+    want = 3 if coordinate else 2
     if len(size_tokens) != want:
         raise MatrixMarketError(path, lineno, f"size line needs {want} integers")
     try:
@@ -243,60 +240,38 @@ def load_matrixmarket(path) -> np.ndarray:
     m, n = sizes[0], sizes[1]
     if m < 1 or n < 1:
         raise MatrixMarketError(path, lineno, "dimensions must be >= 1")
-    if symmetry == "symmetric" and m != n:
+    if symmetric and m != n:
         raise MatrixMarketError(path, lineno, "symmetric matrices must be square")
     out = aligned_empty((m, n))
     out.fill(0.0)
 
-    data_lines = []
-    for offset, raw in enumerate(lines[lineno:], start=lineno + 1):
-        text = raw.strip()
-        if not text or text.startswith("%"):
-            continue
-        data_lines.append((offset, text))
-
-    if fmt == "coordinate":
-        nnz = sizes[2]
-        if len(data_lines) != nnz:
-            raise MatrixMarketError(path, len(lines),
-                                    f"expected {nnz} entries, found {len(data_lines)}")
-        for lno, text in data_lines:
-            tokens = text.split()
-            if len(tokens) != 3:
-                raise MatrixMarketError(path, lno, "coordinate entries need 'i j value'")
-            try:
-                i, j = int(tokens[0]), int(tokens[1])
-                v = float(tokens[2])
-            except ValueError:
-                raise MatrixMarketError(path, lno, f"cannot parse entry {text!r}")
-            if not (1 <= i <= m and 1 <= j <= n):
-                raise MatrixMarketError(path, lno, f"index ({i}, {j}) out of range")
-            if symmetry == "symmetric" and j > i:
-                raise MatrixMarketError(path, lno, "symmetric files store the "
-                                        "lower triangle (need j <= i)")
-            out[i - 1, j - 1] = v
-            if symmetry == "symmetric":
-                out[j - 1, i - 1] = v
-        return out
-
-    # array format: column-major values, lower triangle only when symmetric
-    if symmetry == "general":
-        expected = m * n
-        coords = [(i, j) for j in range(n) for i in range(m)]
-    else:
-        expected = n * (n + 1) // 2
-        coords = [(i, j) for j in range(n) for i in range(j, n)]
+    noun, nouns = ("entry", "entries") if coordinate else ("value", "values")
+    expected = sizes[2] if coordinate else n * (n + 1) // 2 if symmetric else m * n
     if len(data_lines) != expected:
         raise MatrixMarketError(path, len(lines),
-                                f"expected {expected} values, found {len(data_lines)}")
-    for (lno, text), (i, j) in zip(data_lines, coords):
+                                f"expected {expected} {nouns}, found {len(data_lines)}")
+    # a coordinate entry carries its (i, j); an array file lists its values
+    # column-major, only the lower triangle when symmetric
+    cells = ((i, j) for j in range(1, n + 1)
+             for i in range(j if symmetric else 1, m + 1))
+    for lno, text in data_lines:
+        tokens = text.split() if coordinate else [*next(cells), text]
+        if len(tokens) != 3:
+            raise MatrixMarketError(path, lno, "coordinate entries need 'i j value'")
         try:
-            v = float(text)
+            i, j, v = int(tokens[0]), int(tokens[1]), float(tokens[2])
         except ValueError:
-            raise MatrixMarketError(path, lno, f"cannot parse value {text!r}")
-        out[i, j] = v
-        if symmetry == "symmetric":
-            out[j, i] = v
+            raise MatrixMarketError(path, lno, f"cannot parse {noun} {text!r}")
+        if not math.isfinite(v):
+            raise MatrixMarketError(path, lno, f"{noun} {text!r} is not finite")
+        if not (1 <= i <= m and 1 <= j <= n):
+            raise MatrixMarketError(path, lno, f"index ({i}, {j}) out of range")
+        if symmetric and j > i:
+            raise MatrixMarketError(path, lno, "symmetric files store the "
+                                    "lower triangle (need j <= i)")
+        out[i - 1, j - 1] = v
+        if symmetric:
+            out[j - 1, i - 1] = v
     return out
 
 

@@ -147,8 +147,7 @@ def rate_gaussian_bound(a, fam: str, g: SpdMatrix | None = None
     elif fam == "C":
         s, dim = _col_gram(a, g), n
     elif fam == "S":
-        spd = a if isinstance(a, SpdMatrix) else SpdMatrix(a)
-        lo, hi = extremal_eigs(spd.mat)
+        lo, hi = extremal_eigs(SpdMatrix(a).mat)
         return 1.0 - lo / (n * hi), False
     else:
         raise ValueError(f"unknown family {fam!r}")

@@ -445,3 +445,114 @@ class TestIntegerOptions:
         assert main(["verify-expectation", "--config", cfg]) == 1
         assert key in capsys.readouterr().err
         assert not (out / "expectation.json").exists()
+
+
+# the least each subcommand needs besides its problem
+_RUN_CONFIGS = {
+    "bench": {"schemes": ["K1"], "stop": {"itmax": 50}},
+    "rates": {"schemes": ["K1"], "trials": 2, "iterations": 5},
+    "verify-expectation": {"samples": 10},
+    "gen-problem": {},
+}
+
+
+class TestConfigRefusals:
+    """Configs refused before anything runs: exit 1 with a named config
+    error and no output file."""
+
+    def test_invalid_json(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"problem": ')
+        assert main(["bench", "--config", str(path)]) == 1
+        assert "config error: config is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, message", [
+        ("seed", "override must look like key.path=value: 'seed'"),
+        ("seed.x=1", "override path 'seed.x' crosses a non-object"),
+    ])
+    def test_bad_override(self, tmp_path, capsys, override, message):
+        out = tmp_path / "out"
+        cfg = _bench_config(tmp_path, out)
+        assert main(["bench", "--config", cfg, "--override", override]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(_RUN_CONFIGS))
+    def test_no_problem_object(self, tmp_path, capsys, command):
+        cfg = _write_config(tmp_path, "cfg.json", {
+            "schemes": ["K1"], "output_dir": str(tmp_path / "out")})
+        assert main([command, "--config", cfg]) == 1
+        assert ("config error: config needs a 'problem' object"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"problem": {"kind": "UniformDense", "m": 6, "n": 6, "seed": 4},
+          "schemes": ["K5"], "g_mode": "inverse"},
+         "g_mode 'inverse' needs an SPD system"),
+        ({"schemes": ["C1"], "distribution": "trace_proportional"},
+         "trace-proportional sampling applies only to single row draws"),
+    ])
+    def test_bench_scheme_setup(self, tmp_path, capsys, overrides, message):
+        out = tmp_path / "out"
+        cfg = _bench_config(tmp_path, out, **overrides)
+        assert main(["bench", "--config", cfg]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    def test_output_dir_under_a_regular_file(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = _bench_config(tmp_path, blocker / "out")
+        assert main(["bench", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: cannot create output dir {blocker / 'out'}" in err
+
+    def test_sketched_inverse_refuses_the_inverse_weight(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path, "exp.json", {
+            "target": "sketched_inverse", "g_mode": "inverse",
+            "problem": {"kind": "SparseSpd", "m": 4, "n": 4, "seed": 8},
+            "output_dir": str(out),
+        })
+        assert main(["verify-expectation", "--config", cfg]) == 1
+        assert ("config error: sketched_inverse supports g_mode null or "
+                "'identity'" in capsys.readouterr().err)
+        assert not (out / "expectation.json").exists()
+
+
+class TestUnbuildableProblem:
+    """A problem that cannot be built is a config error in every subcommand,
+    named by the file and, once the file is read, its line."""
+
+    @pytest.mark.parametrize("command", list(_RUN_CONFIGS))
+    @pytest.mark.parametrize("last_entry, line", [
+        (None, None), ("3 1 1.0", 4), ("2 2 nan", 4)])
+    def test_bad_matrix_file(self, tmp_path, capsys, command, last_entry, line):
+        path = tmp_path / "A.mtx"
+        if last_entry is not None:  # else the file is missing
+            path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                            f"2 2 2\n1 1 1.0\n{last_entry}\n")
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path, "cfg.json", {
+            "problem": {"kind": "FromFile", "path": str(path)},
+            "output_dir": str(out), **_RUN_CONFIGS[command]})
+        assert main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot build the problem: ")
+        assert str(path) in err
+        if line is not None:
+            assert f"{path}:{line}: " in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", list(_RUN_CONFIGS))
+    def test_failed_generation(self, tmp_path, capsys, command):
+        # a pattern with no nonzero: no condition number can be imposed
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path, "cfg.json", {
+            "problem": {"kind": "SparseNormal", "m": 1, "n": 1,
+                        "density": 1e-12},
+            "output_dir": str(out), **_RUN_CONFIGS[command]})
+        assert main([command, "--config", cfg]) == 1
+        assert ("config error: cannot build the problem: cannot impose a "
+                "condition number on a zero matrix" in capsys.readouterr().err)
+        assert list(out.iterdir()) == []

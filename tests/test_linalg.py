@@ -320,3 +320,26 @@ class TestSpdMatrix:
             n = int(rng.integers(1, 40))
             d = np.diag(rng.random(n) * 10.0 ** rng.uniform(-6, 6, n))
             assert SpdMatrix(d).eig_min == np.linalg.eigvalsh(d)[0]
+
+
+class TestShapeRefusals:
+    @pytest.mark.parametrize("value, shape", [
+        (np.ones(3), (3,)), (np.ones((2, 2, 2)), (2, 2, 2)),
+        (np.ones((0, 3)), (0, 3)), (np.ones((3, 0)), (3, 0)), (2.0, ()),
+    ])
+    def test_as_matrix(self, value, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"expected a 2-D matrix, got shape {shape}")):
+            linalg.as_matrix(value)
+
+    @pytest.mark.parametrize("value, shape", [(np.ones((3, 1)), (3, 1)),
+                                              (2.0, ())])
+    def test_as_vector(self, value, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"expected a 1-D vector, got shape {shape}")):
+            linalg.as_vector(value)
+
+    def test_check_symmetric(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "expected a square matrix, got shape (2, 3)")):
+            check_symmetric(np.ones((2, 3)))

@@ -110,6 +110,15 @@ class TestGenerate:
         assert abs(kappa - want) <= 0.05 * want
         assert prob.stats.achieved_rc == pytest.approx(spec.resolved_rc(), rel=1e-6)
 
+    def test_spd_spectrum_at_one_and_two(self):
+        # the spectrum is pinned at rc and 1; n = 1 keeps only the 1
+        prob = generate(ProblemSpec(kind="SparseSpd", m=1, n=1, rc=0.25, seed=4))
+        assert np.array_equal(prob.a, [[1.0]])
+        assert prob.stats.achieved_rc == 1.0
+        prob = generate(ProblemSpec(kind="SparseSpd", m=2, n=2, rc=0.25, seed=4))
+        assert np.linalg.eigvalsh(prob.a) == pytest.approx([0.25, 1.0], rel=1e-12)
+        assert prob.stats.achieved_rc == pytest.approx(0.25, rel=1e-12)
+
     def test_sparse_normal_pattern_density(self):
         spec = ProblemSpec(kind="SparseNormal", m=100, n=100, seed=7)
         prob = generate(spec)
@@ -234,3 +243,55 @@ class TestMatrixMarket:
         prob = generate(ProblemSpec(kind="FromFile", path=str(path)))
         assert np.array_equal(prob.a, a)
         assert np.array_equal(prob.b, a @ np.ones(3))
+
+
+_COO = "%%MatrixMarket matrix coordinate real general\n"
+_ARRAY = "%%MatrixMarket matrix array real general\n"
+
+
+class TestMatrixMarketRefusals:
+    """Each refusal of the reader, with its message and ``path:line``."""
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("", 1, "empty file"),
+        ("%%MatrixMarket matrix dense real general\n2 2\n", 1,
+         "unsupported format 'dense'"),
+        ("%%MatrixMarket matrix array real skew-symmetric\n2 2\n", 1,
+         "unsupported symmetry 'skew-symmetric'"),
+        (_ARRAY + "% only a comment\n\n", 4, "missing size line"),
+        (_COO + "2 2\n1 1 1.0\n", 2, "size line needs 3 integers"),
+        (_ARRAY + "% sizes\n2 2 4\n", 3, "size line needs 2 integers"),
+        (_ARRAY + "2 2.0\n", 2, "size line entries must be integers"),
+        (_COO + "2 0 0\n", 2, "dimensions must be >= 1"),
+        ("%%MatrixMarket matrix array real symmetric\n2 3\n", 2,
+         "symmetric matrices must be square"),
+        (_COO + "2 2 2\n1 1 1.0\n% trailing\n", 4, "expected 2 entries, found 1"),
+        ("%%MatrixMarket matrix array real symmetric\n2 2\n1.0\n2.0\n", 4,
+         "expected 3 values, found 2"),
+        (_COO + "2 2 2\n1 1 1.0\n2 2\n", 4, "coordinate entries need 'i j value'"),
+        ("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 2 1.0\n", 3,
+         "symmetric files store the lower triangle (need j <= i)"),
+        (_ARRAY + "1 2\n1.0\n% a comment\nx\n", 5, "cannot parse value 'x'"),
+        (_ARRAY + "1 2\n1.0\n1.0 2.0\n", 4, "cannot parse value '1.0 2.0'"),
+    ])
+    def test_refusal_names_path_and_line(self, tmp_path, text, line, message):
+        path = tmp_path / "m.mtx"
+        path.write_text(text)
+        with pytest.raises(MatrixMarketError) as info:
+            load_matrixmarket(path)
+        assert str(info.value) == f"{path}:{line}: {message}"
+        assert info.value.lineno == line
+
+    @pytest.mark.parametrize("text, line, message", [
+        (_COO + "2 2 2\n1 1 1.0\n2 2 nan\n", 4, "entry '2 2 nan' is not finite"),
+        (_ARRAY + "1 2\n% a comment\ninf\n1.0\n", 4, "value 'inf' is not finite"),
+        ("%%MatrixMarket matrix array real symmetric\n2 2\n1.0\n-Infinity\n2.0\n",
+         4, "value '-Infinity' is not finite"),
+    ])
+    def test_non_finite_value_is_refused_at_its_line(self, tmp_path, text, line,
+                                                     message):
+        path = tmp_path / "m.mtx"
+        path.write_text(text)
+        with pytest.raises(MatrixMarketError) as info:
+            generate(ProblemSpec(kind="FromFile", path=str(path)))
+        assert str(info.value) == f"{path}:{line}: {message}"

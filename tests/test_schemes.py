@@ -537,3 +537,11 @@ class TestSchemeValidation:
         xi = z @ pseudoinverse(y.T @ a @ z) @ y.T
         t = error_propagator(scheme, a, draw)
         assert np.abs((np.eye(a.shape[1]) - t) - xi @ a).max() < 1e-10
+
+    def test_unknown_id_through_family(self):
+        with pytest.raises(ValueError, match="unknown scheme 'K9'"):
+            schemes.family("K9")
+
+    def test_unknown_distribution(self):
+        with pytest.raises(ValueError, match="unknown distribution 'bogus'"):
+            make_scheme("K1", distribution="bogus")

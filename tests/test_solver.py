@@ -78,6 +78,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             solve(prob, bad, StopRule(), make_rng(0))
 
+    @pytest.mark.parametrize("sid", ["S1", "S2", "S3", "S4"])
+    def test_symmetric_scheme_needs_square_system(self, sid):
+        prob = _consistent_problem(2, 6, 3)
+        with pytest.raises(ValueError,
+                           match=f"scheme {sid} needs a square system, got 6x3"):
+            solve(prob, make_scheme(sid, block_size=2), StopRule(), make_rng(0))
+
+    def test_trace_every_must_be_positive(self):
+        prob = _consistent_problem(3, 6, 3)
+        with pytest.raises(ValueError, match="trace_every must be >= 1"):
+            solve(prob, make_scheme("K1"), StopRule(), make_rng(0), trace_every=0)
+
 
 class TestProblemCache:
     def test_arrays_are_read_only_views(self):

@@ -424,3 +424,35 @@ class TestEmpiricalRate:
         payload = json_dict(est)
         assert payload["samples"] == 3
         assert payload["max_violation_se"] is None
+
+
+class TestRefusals:
+    def test_symmetric_bound_needs_an_spd_matrix(self):
+        a = np.array([[1.0, 2.0], [0.0, 1.0]])  # square, not symmetric
+        with pytest.raises(ValueError, match="not symmetric"):
+            rate_gaussian_bound(a, "S")
+        with pytest.raises(ValueError, match="not positive definite"):
+            rate_gaussian_bound(np.diag([1.0, -1.0]), "S")
+
+    def test_propagator_needs_two_samples(self):
+        with pytest.raises(ValueError, match="need at least 2 samples"):
+            estimate_mean_propagator(np.eye(3), None, "K2", samples=1,
+                                     rng=make_rng(0))
+
+    @pytest.mark.parametrize("p", [0.0, -0.5])
+    def test_member_probabilities_must_be_positive(self, p):
+        eye = np.eye(2)
+        with pytest.raises(ValueError,
+                           match="member probabilities must be positive"):
+            mean_sketched_inverse(eye, None, [(eye, 1.0 - p), (eye, p)])
+
+    def test_member_rows_must_match_the_columns(self):
+        with pytest.raises(ValueError, match="member 1 has 4 rows, expected 3"):
+            mean_sketched_inverse(gaussian(3, 6, 3), None,
+                                  [(np.eye(3), 0.5), (np.eye(4)[:, :2], 0.5)])
+
+    def test_unknown_norm(self):
+        prob = _consistent(gaussian(4, 6, 3))
+        with pytest.raises(ValueError, match="unknown norm 'l1'"):
+            fit_empirical_rate(prob, make_scheme("K1"), trials=1, iterations=2,
+                               norm_used="l1", seed=0)
