@@ -44,11 +44,14 @@ class ConfigError(ValueError):
 def _load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must be a JSON object, got {cfg!r}")
+    return cfg
 
 
 def _apply_override(cfg: dict, spec: str):
@@ -123,19 +126,18 @@ def _resolve_block_size(cfg: dict, default, n: int) -> int:
 
 
 def _weight_for(scheme_id: str, g_mode, a: np.ndarray) -> SpdMatrix | None:
-    if scheme_id not in schemes.WEIGHTED_SCHEMES:
+    """G for a weighted id: None (G = I) under ``g_mode`` "identity" and for
+    ids that take no weight, the SPD ``A^-1`` under "inverse"."""
+    if scheme_id not in schemes.WEIGHTED_SCHEMES or g_mode == "identity":
         return None
-    m, n = a.shape
-    if g_mode == "identity":
-        return SpdMatrix(np.eye(schemes.weight_dim(scheme_id, a.shape)))
-    if g_mode == "inverse":
-        if m != n:
-            raise ConfigError("g_mode 'inverse' needs a square system")
-        try:
-            return SpdMatrix(np.linalg.inv(a))
-        except ValueError as exc:
-            raise ConfigError(f"g_mode 'inverse' needs an SPD system: {exc}")
-    raise ConfigError(f"scheme {scheme_id} needs g_mode 'identity' or 'inverse'")
+    if g_mode != "inverse":
+        raise ConfigError(f"scheme {scheme_id} needs g_mode 'identity' or 'inverse'")
+    if a.shape[0] != a.shape[1]:
+        raise ConfigError("g_mode 'inverse' needs a square system")
+    try:
+        return SpdMatrix(np.linalg.inv(a))
+    except ValueError as exc:
+        raise ConfigError(f"g_mode 'inverse' needs an SPD system: {exc}")
 
 
 def _scheme_list(cfg: dict) -> list[str]:
@@ -191,10 +193,13 @@ def _write_output(path: Path, cfg: dict, problem: solver.Problem | None,
 
 
 def _out_dir(cfg: dict) -> Path:
-    out = Path(cfg.get("output_dir") or "out")
+    out = cfg.get("output_dir")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"output_dir must be a string, got {out!r}")
+    out = Path(out or "out")
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise ConfigError(f"cannot create output dir {out}: {exc}")
     return out
 
@@ -277,10 +282,8 @@ def run_rates(cfg: dict) -> int:
     for sid in ids:
         dist = cfg.get("distribution") or theory.CLOSED_FORM_SAMPLING.get(sid)
         scheme = _build_scheme(sid, block, dist, cfg.get("g_mode"), problem.a)
-        fam = schemes.family(sid)
         norm_used = cfg.get("norm_used") or (
-            theory.NORM_GINV if (fam == "K" and scheme.g is not None)
-            else _DEFAULT_RATE_NORM[fam])
+            theory.NORM_GINV if sid in ("K5", "K6") else _DEFAULT_RATE_NORM[sid[0]])
         try:
             report = theory.fit_empirical_rate(problem, scheme, trials=trials,
                                                iterations=iterations,
@@ -322,7 +325,6 @@ def run_verify_expectation(cfg: dict) -> int:
         block = _config_int(cfg, "partition_block", 1, 1)
         if g_mode not in (None, "identity"):
             raise ConfigError("sketched_inverse supports g_mode null or 'identity'")
-        # G = I: A^T I A is A^T A, so no m x m identity is built or checked
         members = theory.coordinate_partition(a.shape[1], block)
         est = theory.mean_sketched_inverse(a, None, members)
     else:

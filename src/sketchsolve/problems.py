@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +70,7 @@ class ProblemSpec:
     density: float | None = None  # SparseNormal; default 1/log(m*n)
     rc: float | None = None       # SparseNormal, SparseSpd; default 1/sqrt(m*n)
     seed: int | None = None       # generated kinds; default 0
-    path: str | None = None
+    path: str | os.PathLike | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -86,8 +87,8 @@ class ProblemSpec:
                   or not 0.0 < v <= 1.0):
                 raise ValueError(f"{name} must be a number in (0, 1], got {v!r}")
         if self.kind == FROM_FILE:
-            if not self.path:
-                raise ValueError("FromFile problems need a path")
+            if not isinstance(self.path, (str, os.PathLike)) or not self.path:
+                raise ValueError(f"FromFile problems need a path, got {self.path!r}")
             return
         self.m, self.n, self.seed = self.m or 0, self.n or 0, self.seed or 0
         if self.m < 1 or self.n < 1:
@@ -279,12 +280,14 @@ def save_matrixmarket(path, a, fmt: str = "array"):
     """Write a dense matrix as a real/general MatrixMarket file.
 
     Values are written with shortest round-trip formatting, so loading the
-    file back reproduces the matrix bit for bit.
+    file back reproduces the matrix bit for bit. Non-finite entries raise.
     """
     a = as_matrix(a)
     m, n = a.shape
     if fmt not in ("array", "coordinate"):
         raise ValueError(f"unsupported format {fmt!r}")
+    if not np.isfinite(a).all():
+        raise ValueError("MatrixMarket files hold finite values only")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"%%MatrixMarket matrix {fmt} real general\n")
         if fmt == "array":

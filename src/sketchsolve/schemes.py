@@ -25,6 +25,8 @@ where the pair (Y, Z) is rebuilt from a fresh random draw every step:
     S3  column subset C          Y = Z = I_C                 (randomized Newton / block CD)
     S4  Gaussian matrix W (nxl)  Y = Z = W
 
+and G = I where a weighted id gets none: K5, K6, C5, C6 then run as K3, K4, C3, C4.
+
 A :class:`Scheme` is one id's entry and the only description of its draw,
 which :func:`sketch.draw_sketch` reads: its kind, axis, width, distribution.
 A draw is the bare array drawn; every function here that takes one first
@@ -41,7 +43,7 @@ the pseudoinverse. The column and symmetric families carry the residual
 assembles (Y, Z) explicitly, the oracle the specialized updates are tested
 against.
 
-C1-C4 also have a Gram-space form. With ``Y = A Z`` their update is
+Unweighted C ids also have a Gram-space form. With ``Y = A Z`` their update is
 ``d = (Z^T G Z)^+ Z^T s``, ``s -= G Z d``, ``x += Z d`` for ``G = A^T A``
 and ``s = A^T (b - A x)``: the symmetric update (S1-S4) on the normal
 equations ``G x = A^T b``, which is randomized (block) coordinate descent.
@@ -104,15 +106,15 @@ def weight_dim(scheme_id: str, shape: tuple[int, int]) -> int:
 @dataclass(frozen=True, eq=False)
 class Scheme:
     """One catalog entry: an identifier, the width and sampling distribution
-    of its draws, and the SPD weight for the weighted variants (required for
-    K5/K6/C5/C6, forbidden otherwise; see :func:`weight_dim` for its size).
+    of its draws, and the SPD weight G of K5/K6/C5/C6 (None is G = I, so they
+    run as K3/K4/C3/C4; any other id forbids G; :func:`weight_dim` sizes it).
 
     The id fixes the rest, derived once here: :attr:`kind`, the draw kind
     (``sketch.INDEX``, ``SUBSET`` or ``GAUSS``); :attr:`axis`, "rows" (length
     m) for K1-K6 and S1, whose index is a row's, "cols" (length n) otherwise;
     the width ``block_size``, 1 for the scalar ids; and :attr:`gram_form`,
-    whether the scheme has a Gram-space update: the unweighted C ids, C1-C4,
-    as the m x m weight of C5/C6 has no n x n form."""
+    whether the scheme has a Gram-space update: a C id with ``g`` None, as an
+    m x m weight has no n x n form."""
 
     id: str
     block_size: int = 1
@@ -139,9 +141,8 @@ class Scheme:
                 and (kind != INDEX or axis != "rows")):
             raise ValueError("trace-proportional sampling applies only to single "
                              "row draws on square SPD systems")
-        if (self.g is not None) != (self.id in WEIGHTED_SCHEMES):
-            want = "requires" if self.id in WEIGHTED_SCHEMES else "forbids"
-            raise ValueError(f"scheme {self.id} {want} a weight matrix G")
+        if self.g is not None and self.id not in WEIGHTED_SCHEMES:
+            raise ValueError(f"scheme {self.id} forbids a weight matrix G")
         object.__setattr__(self, "gram_form",
                            self.id[0] == "C" and self.g is None)
 
@@ -207,8 +208,7 @@ def realize_sketch(scheme: Scheme, a: np.ndarray,
     _check_draw(scheme, draw, a.shape)
     m, n = a.shape
     fam = scheme.id[0]
-    gauss = scheme.kind == GAUSS
-    g = scheme.g.mat if scheme.g is not None else None
+    gauss, g = scheme.kind == GAUSS, scheme.g
 
     if fam == "K":
         y = draw if gauss else _selection(m, draw)
@@ -246,7 +246,7 @@ def maintains_residual(scheme: Scheme) -> bool:
     product; a row update would need a full O(mn) matvec, as much as
     recomputing the residual, so K schemes keep none (the solver reads
     their residual norms from an anchor and ``A^T A`` instead). In Gram
-    space (``step(..., gram=G)``, C1-C4) the vector carried is
+    space (``step(..., gram=G)``, unweighted C ids) the vector carried is
     ``s = A^T (b - A x)``, moved by ``G Z d``.
     """
     # scheme ids are validated on construction; this runs on every step
@@ -275,8 +275,8 @@ def step(scheme: Scheme, a: np.ndarray, b: np.ndarray,
     overwrites it in place with ``b - A x_next`` (left untouched when
     :class:`SkipStep` is raised). Without ``r`` the residual is formed here.
 
-    Given ``gram``, the exactly symmetric ``G = A^T A``, an unweighted
-    column id (C1-C4) runs in Gram space: the column kernel's symmetric
+    Given ``gram``, the exactly symmetric ``G = A^T A``, a column id with
+    no weight runs in Gram space: the column kernel's symmetric
     path on ``G``, with ``r`` holding ``s = A^T (b - A x)`` and left
     holding ``A^T (b - A x_next)``. Its draws and steps are those of the
     A-space update, up to rounding.

@@ -18,12 +18,12 @@ run from ``x = 0`` reads that first record from the problem instead
 (:attr:`Problem.zero_start`, formed once per problem):
 
 - row schemes (K1-K6) read it through ``G d`` in O(n^2);
-- unweighted column schemes (C1-C4) run in Gram space
+- unweighted column schemes (C1-C4, C5/C6 with G = I) run in Gram space
   (``schemes.step(..., gram=G)``): they carry ``s = A^T (b - A x)``, which
   the anchor resyncs at every exact recompute, and read it in O(n).
 
 Everywhere else row-scheme records are exact, and column and symmetric
-schemes (:func:`schemes.maintains_residual`), including C5/C6 with their
+schemes (:func:`schemes.maintains_residual`), including C5/C6 with an
 m x m weight and S1-S4, carry ``r = b - A x`` through their updates and
 read ``||r||`` in O(m) (:class:`_MaintainedResidual`).
 

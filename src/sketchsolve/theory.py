@@ -97,7 +97,7 @@ class ExpectationEstimate:
 
 def _col_gram(a: np.ndarray, g: SpdMatrix | None) -> np.ndarray:
     """``A^T G A``, the column schemes' G-hat, or ``A^T A`` without G."""
-    return a.T @ a if g is None else a.T @ g.mat @ a
+    return a.T @ (a if g is None else g @ a)
 
 
 def _row_gram(a: np.ndarray, g_half: np.ndarray | None) -> np.ndarray:
@@ -163,7 +163,7 @@ def estimate_mean_propagator(a, g: SpdMatrix | None, scheme_id: str,
                              ) -> ExpectationEstimate:
     """Monte-Carlo estimate of the mean similarity-transformed propagator
     G^{-1/2} (I - Z E^+ Y^T A) G^{1/2} for the Gaussian row schemes
-    (K2, K4, K6; G = I for the first two, whose scheme refuses a ``g``).
+    (K2, K4, K6; G = I when ``g`` is None, and always for K2 and K4).
 
     The estimate is compared against the integral upper bound
     I - G^{1/2} A^T A G^{1/2} / (m * lam_max(A G A^T)); ``max_violation``

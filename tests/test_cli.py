@@ -1,12 +1,22 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from sketchsolve.cli import main
-from sketchsolve.linalg import SpdMatrix
+from helpers import random_spd
+from sketchsolve import problems, schemes, sketch, theory
+from sketchsolve.cli import _weight_for, main
+from sketchsolve.linalg import SpdMatrix, json_dict
 from sketchsolve.problems import load_matrixmarket, save_matrixmarket
+from sketchsolve.schemes import make_scheme
 from sketchsolve.sketch import make_rng
 
 
@@ -353,6 +363,79 @@ class TestGenProblem:
         assert meta["problem_stats"]["achieved_rc"] is not None
 
 
+class TestIdentityWeight:
+    """``g_mode: "identity"`` is no weight: K5/K6/C5/C6 run as K3/K4/C3/C4,
+    and no m x m (or n x n) identity is built."""
+
+    PROBLEM = {"kind": "UniformDense", "m": 120, "n": 24, "seed": 4}
+
+    @pytest.mark.parametrize("sid", ["K5", "K6", "C5", "C6"])
+    def test_weight_for_identity_is_none(self, sid):
+        assert _weight_for(sid, "identity", np.ones((5, 3))) is None
+
+    def test_identity_runs_build_no_spd_matrix(self, tmp_path, monkeypatch):
+        built = []
+        init = SpdMatrix.__init__
+
+        def recording(self, mat):
+            built.append(np.shape(mat))
+            init(self, mat)
+
+        monkeypatch.setattr(SpdMatrix, "__init__", recording)
+        weighted = ["K5", "K6", "C5", "C6"]
+        runs = {
+            "bench": {"schemes": weighted, "stop": {"itmax": 200},
+                      "block_size": 3},
+            "rates": {"schemes": weighted, "trials": 2, "iterations": 20,
+                      "block_size": 3},
+            "verify-expectation": {"scheme": "K6", "samples": 10,
+                                   "block_size": 3},
+        }
+        for command, extra in runs.items():
+            out = tmp_path / command
+            cfg = _write_config(tmp_path, "cfg.json", {
+                "problem": self.PROBLEM, "g_mode": "identity",
+                "output_dir": str(out), **extra})
+            assert main([command, "--config", cfg]) == 0, command
+        assert built == []
+
+    def test_rates_match_an_explicit_identity(self, tmp_path):
+        # K5/K6 keep the G^-1 norm, which with G = I is the Euclidean one; the
+        # fits may round differently (e @ e against (e @ I) @ e)
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path, "rates.json", {
+            "problem": self.PROBLEM, "schemes": ["K5", "K6"],
+            "g_mode": "identity", "block_size": 3, "trials": 3,
+            "iterations": 40, "seed": 5, "output_dir": str(out)})
+        assert main(["rates", "--config", cfg]) == 0
+        reports = json.loads((out / "rates.json").read_text())["reports"]
+        problem = problems.generate(problems.ProblemSpec(**self.PROBLEM))
+        eye = SpdMatrix(np.eye(24))
+        for sid, got in zip(("K5", "K6"), reports):
+            want = theory.fit_empirical_rate(
+                problem, make_scheme(sid, block_size=3, g=eye), trials=3,
+                iterations=40, norm_used=theory.NORM_GINV, seed=5)
+            want = json.loads(json.dumps(json_dict(want)))
+            assert got["norm_used"] == "ginv"
+            for key in ("rho_fit", "rho_fit_norm_of_mean"):
+                assert got.pop(key) == pytest.approx(want.pop(key), rel=1e-12)
+            assert got == want
+
+    def test_propagator_matches_an_explicit_identity(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path, "exp.json", {
+            "problem": {"kind": "UniformDense", "m": 10, "n": 4, "seed": 8},
+            "scheme": "K6", "g_mode": "identity", "block_size": 2,
+            "samples": 50, "seed": 12, "output_dir": str(out)})
+        assert main(["verify-expectation", "--config", cfg]) == 0
+        got = json.loads((out / "expectation.json").read_text())["report"]
+        a = problems.generate(problems.ProblemSpec(
+            "UniformDense", m=10, n=4, seed=8)).a
+        want = theory.estimate_mean_propagator(
+            a, SpdMatrix(np.eye(4)), "K6", 50, make_rng(12), block_size=2)
+        assert got == json.loads(json.dumps(json_dict(want)))
+
+
 class TestIntegerOptions:
     """Every integer and float option, the stop object, ``block_size`` and
     the problem's numbers are checked up front: a bad value is a config
@@ -520,6 +603,80 @@ class TestConfigRefusals:
         assert not (out / "expectation.json").exists()
 
 
+class TestNonObjectAndNonStringInput:
+    """A config that is not a JSON object, and an ``output_dir`` or
+    ``FromFile`` path that is not a string, are config errors (exit 1) in
+    every subcommand, not tracebacks."""
+
+    @pytest.mark.parametrize("command", list(_RUN_CONFIGS))
+    @pytest.mark.parametrize("top", [[1, 2], "text", 3, None])
+    def test_top_level_not_an_object(self, tmp_path, capsys, command, top):
+        # refused before any flag is applied to it
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path, "cfg.json", top)
+        assert main([command, "--config", cfg, "--override", "seed=1",
+                     "--seed", "2", "--out", str(out), "--scheme", "K1"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: config must be a JSON object, got {top!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(_RUN_CONFIGS))
+    @pytest.mark.parametrize("output_dir", [5, ["a"], True, False])
+    def test_output_dir_not_a_string(self, tmp_path, capsys, monkeypatch,
+                                     command, output_dir):
+        monkeypatch.chdir(tmp_path)  # a default "out" would land here
+        cfg = _write_config(tmp_path, "cfg.json", {
+            "problem": {"kind": "UniformDense", "m": 8, "n": 4, "seed": 8},
+            "output_dir": output_dir, **_RUN_CONFIGS[command]})
+        assert main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err == ("config error: output_dir must be a string, got "
+                       f"{output_dir!r}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_output_dir_with_a_nul(self, tmp_path, capsys):
+        cfg = _bench_config(tmp_path, "a\x00b")
+        assert main(["bench", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot create output dir a\x00b: ")
+
+    @pytest.mark.parametrize("command", list(_RUN_CONFIGS))
+    @pytest.mark.parametrize("path", [["x"], 7, True, ""])
+    def test_path_not_a_string(self, tmp_path, capsys, command, path):
+        # an int path would be opened as that file descriptor
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path, "cfg.json", {
+            "problem": {"kind": "FromFile", "path": path},
+            "output_dir": str(out), **_RUN_CONFIGS[command]})
+        assert main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err == ("config error: bad problem spec: FromFile problems need "
+                       f"a path, got {path!r}\n")
+        assert not (out / "summary.json").exists()
+
+    def test_override_value_that_is_not_json_is_a_string(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path, "gen.json", {
+            "problem": {"kind": "UniformDense", "m": 4, "n": 4, "seed": 3},
+            "output_dir": str(out)})
+        assert main(["gen-problem", "--config", cfg,
+                     "--override", "problem.kind=SparseSpd"]) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["config_echo"]["problem"]["kind"] == "SparseSpd"
+        assert meta["problem_stats"]["kind"] == "SparseSpd"
+
+    def test_module_entry_point_exits_with_the_code(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "sketchsolve.cli", "bench",
+             "--config", str(tmp_path / "missing.json")],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr == ("config error: config file not found: "
+                               f"{tmp_path / 'missing.json'}\n")
+
+
 class TestUnbuildableProblem:
     """A problem that cannot be built is a config error in every subcommand,
     named by the file and, once the file is read, its line."""
@@ -556,3 +713,108 @@ class TestUnbuildableProblem:
         assert ("config error: cannot build the problem: cannot impose a "
                 "condition number on a zero matrix" in capsys.readouterr().err)
         assert list(out.iterdir()) == []
+
+
+# JSON values that are not objects, mixed in at the top level and at each key
+_JUNK = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=3),
+                  st.lists(st.integers(-2, 2), max_size=2))
+# a FromFile path: the files the test writes, one it does not, and paths
+# that are not strings
+_PATH = st.sampled_from(["spd.mtx", "tall.mtx", "zero.mtx", "huge.mtx",
+                         "missing.mtx", 7, -1, True, False, ["x"]])
+
+
+@st.composite
+def _problem(draw):
+    kind = draw(st.sampled_from(problems.KINDS))
+    if kind == problems.FROM_FILE:
+        return {"kind": kind, "path": draw(_PATH)}
+    m = draw(st.integers(1, 6))
+    square = kind == problems.SPARSE_SPD and draw(st.integers(0, 4)) > 0
+    n = m if square else draw(st.integers(1, 6))
+    spec = {"kind": kind, "m": m, "n": n, "seed": draw(st.integers(0, 3))}
+    for key in {"SparseNormal": ("density", "rc"), "SparseSpd": ("rc",)}.get(
+            kind, ()):
+        if draw(st.booleans()):
+            spec[key] = draw(st.floats(0.05, 1.0))
+    return spec
+
+
+# each key's values; the ones without a default that could run long (stop,
+# trials, iterations, samples) are always given
+_KEYS = {
+    "problem": _problem(),
+    "schemes": st.lists(st.sampled_from([*schemes.ALL_SCHEMES, "K7", 2]),
+                        min_size=1, max_size=3),
+    "stop": st.fixed_dictionaries(
+        {"itmax": st.integers(1, 30)},
+        optional={"tol": st.sampled_from([1e-12, 1e-6, 0.5, 0.0])}),
+    "trials": st.integers(1, 2),
+    "iterations": st.integers(1, 10),
+    "samples": st.integers(2, 10),
+    "output_dir": st.sampled_from(["out", "a/b", None, "nul\x00"]),
+}
+_OPTIONAL_KEYS = {
+    "g_mode": st.sampled_from(["identity", "inverse", "other"]),
+    "block_size": st.one_of(st.sampled_from(["sqrt", None, "x"]),
+                            st.integers(-1, 8)),
+    "distribution": st.sampled_from([*sketch.DISTRIBUTIONS, "other"]),
+    "seed": st.integers(0, 3),
+    "trace_every": st.integers(0, 5),
+    "target": st.sampled_from(["propagator", "sketched_inverse", "other"]),
+    "scheme": st.sampled_from([*schemes.ALL_SCHEMES, "K7"]),
+    "partition_block": st.integers(0, 6),
+    "norm_used": st.sampled_from([*theory.NORMS, "l1"]),
+    "tolerance": st.floats(-1.0, 1.0),
+}
+
+
+@st.composite
+def _config(draw):
+    """A config; or a non-object; or a config with a non-object value at one
+    of its keys, the problem's or the stop's."""
+    form = draw(st.sampled_from(["config", "config", "junk key", "junk"]))
+    if form == "junk":
+        return draw(_JUNK)
+    cfg = draw(st.fixed_dictionaries(_KEYS, optional=_OPTIONAL_KEYS))
+    if form == "junk key":
+        nodes = [(cfg[key], k) for key in ("stop", "problem") for k in cfg[key]]
+        node, key = draw(st.sampled_from(nodes + [(cfg, key) for key in cfg]))
+        node[key] = draw(_JUNK)
+    return cfg
+
+
+_OVERRIDES = st.lists(st.sampled_from([
+    "problem.kind=SparseSpd", "problem.m=3", "problem.seed.x=1", "stop=3",
+    "stop.itmax=5", "trials=1", 'schemes=["C5", "K6"]', "g_mode=identity",
+    "block_size=sqrt", "output_dir=5", "a.b.c=[]", "nokey"]), max_size=2)
+
+
+class TestEveryConfigEndsInAnExitCode:
+    """The CLI's counterpart of the solver's every-finite-input test: any
+    config from a small grammar of tiny problems, scheme lists, options,
+    wrong types and non-object values ends in exit 0, 1, 2 or 3."""
+
+    @settings(max_examples=150, database=None)
+    @given(command=st.sampled_from(list(_RUN_CONFIGS)),
+           cfg=_config(), overrides=_OVERRIDES)
+    def test_any_config(self, command, cfg, overrides):
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            # relative paths, a null output_dir's default "out" included,
+            # all resolve inside tmp
+            os.chdir(tmp)
+            try:
+                save_matrixmarket("spd.mtx", random_spd(1, 4))
+                save_matrixmarket("tall.mtx", make_rng(1).standard_normal((6, 3)))
+                save_matrixmarket("zero.mtx", np.zeros((3, 2)))
+                save_matrixmarket("huge.mtx", np.full((2, 2), 1e300))
+                with open("cfg.json", "w", encoding="utf-8") as fh:
+                    json.dump(cfg, fh)
+                argv = [command, "--config", "cfg.json"]
+                for spec in overrides:
+                    argv += ["--override", spec]
+                with np.errstate(all="ignore"):
+                    assert main(argv) in (0, 1, 2, 3)
+            finally:
+                os.chdir(cwd)

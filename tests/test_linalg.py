@@ -8,6 +8,7 @@ from hypothesis import given
 from helpers import (check_moore_penrose, eigs_via_charpoly, gaussian,
                      random_orthogonal, random_spd)
 from sketchsolve import linalg
+from sketchsolve.schemes import make_scheme
 from sketchsolve.linalg import (SpdMatrix, check_symmetric, extremal_eigs,
                                 frobenius_norm_sq, normal_residual,
                                 pseudoinverse, spd_sqrt, squared_norms)
@@ -244,6 +245,11 @@ class TestSpdSqrt:
 
 
 class TestSpdMatrix:
+    def test_repr_in_a_scheme(self):
+        scheme = make_scheme("K5", block_size=2, g=SpdMatrix(np.eye(3)))
+        assert repr(scheme) == ("Scheme(id='K5', block_size=2, "
+                                "distribution='uniform', g=SpdMatrix(n=3))")
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             SpdMatrix([[1.0, 0.5], [0.0, 1.0]])

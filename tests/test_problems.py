@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,3 +296,38 @@ class TestMatrixMarketRefusals:
         with pytest.raises(MatrixMarketError) as info:
             generate(ProblemSpec(kind="FromFile", path=str(path)))
         assert str(info.value) == f"{path}:{line}: {message}"
+
+
+class TestPathAndSaveRefusals:
+    @pytest.mark.parametrize("path", [None, "", 7, True, ["x"], b"A.mtx"])
+    def test_path_must_be_a_nonempty_string_or_path(self, path):
+        with pytest.raises(ValueError) as info:
+            ProblemSpec(kind="FromFile", path=path)
+        assert str(info.value) == f"FromFile problems need a path, got {path!r}"
+
+    def test_path_object_is_accepted(self, tmp_path):
+        a = make_rng(4).standard_normal((3, 2))
+        save_matrixmarket(tmp_path / "A.mtx", a)
+        prob = generate(ProblemSpec(kind="FromFile", path=tmp_path / "A.mtx"))
+        assert np.array_equal(prob.a, a)
+
+    @pytest.mark.parametrize("fmt", ["array", "coordinate"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_save_refuses_non_finite_before_writing(self, tmp_path, fmt, bad):
+        path = tmp_path / "A.mtx"
+        with pytest.raises(ValueError, match="finite values only"):
+            save_matrixmarket(path, [[1.0, bad]], fmt=fmt)
+        assert not path.exists()
+
+    def test_save_refuses_an_unknown_format_before_writing(self, tmp_path):
+        path = tmp_path / "A.mtx"
+        with pytest.raises(ValueError, match="unsupported format 'csv'"):
+            save_matrixmarket(path, np.eye(2), fmt="csv")
+        assert not path.exists()
+
+
+def test_sparse_normal_with_one_column_has_one_singular_value():
+    prob = generate(ProblemSpec(kind="SparseNormal", m=5, n=1, density=1.0,
+                                seed=2))
+    assert np.linalg.svd(prob.a, compute_uv=False).size == 1
+    assert prob.stats.achieved_rc == 1.0

@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 from helpers import gaussian, random_spd
-from sketchsolve import schemes
+from sketchsolve import schemes, solver
 from sketchsolve.linalg import SpdMatrix, pseudoinverse
 from sketchsolve.schemes import (Scheme, SkipStep, error_propagator,
                                  make_scheme, realize_sketch,
@@ -482,9 +482,41 @@ class TestDrawRefusals:
 
 
 class TestSchemeValidation:
-    def test_weight_required(self):
-        with pytest.raises(ValueError):
-            make_scheme("K5", block_size=2)
+    @pytest.mark.parametrize("weighted, plain", [
+        ("K5", "K3"), ("K6", "K4"), ("C5", "C3"), ("C6", "C4")])
+    def test_omitted_weight_runs_as_the_unweighted_id(self, monkeypatch,
+                                                        weighted, plain):
+        # G = I: the weighted id with no g is its unweighted id, bit for bit,
+        # in Gram space too (C on the tall system, past the use-G condition)
+        gram_steps = []
+        real_step = schemes.step
+
+        def spying_step(scheme, *args, gram=None, **kwargs):
+            gram_steps.append((scheme.id, gram is not None))
+            return real_step(scheme, *args, gram=gram, **kwargs)
+
+        monkeypatch.setattr(schemes, "step", spying_step)
+        tall = np.random.default_rng(5).standard_normal((2048, 64))
+        small = np.random.default_rng(6).standard_normal((30, 8))
+        for a in (tall, small):
+            prob = solver.Problem(a=a, b=a @ np.ones(a.shape[1]),
+                                  x_star=np.ones(a.shape[1]))
+            runs = []
+            for sid in (weighted, plain):
+                gram_steps.clear()
+                rng = make_rng(17)
+                x, trace = solver.solve(prob, make_scheme(sid, block_size=4),
+                                        solver.StopRule(itmax=300, tol=1e-10),
+                                        rng)
+                assert len(trace.records) > 2
+                # records: all but the wall clock
+                runs.append((x.tobytes(), trace.status, trace.skip_count,
+                             trace.exact_recomputes, rng.bit_generator.state,
+                             [(r.k, r.rel_residual, r.rel_error)
+                              for r in trace.records]))
+                in_gram = sid[0] == "C" and a is tall
+                assert {used for _, used in gram_steps} == {in_gram}
+            assert runs[0] == runs[1]
 
     def test_weight_forbidden(self):
         with pytest.raises(ValueError):

@@ -427,6 +427,11 @@ class TestEmpiricalRate:
 
 
 class TestRefusals:
+    @pytest.mark.parametrize("series", [[1e-20, 1.0, 0.5], [1.0, 1e-20, 1e-30]])
+    def test_no_contraction_fit_below_the_noise_floor(self, series):
+        # starts below the floor, or drops below it after step 0
+        assert math.isnan(theory._fit_contraction(np.array(series)))
+
     def test_symmetric_bound_needs_an_spd_matrix(self):
         a = np.array([[1.0, 2.0], [0.0, 1.0]])  # square, not symmetric
         with pytest.raises(ValueError, match="not symmetric"):
