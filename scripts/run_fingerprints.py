@@ -13,7 +13,11 @@ The cells are:
 - one K4 propagator estimate on UniformDense 400x100;
 - the weighted-to-symmetric reduction on SparseSpd 60: one S3 and one S4
   draw (l = 5, seed 9) through ``reduction_discrepancy``, with ``g = A^-1``
-  and with ``g = I``.
+  and with ``g = I``;
+- the generators: UniformDense 7x4, SparseNormal 30x12 with the default and
+  with an explicit density and rc, SparseSpd 12 and 1, and a FromFile
+  round trip of a matrix written by ``save_matrixmarket`` to a temporary
+  directory.
 
 A solve has two digests: its outcome, the bytes of the final ``x``, the
 status, the iteration, skip and exact-recompute counts, every record's
@@ -22,7 +26,8 @@ every record's residual and error. Timings are left out. A change that
 keeps every result but moves tracked record values within their bounds
 then shows in ``diff`` as changed second digests only. Every other cell
 has one digest: a fit's covers its report's repr, a propagator's the
-estimate's matrices and figures, a reduction's the two discrepancies. Only
+estimate's matrices and figures, a reduction's the two discrepancies, a
+generator's ``a``, ``b`` and its ``ProblemStats`` as a dict. Only
 the public ``sketchsolve`` API is read. BLAS is pinned to one thread.
 
     PYTHONPATH=src python scripts/run_fingerprints.py > change.txt
@@ -31,8 +36,10 @@ the public ``sketchsolve`` API is read. BLAS is pinned to one thread.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import os
+import tempfile
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -49,6 +56,15 @@ PROBLEMS = {
     "dense-400x100": ss.ProblemSpec(kind="UniformDense", m=400, n=100, seed=3),
     "dense-2000x100": ss.ProblemSpec(kind="UniformDense", m=2000, n=100, seed=4),
     "spd-60": ss.ProblemSpec(kind="SparseSpd", m=60, n=60, seed=5),
+}
+# the generator cells; a FromFile cell is added when its file is written
+GENERATED = {
+    "dense-7x4": ss.ProblemSpec(kind="UniformDense", m=7, n=4, seed=3),
+    "normal-30x12": ss.ProblemSpec(kind="SparseNormal", m=30, n=12, seed=5),
+    "normal-30x12-set": ss.ProblemSpec(kind="SparseNormal", m=30, n=12,
+                                       density=0.3, rc=0.1, seed=6),
+    "spd-12": ss.ProblemSpec(kind="SparseSpd", m=12, n=12, seed=7),
+    "spd-1": ss.ProblemSpec(kind="SparseSpd", m=1, n=1, seed=8),
 }
 PROPORTIONAL = {"K1": "norm_proportional", "C1": "norm_proportional",
                 "S1": "trace_proportional"}
@@ -130,13 +146,25 @@ def _reduction_cells(probs):
                _digest(exact, control))
 
 
+def _generator_cells():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "A.mtx")
+        ss.save_matrixmarket(path, ss.make_rng(10).standard_normal((9, 5)),
+                             fmt="coordinate")
+        specs = {**GENERATED, "file-9x5": ss.ProblemSpec(kind="FromFile", path=path)}
+        for name, spec in specs.items():
+            prob = ss.generate(spec)
+            yield (f"problem {name} achieved_rc={prob.stats.achieved_rc!r}",
+                   _digest(prob.a, prob.b, dataclasses.asdict(prob.stats)))
+
+
 def main() -> int:
     argparse.ArgumentParser(description=__doc__.split("\n")[0]).parse_args()
     probs = {name: ss.generate(spec) for name, spec in PROBLEMS.items()}
     cells = [cell for name, prob in probs.items()
              for cell in _solve_cells(name, prob)]
     cells += [*_fit_cells(probs), *_propagator_cell(probs),
-              *_reduction_cells(probs)]
+              *_reduction_cells(probs), *_generator_cells()]
     for label, digest in cells:
         print(f"{digest}  {label}")
     return 0

@@ -157,10 +157,14 @@ def _build_scheme(sid: str, block_size: int, distribution: str | None,
         kind = distribution
     g = _weight_for(sid, g_mode, a)
     try:
-        return schemes.make_scheme(sid, block_size=block_size,
-                                   distribution=kind, g=g)
+        scheme = schemes.make_scheme(sid, block_size=block_size,
+                                     distribution=kind, g=g)
     except ValueError as exc:
         raise ConfigError(str(exc))
+    dim = sketch.draw_dim(scheme, a.shape)
+    if scheme.block_size > dim:
+        raise ConfigError(f"block_size {scheme.block_size} exceeds dimension {dim}")
+    return scheme
 
 
 def _check_spd_compat(cfg_problem_kind: str, ids: list[str]):
@@ -219,7 +223,6 @@ def run_bench(cfg: dict) -> int:
     trials = _config_int(cfg, "trials", 1, 1)
     seed = _config_int(cfg, "seed", 0, 0)
     trace_every = _config_int(cfg, "trace_every", None, 1)
-    distribution = cfg.get("distribution")
     out = _out_dir(cfg)
 
     problem = _build_problem(spec)
@@ -228,9 +231,9 @@ def run_bench(cfg: dict) -> int:
 
     per_scheme = []
     any_failed = False
-    for sid in ids:
-        scheme = _build_scheme(sid, block, distribution, cfg.get("g_mode"),
-                               problem.a)
+    built = [_build_scheme(sid, block, cfg.get("distribution"), cfg.get("g_mode"),
+                           problem.a) for sid in ids]
+    for sid, scheme in zip(ids, built):
         for trial in range(trials):
             rng = sketch.rng_from_keys(seed, schemes.ALL_SCHEMES.index(sid), trial)
             entry = {"scheme": sid, "trial": trial}
@@ -279,9 +282,10 @@ def run_rates(cfg: dict) -> int:
 
     reports = []
     violations = []
-    for sid in ids:
-        dist = cfg.get("distribution") or theory.CLOSED_FORM_SAMPLING.get(sid)
-        scheme = _build_scheme(sid, block, dist, cfg.get("g_mode"), problem.a)
+    built = [_build_scheme(sid, block, cfg.get("distribution")
+                           or theory.CLOSED_FORM_SAMPLING.get(sid),
+                           cfg.get("g_mode"), problem.a) for sid in ids]
+    for sid, scheme in zip(ids, built):
         norm_used = cfg.get("norm_used") or (
             theory.NORM_GINV if sid in ("K5", "K6") else _DEFAULT_RATE_NORM[sid[0]])
         try:

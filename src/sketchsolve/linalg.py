@@ -62,8 +62,6 @@ def pseudoinverse(m) -> np.ndarray:
     if not np.isfinite(m).all():
         raise np.linalg.LinAlgError("pseudoinverse of a non-finite matrix")
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((m.shape[1], m.shape[0]))
     tau = max(m.shape) * s[0] * np.finfo(float).eps
     inv = np.where(s > tau, 1.0, 0.0)
     # np.where evaluates both branches; divide only where safe

@@ -17,10 +17,11 @@ which densifies the matrix; the sparsity target therefore describes the
 pattern before reshaping and the achieved fraction is reported in
 :class:`ProblemStats` rather than enforced on the final matrix. Only
 ``SparseNormal`` takes a ``density``, only it and ``SparseSpd`` take an
-``rc``, and ``FromFile`` takes no ``m``, ``n`` or ``seed`` (the file decides
-them); :class:`ProblemSpec` rejects any of them where the kind would ignore it,
-an ``m``, ``n`` or ``seed`` that is a bool or not an integer (or a negative
-seed), and a ``density`` or ``rc`` that is a bool or not a number in (0, 1].
+``rc``, and only ``FromFile`` takes a ``path`` and no ``m``, ``n`` or ``seed``
+(the file decides them); :class:`ProblemSpec` rejects any of them where the
+kind would ignore it, an ``m``, ``n`` or ``seed`` that is a bool or not an
+integer (or a negative seed), and a ``density`` or ``rc`` that is a bool or
+not a number in (0, 1], and fills in the defaults of those its kind reads.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ KINDS = (UNIFORM_DENSE, SPARSE_NORMAL, SPARSE_SPD, FROM_FILE)
 # the optional parameters each kind reads; any other is rejected
 _GEN = ("m", "n", "seed")
 _TAKES = {UNIFORM_DENSE: _GEN, SPARSE_NORMAL: (*_GEN, "density", "rc"),
-          SPARSE_SPD: (*_GEN, "rc"), FROM_FILE: ()}
+          SPARSE_SPD: (*_GEN, "rc"), FROM_FILE: ("path",)}
 
 
 @dataclass
@@ -75,16 +76,16 @@ class ProblemSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown problem kind {self.kind!r}")
-        for name in ("density", "rc", "m", "n", "seed"):
+        for name in ("density", "rc", "m", "n", "seed", "path"):
             v = getattr(self, name)
             if v is None:
                 continue
             if name not in _TAKES[self.kind]:
                 raise ValueError(f"{self.kind} problems take no {name}")
-            if name not in ("density", "rc"):
+            if name in ("m", "n", "seed"):
                 as_int(v, name, 0 if name == "seed" else 1)
-            elif (isinstance(v, bool) or not isinstance(v, numbers.Real)
-                  or not 0.0 < v <= 1.0):
+            elif name != "path" and (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                                     or not 0.0 < v <= 1.0):
                 raise ValueError(f"{name} must be a number in (0, 1], got {v!r}")
         if self.kind == FROM_FILE:
             if not isinstance(self.path, (str, os.PathLike)) or not self.path:
@@ -95,21 +96,11 @@ class ProblemSpec:
             raise ValueError("m and n must be >= 1")
         if self.kind == SPARSE_SPD and self.m != self.n:
             raise ValueError("SPD problems must be square")
-
-    def resolved_density(self) -> float:
-        if self.density is not None:
-            return self.density
-        return 1.0 / math.log(self.m * self.n) if self.m * self.n > 1 else 1.0
-
-    def resolved_rc(self) -> float:
-        return self.rc if self.rc is not None else 1.0 / math.sqrt(self.m * self.n)
-
-
-def sparse_pattern(m: int, n: int, density: float,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Boolean mask with each entry nonzero independently with probability
-    ``density``."""
-    return rng.random((m, n)) < density
+        mn = self.m * self.n
+        if "density" in _TAKES[self.kind] and self.density is None:
+            self.density = 1.0 / math.log(mn) if mn > 1 else 1.0
+        if "rc" in _TAKES[self.kind] and self.rc is None:
+            self.rc = 1.0 / math.sqrt(mn)
 
 
 def _reshape_singular_values(a: np.ndarray, rc: float) -> tuple[np.ndarray, float]:
@@ -138,45 +129,39 @@ def _random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def generate(spec: ProblemSpec) -> Problem:
     """Build the problem described by ``spec``; deterministic in the seed."""
+    pattern_density = achieved_rc = None
+    deficient = False
     if spec.kind == FROM_FILE:
         a = load_matrixmarket(spec.path)
-        m, n = a.shape
-        stats = ProblemStats(kind=spec.kind, m=m, n=n)
     else:
-        rng = make_rng(spec.seed)
-        m, n = spec.m, spec.n
+        rng, m, n = make_rng(spec.seed), spec.m, spec.n
 
         if spec.kind == UNIFORM_DENSE:
             a = rng.random(out=aligned_empty((m, n)))
-            stats = ProblemStats(kind=spec.kind, m=m, n=n)
 
         elif spec.kind == SPARSE_NORMAL:
-            density = spec.resolved_density()
-            rc = spec.resolved_rc()
-            mask = sparse_pattern(m, n, density, rng)
+            mask = rng.random((m, n)) < spec.density
             a0 = np.where(mask, rng.standard_normal((m, n)), 0.0)
-            deficient = density * m * n < max(m, n)
-            a, achieved = _reshape_singular_values(a0, rc)
-            stats = ProblemStats(kind=spec.kind, m=m, n=n, density=density,
-                                 pattern_density=float(mask.mean()), rc=rc,
-                                 achieved_rc=achieved,
-                                 structurally_deficient=deficient)
+            pattern_density = float(mask.mean())
+            deficient = spec.density * m * n < max(m, n)
+            a, achieved_rc = _reshape_singular_values(a0, spec.rc)
 
         elif spec.kind == SPARSE_SPD:
-            rc = spec.resolved_rc()
             q = _random_orthogonal(n, rng)
             if n == 1:
                 lam = np.array([1.0])
             else:
-                interior = np.exp(rng.uniform(math.log(rc), 0.0, size=n - 2))
-                lam = np.sort(np.concatenate([[rc, 1.0], interior]))
+                interior = np.exp(rng.uniform(math.log(spec.rc), 0.0, size=n - 2))
+                lam = np.sort(np.concatenate([[spec.rc, 1.0], interior]))
             t = (q * lam) @ q.T
             a = np.add(t, t.T, out=aligned_empty((n, n)))
             a *= 0.5
             w = np.linalg.eigvalsh(a)
-            stats = ProblemStats(kind=spec.kind, m=n, n=n, rc=rc,
-                                 achieved_rc=float(w[0] / w[-1]))
+            achieved_rc = float(w[0] / w[-1])
 
+    stats = ProblemStats(spec.kind, *a.shape, density=spec.density,
+                         pattern_density=pattern_density, rc=spec.rc,
+                         achieved_rc=achieved_rc, structurally_deficient=deficient)
     x_star = np.ones(a.shape[1])
     return Problem(a=a, b=a @ x_star, x_star=x_star, stats=stats)
 

@@ -582,6 +582,42 @@ class TestConfigRefusals:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("command", ["bench", "rates"])
+    def test_block_wider_than_its_side(self, tmp_path, capsys, command):
+        # K3 draws rows: a block of 8 cannot fit the 6 rows of a 6x3 system
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path, "cfg.json", {
+            "problem": {"kind": "UniformDense", "m": 6, "n": 3, "seed": 1},
+            "schemes": ["K3"], "block_size": 8, "stop": {"itmax": 50},
+            "trials": 2, "iterations": 5, "output_dir": str(out)})
+        assert main([command, "--config", cfg]) == 1
+        assert ("config error: block_size 8 exceeds dimension 6"
+                in capsys.readouterr().err)
+        assert list(out.iterdir()) == []
+
+    def test_bench_builds_every_scheme_before_the_first_solve(self, tmp_path,
+                                                                capsys):
+        out = tmp_path / "out"
+        cfg = _bench_config(tmp_path, out, schemes=["K1", "K5"])
+        assert main(["bench", "--config", cfg]) == 1
+        assert "scheme K5 needs g_mode" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_rates_builds_every_scheme_before_the_first_fit(self, tmp_path,
+                                                             capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(theory, "fit_empirical_rate",
+                            lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path, "rates.json", {
+            "problem": {"kind": "UniformDense", "m": 20, "n": 5, "seed": 1},
+            "schemes": ["K1", "K5"], "trials": 2, "iterations": 5,
+            "output_dir": str(out)})
+        assert main(["rates", "--config", cfg]) == 1
+        assert "scheme K5 needs g_mode" in capsys.readouterr().err
+        assert calls == []
+        assert list(out.iterdir()) == []
+
     def test_output_dir_under_a_regular_file(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -5,10 +6,20 @@ import numpy as np
 import pytest
 
 from sketchsolve.linalg import SpdMatrix, json_dict
-from sketchsolve.problems import (MatrixMarketError, ProblemSpec, generate,
-                                  load_matrixmarket, save_matrixmarket,
-                                  sparse_pattern)
+from sketchsolve.problems import (KINDS, MatrixMarketError, ProblemSpec,
+                                  generate, load_matrixmarket,
+                                  save_matrixmarket)
 from sketchsolve.sketch import make_rng
+
+
+# the optional fields each kind reads, stated here apart from the module, so
+# that a field added to ProblemSpec and refused nowhere fails the table guard
+_READS = {"UniformDense": {"m", "n", "seed"},
+          "SparseNormal": {"m", "n", "seed", "density", "rc"},
+          "SparseSpd": {"m", "n", "seed", "rc"},
+          "FromFile": {"path"}}
+_BASE = {"UniformDense": {"m": 2, "n": 2}, "SparseNormal": {"m": 2, "n": 2},
+         "SparseSpd": {"m": 2, "n": 2}, "FromFile": {"path": "A.mtx"}}
 
 
 class TestSpecValidation:
@@ -30,6 +41,20 @@ class TestSpecValidation:
         # the file decides the shape; an explicit m, n or seed would be ignored
         with pytest.raises(ValueError, match="FromFile problems take no"):
             ProblemSpec(kind="FromFile", path="A.mtx", **param)
+
+    @pytest.mark.parametrize("kind", ["UniformDense", "SparseNormal", "SparseSpd"])
+    def test_generated_kinds_refuse_a_path(self, kind):
+        # a config that names a file but not the FromFile kind must not run a
+        # random problem
+        with pytest.raises(ValueError, match=f"{kind} problems take no path"):
+            ProblemSpec(kind=kind, m=2, n=2, path="A.mtx")
+
+    @pytest.mark.parametrize("kind, name", [
+        (kind, f.name) for kind in KINDS for f in dataclasses.fields(ProblemSpec)
+        if f.name != "kind" and f.name not in _READS[kind]])
+    def test_every_field_a_kind_does_not_read_is_refused(self, kind, name):
+        with pytest.raises(ValueError, match=f"{kind} problems take no {name}"):
+            ProblemSpec(kind=kind, **_BASE[kind], **{name: 1})
 
     def test_generated_kinds_keep_their_defaults(self):
         spec = ProblemSpec(kind="UniformDense", m=3, n=2)
@@ -77,8 +102,8 @@ class TestSpecValidation:
 
     def test_defaults(self):
         spec = ProblemSpec(kind="SparseNormal", m=100, n=100)
-        assert spec.resolved_density() == pytest.approx(1.0 / math.log(10_000))
-        assert spec.resolved_rc() == pytest.approx(0.01)
+        assert spec.density == pytest.approx(1.0 / math.log(10_000))
+        assert spec.rc == pytest.approx(0.01)
 
 
 class TestGenerate:
@@ -107,9 +132,9 @@ class TestGenerate:
         SpdMatrix(prob.a)  # must validate
         w = np.linalg.eigvalsh(0.5 * (prob.a + prob.a.T))
         kappa = w[-1] / w[0]
-        want = 1.0 / spec.resolved_rc()
+        want = 1.0 / spec.rc
         assert abs(kappa - want) <= 0.05 * want
-        assert prob.stats.achieved_rc == pytest.approx(spec.resolved_rc(), rel=1e-6)
+        assert prob.stats.achieved_rc == pytest.approx(spec.rc, rel=1e-6)
 
     def test_spd_spectrum_at_one_and_two(self):
         # the spectrum is pinned at rc and 1; n = 1 keeps only the 1
@@ -130,12 +155,13 @@ class TestGenerate:
         spec = ProblemSpec(kind="SparseNormal", m=40, n=25, seed=9)
         prob = generate(spec)
         sv = np.linalg.svd(prob.a, compute_uv=False)
-        rc = spec.resolved_rc()
+        rc = spec.rc
         assert abs(sv[-1] / sv[0] - rc) <= 0.05 * rc
 
     def test_sparse_pattern_is_bernoulli(self):
-        mask = sparse_pattern(200, 200, 0.1, make_rng(1))
-        assert abs(mask.mean() - 0.1) < 0.02
+        prob = generate(ProblemSpec(kind="SparseNormal", m=200, n=200,
+                                    density=0.1, seed=1))
+        assert abs(prob.stats.pattern_density - 0.1) < 0.02
 
     def test_structural_deficiency_flagged(self):
         spec = ProblemSpec(kind="SparseNormal", m=30, n=30, density=0.02, seed=13)
