@@ -8,8 +8,8 @@ The cells are:
   and ``tol`` 1e-8, at seeds 1 and 2, on UniformDense 400x100 (K records
   exact), UniformDense 2000x100 (anchored K records, C1-C4 in Gram space)
   and SparseSpd 60; the S ids run on SparseSpd only;
-- three rate fits: K1 and C1 norm-proportional on UniformDense 400x100, S1
-  trace-proportional on SparseSpd 60;
+- four rate fits: K1 and C1 norm-proportional on UniformDense 400x100, S1
+  trace-proportional and S4 uniform (l = 5) on SparseSpd 60;
 - one K4 propagator estimate on UniformDense 400x100;
 - the weighted-to-symmetric reduction on SparseSpd 60: one S3 and one S4
   draw (l = 5, seed 9) through ``reduction_discrepancy``, with ``g = A^-1``
@@ -113,9 +113,11 @@ def _solve_cells(name: str, problem: ss.Problem):
 def _fit_cells(probs):
     fits = (("K1", "dense-400x100", theory.NORM_EUCLID),
             ("C1", "dense-400x100", theory.NORM_GHAT),
-            ("S1", "spd-60", theory.NORM_A))
+            ("S1", "spd-60", theory.NORM_A),
+            ("S4", "spd-60", theory.NORM_A))
     for sid, name, norm in fits:
-        scheme = ss.make_scheme(sid, distribution=PROPORTIONAL[sid])
+        scheme = ss.make_scheme(sid, block_size=BLOCK,
+                                distribution=PROPORTIONAL.get(sid, "uniform"))
         report = ss.fit_empirical_rate(probs[name], scheme, trials=5,
                                        iterations=200, norm_used=norm, seed=7)
         yield (f"fit {name} {sid} rho_fit={report.rho_fit!r}",

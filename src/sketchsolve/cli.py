@@ -125,19 +125,24 @@ def _resolve_block_size(cfg: dict, default, n: int) -> int:
     return _config_int(cfg, "block_size", default, 1)
 
 
-def _weight_for(scheme_id: str, g_mode, a: np.ndarray) -> SpdMatrix | None:
+def _weight_for(scheme_id: str, g_mode, a: np.ndarray,
+                weights: dict | None = None) -> SpdMatrix | None:
     """G for a weighted id: None (G = I) under ``g_mode`` "identity" and for
-    ids that take no weight, the SPD ``A^-1`` under "inverse"."""
+    ids that take no weight, the SPD ``A^-1`` under "inverse", built once
+    and kept in ``weights``, if given, for a run's other weighted ids."""
     if scheme_id not in schemes.WEIGHTED_SCHEMES or g_mode == "identity":
         return None
     if g_mode != "inverse":
         raise ConfigError(f"scheme {scheme_id} needs g_mode 'identity' or 'inverse'")
     if a.shape[0] != a.shape[1]:
         raise ConfigError("g_mode 'inverse' needs a square system")
-    try:
-        return SpdMatrix(np.linalg.inv(a))
-    except ValueError as exc:
-        raise ConfigError(f"g_mode 'inverse' needs an SPD system: {exc}")
+    weights = {} if weights is None else weights
+    if "inverse" not in weights:
+        try:
+            weights["inverse"] = SpdMatrix(np.linalg.inv(a))
+        except ValueError as exc:
+            raise ConfigError(f"g_mode 'inverse' needs an SPD system: {exc}")
+    return weights["inverse"]
 
 
 def _scheme_list(cfg: dict) -> list[str]:
@@ -151,11 +156,11 @@ def _scheme_list(cfg: dict) -> list[str]:
 
 
 def _build_scheme(sid: str, block_size: int, distribution: str | None,
-                  g_mode, a: np.ndarray) -> schemes.Scheme:
+                  g_mode, a: np.ndarray, weights: dict) -> schemes.Scheme:
     kind = sketch.UNIFORM
     if distribution and schemes.sketch_kind(sid) == sketch.INDEX:
         kind = distribution
-    g = _weight_for(sid, g_mode, a)
+    g = _weight_for(sid, g_mode, a, weights)
     try:
         scheme = schemes.make_scheme(sid, block_size=block_size,
                                      distribution=kind, g=g)
@@ -196,16 +201,18 @@ def _write_output(path: Path, cfg: dict, problem: solver.Problem | None,
         fh.write("\n")
 
 
-def _out_dir(cfg: dict) -> Path:
+def _out_dir(cfg: dict) -> Path:  # created by _make_dir once all is built
     out = cfg.get("output_dir")
     if out is not None and not isinstance(out, str):
         raise ConfigError(f"output_dir must be a string, got {out!r}")
-    out = Path(out or "out")
+    return Path(out or "out")
+
+
+def _make_dir(out: Path):
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise ConfigError(f"cannot create output dir {out}: {exc}")
-    return out
 
 
 def run_bench(cfg: dict) -> int:
@@ -231,8 +238,10 @@ def run_bench(cfg: dict) -> int:
 
     per_scheme = []
     any_failed = False
+    weights = {}
     built = [_build_scheme(sid, block, cfg.get("distribution"), cfg.get("g_mode"),
-                           problem.a) for sid in ids]
+                           problem.a, weights) for sid in ids]
+    _make_dir(out)
     for sid, scheme in zip(ids, built):
         for trial in range(trials):
             rng = sketch.rng_from_keys(seed, schemes.ALL_SCHEMES.index(sid), trial)
@@ -282,9 +291,11 @@ def run_rates(cfg: dict) -> int:
 
     reports = []
     violations = []
+    weights = {}
     built = [_build_scheme(sid, block, cfg.get("distribution")
                            or theory.CLOSED_FORM_SAMPLING.get(sid),
-                           cfg.get("g_mode"), problem.a) for sid in ids]
+                           cfg.get("g_mode"), problem.a, weights) for sid in ids]
+    _make_dir(out)
     for sid, scheme in zip(ids, built):
         norm_used = cfg.get("norm_used") or (
             theory.NORM_GINV if sid in ("K5", "K6") else _DEFAULT_RATE_NORM[sid[0]])
@@ -311,6 +322,7 @@ def run_verify_expectation(cfg: dict) -> int:
     seed = _config_int(cfg, "seed", 0, 0)
     out = _out_dir(cfg)
     problem = _build_problem(spec)
+    _make_dir(out)
     a = problem.a
     g_mode = cfg.get("g_mode")
 
@@ -343,6 +355,7 @@ def run_gen_problem(cfg: dict) -> int:
     spec = _problem_spec(cfg)
     out = _out_dir(cfg)
     problem = _build_problem(spec)
+    _make_dir(out)
     problems.save_matrixmarket(out / "A.mtx", problem.a, fmt="array")
     problems.save_matrixmarket(out / "b.mtx", problem.b.reshape(-1, 1), fmt="array")
     _write_output(out / "meta.json", cfg, problem)

@@ -56,8 +56,7 @@ def pseudoinverse(m) -> np.ndarray:
     if m.shape[0] == m.shape[1]:
         with contextlib.suppress(np.linalg.LinAlgError):
             inv = np.linalg.inv(m)
-            # squared, in Python floats: overflow gives inf, inf * 0 nan; both fail
-            if float(np.vdot(m, m)) * float(np.vdot(inv, inv)) <= _INV_BOUND_SQ:
+            if _keeps_lu(float(np.vdot(m, m)), float(np.vdot(inv, inv))):
                 return inv
     if not np.isfinite(m).all():
         raise np.linalg.LinAlgError("pseudoinverse of a non-finite matrix")
@@ -68,6 +67,28 @@ def pseudoinverse(m) -> np.ndarray:
     safe = np.where(s > tau, s, 1.0)
     inv = inv / safe
     return (vt.T * inv) @ u.T
+
+
+def _keeps_lu(norm_sq, inv_norm_sq):
+    # pseudoinverse's rule, ||M||_F^2 ||M^-1||_F^2 <= 1/eps, on floats or
+    # arrays of squared norms: overflow gives inf, inf * 0 nan; both fail
+    return norm_sq * inv_norm_sq <= _INV_BOUND_SQ
+
+
+def lu_inverses(stack: np.ndarray) -> list:
+    """For each matrix of a (B, l, l) stack, the LU inverse :func:`pseudoinverse`
+    would return for it, bit for bit, or None where it would not; all None
+    where numpy cannot invert the whole stack (a matrix is singular)."""
+    try:
+        inv = np.linalg.inv(stack)
+    except np.linalg.LinAlgError:
+        return [None] * len(stack)
+    # each square summed as np.vdot sums it: one dot product per matrix
+    m, mi = (s.reshape(len(s), 1, -1) for s in (stack, inv))
+    with np.errstate(over="ignore", invalid="ignore"):
+        keep = _keeps_lu(np.matmul(m, m.transpose(0, 2, 1))[:, 0, 0],
+                         np.matmul(mi, mi.transpose(0, 2, 1))[:, 0, 0])
+    return [v if k else None for v, k in zip(inv, keep)]
 
 
 def check_symmetric(s) -> np.ndarray:

@@ -68,7 +68,7 @@ class ProblemSpec:
     kind: str
     m: int | None = None          # generated kinds only; a FromFile file sets
     n: int | None = None          # the shape
-    density: float | None = None  # SparseNormal; default 1/log(m*n)
+    density: float | None = None  # SparseNormal; default min(1, 1/log(m*n))
     rc: float | None = None       # SparseNormal, SparseSpd; default 1/sqrt(m*n)
     seed: int | None = None       # generated kinds; default 0
     path: str | os.PathLike | None = None
@@ -98,7 +98,7 @@ class ProblemSpec:
             raise ValueError("SPD problems must be square")
         mn = self.m * self.n
         if "density" in _TAKES[self.kind] and self.density is None:
-            self.density = 1.0 / math.log(mn) if mn > 1 else 1.0
+            self.density = 1.0 / max(1.0, math.log(mn))
         if "rc" in _TAKES[self.kind] and self.rc is None:
             self.rc = 1.0 / math.sqrt(mn)
 

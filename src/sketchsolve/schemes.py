@@ -38,7 +38,8 @@ the column kernel (C, S) on the sketched columns A Z; the weighted ids only
 multiply in the SPD factor G, and S is the column update with Y = Z. The
 scalar ids (K1, K2, C1, C2, S1, S2) are the one-column case, whose 1 x 1
 sketched system is solved in closed form; the block ids solve theirs with
-the pseudoinverse. The column and symmetric families carry the residual
+the pseudoinverse, or S4 with the LU inverse that its solve forms for a
+whole block of draws. The column and symmetric families carry the residual
 ``b - A x`` along in place (:func:`maintains_residual`); :func:`step_generic`
 assembles (Y, Z) explicitly, the oracle the specialized updates are tested
 against.
@@ -257,7 +258,8 @@ def step(scheme: Scheme, a: np.ndarray, b: np.ndarray,
          x: np.ndarray, draw: np.ndarray,
          r: np.ndarray | None = None,
          gram: np.ndarray | None = None,
-         az: np.ndarray | None = None) -> np.ndarray:
+         az: np.ndarray | None = None,
+         inverse: np.ndarray | None = None) -> np.ndarray:
     """One iteration via the specialized update for ``scheme``.
 
     K ids go through the row kernel and C and S ids through the column
@@ -283,20 +285,22 @@ def step(scheme: Scheme, a: np.ndarray, b: np.ndarray,
 
     S2 and S4 may be given their sketched columns ``az = A draw``, which
     :func:`solver.solve` forms for a block of draws in one product; they
-    are used as given.
+    are used as given, as is S4's ``inverse``, the LU inverse of its
+    sketched system ``W^T A W`` (:func:`linalg.lu_inverses`).
     """
     _check_draw(scheme, draw, a.shape)
     if gram is not None and not scheme.gram_form:
         raise ValueError(f"scheme {scheme.id} has no Gram-space update")
-    if az is not None and (scheme.kind != GAUSS or scheme.id[0] != "S"):
+    gauss, scalar = scheme.kind == GAUSS, scheme.id in SCALAR_SCHEMES
+    if az is not None and not (gauss and scheme.id[0] == "S"):
         raise ValueError(f"scheme {scheme.id} takes no sketched columns")
+    if inverse is not None and not (gauss and scheme.id[0] == "S" and not scalar):
+        raise ValueError(f"scheme {scheme.id} takes no sketched inverse")
     if maintains_residual(scheme):
         if r is None:
             r = b - a @ x if gram is None else normal_residual(a, b, x)[1]
     elif r is not None:
         raise ValueError(f"scheme {scheme.id} does not maintain a residual")
-    gauss = scheme.kind == GAUSS
-    scalar = scheme.id in SCALAR_SCHEMES
     if scalar:
         # an int index or a 1-D w: every gather below is then a 1-D view
         draw = draw[:, 0] if gauss else draw[0]
@@ -307,7 +311,8 @@ def step(scheme: Scheme, a: np.ndarray, b: np.ndarray,
     if gram is not None:
         # G^T: its columns are G's contiguous rows
         return _col_kernel("S", gram.T, x, r, idx, w, None, scalar)
-    return _col_kernel(scheme.id[0], a, x, r, idx, w, scheme.g, scalar, az)
+    return _col_kernel(scheme.id[0], a, x, r, idx, w, scheme.g, scalar, az,
+                       inverse)
 
 
 def _solve(e, ytr, scalar):
@@ -346,11 +351,11 @@ def _row_kernel(a, b, x, rows, w, g, scalar):
     return x + (d * z if scalar else z @ d)
 
 
-def _col_kernel(fam, a, x, r, cols, w, g, scalar, az=None):
+def _col_kernel(fam, a, x, r, cols, w, g, scalar, az=None, inverse=None):
     """C1-C6, S1-S4: the sketched columns ``az = A Z``, formed here unless
     given, give ``Y = az`` (``G az`` when weighted) for C and ``Y = Z`` for
-    S; solves for the step ``d`` in Z's coordinates and moves ``r`` by
-    ``az d`` in place."""
+    S; solves for the step ``d`` in Z's coordinates, through ``inverse``
+    where given, and moves ``r`` by ``az d`` in place."""
     if cols is None:
         az = a @ w if az is None else az
     elif scalar or not a.flags.c_contiguous:
@@ -366,8 +371,8 @@ def _col_kernel(fam, a, x, r, cols, w, g, scalar, az=None):
     elif cols is not None:
         e, ytr = az[cols], r[cols]
     else:
-        e, ytr = w.T @ az, w.T @ r
-    d = _solve(e, ytr, scalar)
+        e, ytr = (w.T @ az if inverse is None else None), w.T @ r
+    d = _solve(e, ytr, scalar) if inverse is None else inverse @ ytr
     r -= d * az if scalar else az @ d
     if cols is None:
         return x + (d * w if scalar else w @ d)

@@ -58,7 +58,10 @@ saved state, so steps run past it change nothing but the time taken.
 S2 and S4 draw their next steps' Gaussian blocks in one call (up to
 ``SKETCH_BLOCK`` bytes each of draws and of sketched columns, never past
 ``itmax``) and form the columns in one product, handing each
-:func:`schemes.step` its own. A run that stops or raises inside a block
+:func:`schemes.step` its own; S4 also forms their systems ``W^T A W`` in
+one product and inverts them in one call, handing a step the inverse
+:func:`linalg.pseudoinverse` would return, if it is the LU one
+(:func:`linalg.lu_inverses`). A run that stops or raises inside a block
 resets the generator to the block's start and redraws the steps taken.
 
 This is the only loop that runs the iteration: rate fits
@@ -78,7 +81,7 @@ import numpy as np
 
 from . import schemes
 from .linalg import (SpdMatrix, aligned_empty, as_matrix, as_vector,
-                     normal_residual)
+                     lu_inverses, normal_residual)
 from .sketch import GAUSS, IndexCdf, draw_sketch
 
 CONVERGED = "Converged"
@@ -168,11 +171,12 @@ class Problem:
     def gram(self) -> np.ndarray:
         """``A^T A`` (read-only, 64-byte aligned), formed once, O(m n^2).
         It is exactly symmetric, as the Gram-space column steps need: numpy
-        forms ``A^T A`` as one triangle, mirrored, which the average leaves
-        bit-identical, and the average symmetrizes any other product."""
+        forms ``A^T A`` as one triangle, mirrored, and any other product is
+        averaged with its transpose (a copy, as the two overlap)."""
         g = np.matmul(self.a.T, self.a, out=aligned_empty((self.shape[1],) * 2))
-        g += g.T
-        g *= 0.5
+        if not np.array_equal(g, g.T):
+            g += g.T
+            g *= 0.5
         return _read_only(g)
 
     @cached_property
@@ -221,7 +225,7 @@ class StopRule:
             raise ValueError("tol must be > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     k: int
     rel_residual: float
@@ -494,10 +498,11 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
 
     # S2 and S4: ``block`` holds the draws W of steps ``first`` on, drawn from
     # generator state ``state``; ``cols`` their A W, one product W^T A^T laid
-    # out as A @ w would be, so that a step rounds alike. SKETCH_BLOCK bounds
-    # both, each B x n x l as A is square. The rewind in ``finally`` is the
-    # only one: S ids carry their residual, so batch == 1 and no pending
-    # record holds a generator state
+    # out as A @ w would be, so that a step rounds alike; ``inverses`` S4's
+    # (W^T A W)^-1 or None. SKETCH_BLOCK bounds the draws and columns, each
+    # B x n x l as A is square. The rewind in ``finally`` is the only one: S
+    # ids carry their residual, so batch == 1 and no pending record holds a
+    # generator state
     blocked = scheme.kind == GAUSS and scheme.id[0] == "S"
     per_block = max(1, SKETCH_BLOCK // (8 * scheme.block_size * n))
     block, first = (), 1
@@ -514,8 +519,13 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
                             per_block, stop.itmax - k + 1))
                         cols = np.ascontiguousarray(
                             np.tensordot(block, a, (1, 1)).transpose(0, 2, 1))
+                        inverses = [None] * len(block)
+                        if scheme.id not in schemes.SCALAR_SCHEMES:
+                            inverses = lu_inverses(np.matmul(
+                                block.transpose(0, 2, 1), cols))
                     x = schemes.step(scheme, a, b, x, block[k - first], r=r,
-                                     az=cols[k - first])
+                                     az=cols[k - first],
+                                     inverse=inverses[k - first])
             except (schemes.SkipStep, np.linalg.LinAlgError):
                 trace.skip_count += 1
             except Exception:

@@ -436,6 +436,30 @@ class TestIdentityWeight:
         assert got == json.loads(json.dumps(json_dict(want)))
 
 
+class TestInverseWeight:
+    """``g_mode: "inverse"`` builds one ``A^-1`` per run and hands it to
+    every weighted scheme."""
+
+    @pytest.mark.parametrize("command, extra", [
+        ("bench", {"stop": {"itmax": 20}}),
+        ("rates", {"trials": 2, "iterations": 5})])
+    def test_one_inversion_per_run(self, tmp_path, monkeypatch, command, extra):
+        built = []
+        init = SpdMatrix.__init__
+
+        def recording(self, mat):
+            built.append(np.shape(mat))
+            init(self, mat)
+
+        monkeypatch.setattr(SpdMatrix, "__init__", recording)
+        cfg = _write_config(tmp_path, "cfg.json", {
+            "problem": {"kind": "SparseSpd", "m": 12, "n": 12, "seed": 3},
+            "schemes": ["K5", "K6", "C5", "C6"], "g_mode": "inverse",
+            "block_size": 3, "output_dir": str(tmp_path / "out"), **extra})
+        assert main([command, "--config", cfg]) == 0
+        assert built == [(12, 12)]
+
+
 class TestIntegerOptions:
     """Every integer and float option, the stop object, ``block_size`` and
     the problem's numbers are checked up front: a bad value is a config
@@ -593,7 +617,7 @@ class TestConfigRefusals:
         assert main([command, "--config", cfg]) == 1
         assert ("config error: block_size 8 exceeds dimension 6"
                 in capsys.readouterr().err)
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_bench_builds_every_scheme_before_the_first_solve(self, tmp_path,
                                                                 capsys):
@@ -601,7 +625,7 @@ class TestConfigRefusals:
         cfg = _bench_config(tmp_path, out, schemes=["K1", "K5"])
         assert main(["bench", "--config", cfg]) == 1
         assert "scheme K5 needs g_mode" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_rates_builds_every_scheme_before_the_first_fit(self, tmp_path,
                                                              capsys, monkeypatch):
@@ -616,7 +640,7 @@ class TestConfigRefusals:
         assert main(["rates", "--config", cfg]) == 1
         assert "scheme K5 needs g_mode" in capsys.readouterr().err
         assert calls == []
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_output_dir_under_a_regular_file(self, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -735,7 +759,7 @@ class TestUnbuildableProblem:
         assert str(path) in err
         if line is not None:
             assert f"{path}:{line}: " in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", list(_RUN_CONFIGS))
     def test_failed_generation(self, tmp_path, capsys, command):
@@ -748,7 +772,7 @@ class TestUnbuildableProblem:
         assert main([command, "--config", cfg]) == 1
         assert ("config error: cannot build the problem: cannot impose a "
                 "condition number on a zero matrix" in capsys.readouterr().err)
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 # JSON values that are not objects, mixed in at the top level and at each key

@@ -10,8 +10,9 @@ from helpers import (check_moore_penrose, eigs_via_charpoly, gaussian,
 from sketchsolve import linalg
 from sketchsolve.schemes import make_scheme
 from sketchsolve.linalg import (SpdMatrix, check_symmetric, extremal_eigs,
-                                frobenius_norm_sq, normal_residual,
-                                pseudoinverse, spd_sqrt, squared_norms)
+                                frobenius_norm_sq, lu_inverses,
+                                normal_residual, pseudoinverse, spd_sqrt,
+                                squared_norms)
 
 
 class TestPseudoinverse:
@@ -103,6 +104,38 @@ class TestPseudoinverseInverseFastPath:
             pseudoinverse(big)
         with pytest.raises(np.linalg.LinAlgError):
             pseudoinverse(np.array(big)[:, :2])
+
+
+class TestLuInverses:
+    """``lu_inverses`` keeps, for each matrix of a stack, the LU inverse that
+    ``pseudoinverse`` returns for it, and None where it takes its SVD."""
+
+    @pytest.mark.parametrize("l", [1, 5, 20])
+    def test_kept_inverses_are_pseudoinverses_bit_for_bit(self, monkeypatch,
+                                                          l):
+        rng = np.random.default_rng(l)
+        stack = rng.standard_normal((7, l, l))
+        if l > 1:  # cond 1e12, past the rule
+            q = random_orthogonal(rng, l)
+            stack[2] = (q * np.r_[1.0, np.full(l - 1, 1e-12)]) @ q.T
+        stack[4] *= 1e200  # its squares overflow
+        svds, real_svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *a, **k: svds.append(1) or real_svd(*a, **k))
+        kept = lu_inverses(stack)
+        for m, inv in zip(stack, kept):
+            with np.errstate(over="ignore"):
+                want = pseudoinverse(m)
+            assert len(svds) == (inv is None)
+            if inv is not None:
+                assert inv.tobytes() == want.tobytes()
+            svds.clear()
+        assert [inv is None for inv in kept] == \
+            [False, False, l > 1, False, True, False, False]
+
+    def test_a_singular_matrix_leaves_the_whole_stack_to_pseudoinverse(self):
+        stack = np.stack([np.eye(3), np.diag([1.0, 0.0, 2.0]), 2 * np.eye(3)])
+        assert lu_inverses(stack) == [None] * 3
 
 
 class TestExtremalEigs:

@@ -105,6 +105,13 @@ class TestSpecValidation:
         assert spec.density == pytest.approx(1.0 / math.log(10_000))
         assert spec.rc == pytest.approx(0.01)
 
+    @pytest.mark.parametrize("m, n", [(1, 2), (2, 1)])
+    def test_default_density_is_a_density(self, m, n):
+        # 1/log(2) is 1.44, which the spec refused when handed it back
+        spec = ProblemSpec(kind="SparseNormal", m=m, n=n)
+        assert spec.density == 1.0
+        assert ProblemSpec(**dataclasses.asdict(spec)) == spec
+
 
 class TestGenerate:
     def test_uniform_dense_definition(self):

@@ -193,6 +193,29 @@ class TestGivenColumns:
             step(scheme, a, b, x, draw, az=np.zeros((a.shape[0], 3)))
 
 
+class TestGivenInverse:
+    """``step(..., inverse=...)`` takes S4's LU inverse of its sketched
+    system from the caller instead of forming the system and its
+    pseudoinverse."""
+
+    def test_given_inverse_steps_as_the_pseudoinverse(self):
+        scheme, a, b, x, draw = _instance("S4", 23, block=3)
+        e = draw.T @ (a @ draw)
+        inverse = np.linalg.inv(e)
+        assert pseudoinverse(e).tobytes() == inverse.tobytes()
+        r, r_given = b - a @ x, b - a @ x
+        out = step(scheme, a, b, x, draw, r=r)
+        given = step(scheme, a, b, x, draw, r=r_given, inverse=inverse)
+        assert given.tobytes() == out.tobytes()
+        assert r_given.tobytes() == r.tobytes()
+
+    @pytest.mark.parametrize("sid", ["S2", "S3", "C4", "C6", "K4"])
+    def test_only_s4_takes_an_inverse(self, sid):
+        scheme, a, b, x, draw = _instance(sid, 24, block=3)
+        with pytest.raises(ValueError, match="takes no sketched inverse"):
+            step(scheme, a, b, x, draw, inverse=np.eye(3))
+
+
 class TestMonotonicity:
     @given(seed=st.integers(0, 5_000), sid=st.sampled_from(["K1", "K2", "K3", "K4"]))
     def test_row_schemes_never_increase_euclidean_error(self, seed, sid):

@@ -124,6 +124,26 @@ class TestCommittedPairs:
             for its in pair["iterations"].values():
                 assert its["parent"] == its["change"]
 
+    def test_bench_23_claims_and_nothing_is_worse(self):
+        bench = json.loads((ROOT / "BENCH_23.json").read_text())
+        assert _claims(bench) == {
+            ("spd-400-rates", "solve_s.block"),
+            ("spd-400-rates", "cell fit.S4"),
+            ("spd-400-rates", "peak_rss_mb"),
+            ("dense-20000x500", "peak_rss_mb"),
+        }
+        verdicts = [e["verdict"] for w in bench["benchmark_pairs"]
+                    for e in bench["benchmark_pairs"][w]["metrics"].values()]
+        verdicts += [e["verdict"] for cells in bench["cell_seconds"].values()
+                     for e in cells.values()]
+        assert len(verdicts) == 21 and "worse" not in verdicts
+        for pair in bench["benchmark_pairs"].values():
+            for its in pair["iterations"].values():
+                assert its["parent"] == its["change"]
+        traced = [bench["traced"][side]["spd-400-rates/1"]["linalg.pinv_calls"]
+                  for side in ("parent", "change")]
+        assert traced == [24794, 2358]
+
 
 def _write_run(directory: Path, seed, trace, metrics, cells=None):
     run = {"workload": "w", "seed": seed, "metrics": metrics,

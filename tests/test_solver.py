@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from sketchsolve.linalg import SpdMatrix
 from sketchsolve.schemes import SkipStep, error_propagator, make_scheme, step
 from sketchsolve.sketch import NORM_PROPORTIONAL, draw_sketch, make_rng
 from sketchsolve.solver import (CONVERGED, DRIFT, EXACT_EVERY, MAX_ITERS,
-                                NON_FINITE, Problem, StopRule, solve)
+                                NON_FINITE, Problem, StopRule, TraceRecord,
+                                solve)
 
 
 def _consistent_problem(seed: int, m: int, n: int) -> Problem:
@@ -118,6 +121,22 @@ class TestProblemCache:
         assert prob.gram is gram
         assert not gram.flags.writeable
         assert np.array_equal(gram, prob.a.T @ prob.a)
+
+    def test_gram_forms_one_n_by_n_array(self):
+        # numpy's mirrored A^T A is left as it is; averaging it with its
+        # transpose first copied the overlapping G^T, a second n x n array
+        prob = _consistent_problem(27, 300, 200)
+        tracemalloc.start()
+        try:
+            gram = prob.gram
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * gram.nbytes
+        assert np.array_equal(gram, gram.T)
+
+    def test_trace_records_have_slots(self):
+        assert not hasattr(TraceRecord(1, 0.5, None, 0.0), "__dict__")
 
     def test_sampling_cdf_kept_per_distribution_and_axis(self):
         prob = _consistent_problem(5, 12, 4)
@@ -1098,6 +1117,45 @@ class TestSketchBlocks:
         assert [c for c, _ in drawn] == [5, 5, 5, 5, 3]
         assert all(w.shape == (c, n, block) and w.nbytes <= budget
                    for c, w in drawn)
+
+    @pytest.mark.parametrize("how", ["zero column", "tiny columns"])
+    def test_systems_lu_cannot_take_step_as_without_an_inverse(self,
+                                                              monkeypatch, how):
+        # the first block's third draw: a zero column makes its W^T A W
+        # singular, so numpy inverts none of the block; two columns scaled by
+        # 1e-9 leave it invertible, but past pseudoinverse's rule. Every step
+        # given its inverse steps as without it, bit for bit
+        prob, scheme = self._case("S4", 4)
+        real_draw, real_step = solver.draw_sketch, schemes.step
+        given = []
+
+        def draw(*args, count=None):
+            out = real_draw(*args, count=count)
+            if not given:
+                out[2][:, :2] *= [0.0, 1.0] if how == "zero column" else 1e-9
+            return out
+
+        def step_(scheme, a, b, x, draw, r=None, az=None, inverse=None):
+            given.append(inverse is not None)
+            r_plain = r.copy()
+            plain = real_step(scheme, a, b, x, draw, r=r_plain, az=az)
+            out = real_step(scheme, a, b, x, draw, r=r, az=az, inverse=inverse)
+            assert out.tobytes() == plain.tobytes()
+            assert r.tobytes() == r_plain.tobytes()
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "SKETCH_BLOCK",
+                          self.B * 8 * scheme.block_size * prob.shape[0])
+            patch.setattr(solver, "draw_sketch", draw)
+            patch.setattr(schemes, "step", step_)
+            trace = solve(prob, scheme, StopRule(itmax=5 * self.B, tol=1e-300),
+                          make_rng(77))[1]
+        first = [True] * self.B
+        first[2] = False
+        assert given[:self.B] == ([False] * self.B if how == "zero column"
+                                  else first)
+        assert all(given[self.B:]) and trace.iterations == 5 * self.B
 
     @pytest.mark.parametrize("sid, gram", [
         ("C2", False), ("C4", False), ("C6", False), ("C2", True)])
