@@ -13,11 +13,12 @@ Subcommands
 Common flags: ``--config PATH`` (required), ``--seed N``, ``--out DIR``,
 ``--scheme K1,K3``, ``--override key.path=value`` (value parsed as JSON).
 
-Exit codes: 0 success, 1 config error, 2 any scheme failed, 3 rate-bound
-violation. A problem that cannot be built is a config error; a missing,
-malformed or non-finite ``FromFile`` matrix is reported with its path and,
-once the file is read, the offending line. All outputs except wall-clock
-fields are byte-reproducible for a fixed config and seed.
+Exit codes: 0 success, 1 config error (nothing written), 2 any scheme
+failed, 3 rate-bound violation. A problem that cannot be built, or a scheme
+that cannot be set up on it, is a config error; a missing, malformed or
+non-finite ``FromFile`` matrix is reported with its path and, once the file
+is read, the offending line. All outputs except wall-clock fields are
+byte-reproducible for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -71,19 +72,16 @@ def _apply_override(cfg: dict, spec: str):
     node[parts[-1]] = value
 
 
-def _problem_spec(cfg: dict) -> problems.ProblemSpec:
+def _build_problem(cfg: dict) -> solver.Problem:
+    """The problem ``cfg["problem"]`` describes; a bad spec, or failing to
+    read or build it, is a config error."""
     node = cfg.get("problem")
     if not isinstance(node, dict):
         raise ConfigError("config needs a 'problem' object")
     try:
-        return problems.ProblemSpec(**node)
+        spec = problems.ProblemSpec(**node)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad problem spec: {exc}")
-
-
-def _build_problem(spec: problems.ProblemSpec) -> solver.Problem:
-    """The problem ``spec`` describes; failing to read or build it is a config
-    error."""
     try:
         return problems.generate(spec)
     except (OSError, ValueError) as exc:
@@ -155,29 +153,26 @@ def _scheme_list(cfg: dict) -> list[str]:
     return ids
 
 
-def _build_scheme(sid: str, block_size: int, distribution: str | None,
-                  g_mode, a: np.ndarray, weights: dict) -> schemes.Scheme:
-    kind = sketch.UNIFORM
-    if distribution and schemes.sketch_kind(sid) == sketch.INDEX:
-        kind = distribution
-    g = _weight_for(sid, g_mode, a, weights)
-    try:
-        scheme = schemes.make_scheme(sid, block_size=block_size,
-                                     distribution=kind, g=g)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    dim = sketch.draw_dim(scheme, a.shape)
-    if scheme.block_size > dim:
-        raise ConfigError(f"block_size {scheme.block_size} exceeds dimension {dim}")
-    return scheme
-
-
-def _check_spd_compat(cfg_problem_kind: str, ids: list[str]):
-    spd_ok = cfg_problem_kind in (problems.SPARSE_SPD, problems.FROM_FILE)
+def _build_schemes(cfg: dict, ids: list[str], problem: solver.Problem,
+                   block_default, sampling: dict) -> list[schemes.Scheme]:
+    """The schemes of ``ids``, each checked by :func:`solver.check_compatible`
+    and its sampler kept on ``problem`` before anything runs (a fault is a
+    config error); an index id samples by ``distribution``, else ``sampling``."""
+    block = _resolve_block_size(cfg, block_default, problem.shape[1])
+    weights, built = {}, []
     for sid in ids:
-        if schemes.family(sid) == "S" and not spd_ok:
-            raise ConfigError(f"scheme {sid} needs an SPD problem "
-                              f"(SparseSpd or an SPD FromFile matrix)")
+        index = schemes.sketch_kind(sid) == sketch.INDEX
+        kind = (index and cfg.get("distribution")) or sampling.get(sid, sketch.UNIFORM)
+        g = _weight_for(sid, cfg.get("g_mode"), problem.a, weights)
+        try:
+            scheme = schemes.make_scheme(sid, block_size=block,
+                                         distribution=kind, g=g)
+            solver.check_compatible(problem, scheme)
+            problem.sampler(scheme)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        built.append(scheme)
+    return built
 
 
 def _write_trace_csv(path: Path, trace: solver.SolveTrace):
@@ -190,8 +185,9 @@ def _write_trace_csv(path: Path, trace: solver.SolveTrace):
 
 def _write_output(path: Path, cfg: dict, problem: solver.Problem | None,
                   **body):
-    """Write one JSON output: ``schema_version``, ``config_echo``, ``body``
-    and, given a problem, its ``problem_stats``."""
+    """Write one JSON output, creating its directory: ``schema_version``,
+    ``config_echo``, ``body`` and, given a problem, its ``problem_stats``."""
+    _make_dir(path.parent)
     payload = {"schema_version": SCHEMA_VERSION, "config_echo": cfg, **body}
     if problem is not None:
         payload["problem_stats"] = (json_dict(problem.stats)
@@ -201,7 +197,7 @@ def _write_output(path: Path, cfg: dict, problem: solver.Problem | None,
         fh.write("\n")
 
 
-def _out_dir(cfg: dict) -> Path:  # created by _make_dir once all is built
+def _out_dir(cfg: dict) -> Path:  # created by its first write
     out = cfg.get("output_dir")
     if out is not None and not isinstance(out, str):
         raise ConfigError(f"output_dir must be a string, got {out!r}")
@@ -216,9 +212,7 @@ def _make_dir(out: Path):
 
 
 def run_bench(cfg: dict) -> int:
-    spec = _problem_spec(cfg)
     ids = _scheme_list(cfg)
-    _check_spd_compat(spec.kind, ids)
     stop_cfg = cfg.get("stop", {})
     if not isinstance(stop_cfg, dict):
         raise ConfigError(f"stop must be an object, got {stop_cfg!r}")
@@ -232,16 +226,10 @@ def run_bench(cfg: dict) -> int:
     trace_every = _config_int(cfg, "trace_every", None, 1)
     out = _out_dir(cfg)
 
-    problem = _build_problem(spec)
-    n = problem.shape[1]
-    block = _resolve_block_size(cfg, None, n)
-
-    per_scheme = []
-    any_failed = False
-    weights = {}
-    built = [_build_scheme(sid, block, cfg.get("distribution"), cfg.get("g_mode"),
-                           problem.a, weights) for sid in ids]
+    problem = _build_problem(cfg)
+    built = _build_schemes(cfg, ids, problem, None, {})
     _make_dir(out)
+    per_scheme, any_failed = [], False
     for sid, scheme in zip(ids, built):
         for trial in range(trials):
             rng = sketch.rng_from_keys(seed, schemes.ALL_SCHEMES.index(sid), trial)
@@ -250,12 +238,11 @@ def run_bench(cfg: dict) -> int:
             try:
                 _, trace = solver.solve(problem, scheme, stop, rng,
                                         trace_every=trace_every)
-                final = trace.final
                 entry.update({
                     "status": trace.status,
                     "iters": trace.iterations,
-                    "final_res": finite_or_none(final.rel_residual),
-                    "final_err": finite_or_none(final.rel_error),
+                    "final_res": finite_or_none(trace.final.rel_residual),
+                    "final_err": finite_or_none(trace.final.rel_error),
                     "skip_count": trace.skip_count,
                     "exact_recomputes": trace.exact_recomputes,
                     "wall_s": time.perf_counter() - t0,
@@ -276,26 +263,18 @@ _DEFAULT_RATE_NORM = {"K": theory.NORM_EUCLID, "C": theory.NORM_GHAT,
 
 
 def run_rates(cfg: dict) -> int:
-    spec = _problem_spec(cfg)
     ids = _scheme_list(cfg)
-    _check_spd_compat(spec.kind, ids)
     trials = _config_int(cfg, "trials", 100, 1)
     iterations = _config_int(cfg, "iterations", 500, 1)
     seed = _config_int(cfg, "seed", 0, 0)
     tolerance = _config_float(cfg, "tolerance", 0.02)
+    if cfg.get("norm_used") and cfg["norm_used"] not in theory.NORMS:
+        raise ConfigError(f"unknown norm_used {cfg['norm_used']!r}")
     out = _out_dir(cfg)
 
-    problem = _build_problem(spec)
-    n = problem.shape[1]
-    block = _resolve_block_size(cfg, 1, n)
-
-    reports = []
-    violations = []
-    weights = {}
-    built = [_build_scheme(sid, block, cfg.get("distribution")
-                           or theory.CLOSED_FORM_SAMPLING.get(sid),
-                           cfg.get("g_mode"), problem.a, weights) for sid in ids]
-    _make_dir(out)
+    problem = _build_problem(cfg)
+    built = _build_schemes(cfg, ids, problem, 1, theory.CLOSED_FORM_SAMPLING)
+    reports, violations = [], []
     for sid, scheme in zip(ids, built):
         norm_used = cfg.get("norm_used") or (
             theory.NORM_GINV if sid in ("K5", "K6") else _DEFAULT_RATE_NORM[sid[0]])
@@ -303,7 +282,7 @@ def run_rates(cfg: dict) -> int:
             report = theory.fit_empirical_rate(problem, scheme, trials=trials,
                                                iterations=iterations,
                                                norm_used=norm_used, seed=seed)
-        except ValueError as exc:  # e.g. an S scheme on a non-SPD matrix
+        except ValueError as exc:  # a trial that stopped NonFinite or Drift
             raise ConfigError(f"rates for {sid}: {exc}") from exc
         reports.append(json_dict(report))
         if (math.isfinite(report.rho_theory) and not report.degenerate
@@ -317,30 +296,29 @@ def run_rates(cfg: dict) -> int:
 
 
 def run_verify_expectation(cfg: dict) -> int:
-    spec = _problem_spec(cfg)
     target = cfg.get("target", "propagator")
     seed = _config_int(cfg, "seed", 0, 0)
-    out = _out_dir(cfg)
-    problem = _build_problem(spec)
-    _make_dir(out)
-    a = problem.a
     g_mode = cfg.get("g_mode")
-
+    out = _out_dir(cfg)
     if target == "propagator":
         sid = cfg.get("scheme", "K2")
+        if sid not in ("K2", "K4", "K6"):
+            raise ConfigError(f"propagator for {sid}: not K2, K4 or K6")
+        samples = _config_int(cfg, "samples", 10_000, 2)
+        a = _build_problem(cfg).a
         block = _resolve_block_size(cfg, 1, a.shape[1])
         g = _weight_for(sid, g_mode, a)
-        samples = _config_int(cfg, "samples", 10_000, 2)
         try:
             est = theory.estimate_mean_propagator(a, g, sid, samples,
                                                   sketch.make_rng(seed),
                                                   block_size=block)
-        except ValueError as exc:  # e.g. a scheme other than K2/K4/K6
+        except ValueError as exc:  # e.g. a block wider than m
             raise ConfigError(f"propagator for {sid}: {exc}") from exc
     elif target == "sketched_inverse":
         block = _config_int(cfg, "partition_block", 1, 1)
         if g_mode not in (None, "identity"):
             raise ConfigError("sketched_inverse supports g_mode null or 'identity'")
+        a = _build_problem(cfg).a
         members = theory.coordinate_partition(a.shape[1], block)
         est = theory.mean_sketched_inverse(a, None, members)
     else:
@@ -352,13 +330,11 @@ def run_verify_expectation(cfg: dict) -> int:
 
 
 def run_gen_problem(cfg: dict) -> int:
-    spec = _problem_spec(cfg)
     out = _out_dir(cfg)
-    problem = _build_problem(spec)
-    _make_dir(out)
+    problem = _build_problem(cfg)
+    _write_output(out / "meta.json", cfg, problem)
     problems.save_matrixmarket(out / "A.mtx", problem.a, fmt="array")
     problems.save_matrixmarket(out / "b.mtx", problem.b.reshape(-1, 1), fmt="array")
-    _write_output(out / "meta.json", cfg, problem)
     return 0
 
 

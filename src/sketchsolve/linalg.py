@@ -62,10 +62,7 @@ def pseudoinverse(m) -> np.ndarray:
         raise np.linalg.LinAlgError("pseudoinverse of a non-finite matrix")
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     tau = max(m.shape) * s[0] * np.finfo(float).eps
-    inv = np.where(s > tau, 1.0, 0.0)
-    # np.where evaluates both branches; divide only where safe
-    safe = np.where(s > tau, s, 1.0)
-    inv = inv / safe
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > tau)
     return (vt.T * inv) @ u.T
 
 

@@ -109,6 +109,8 @@ class Scheme:
     """One catalog entry: an identifier, the width and sampling distribution
     of its draws, and the SPD weight G of K5/K6/C5/C6 (None is G = I, so they
     run as K3/K4/C3/C4; any other id forbids G; :func:`weight_dim` sizes it).
+    What it needs of a system (square SPD for S1-S4 and trace-proportional
+    sampling, a block that fits, G's size): :func:`solver.check_compatible`.
 
     The id fixes the rest, derived once here: :attr:`kind`, the draw kind
     (``sketch.INDEX``, ``SUBSET`` or ``GAUSS``); :attr:`axis`, "rows" (length

@@ -59,12 +59,12 @@ def index_cdf(weights) -> IndexCdf:
     sum(w) as ``rng.choice(d, p=...)`` builds it, so draws match ``choice``."""
     w = np.asarray(weights, dtype=float)
     if not np.isfinite(w).all():
-        raise ValueError("weights must be finite")
+        raise ValueError("sampling weights must be finite")
     if (w < 0).any():
-        raise ValueError("weights must be nonnegative")
+        raise ValueError("sampling weights must be nonnegative")
     total = w.sum()
     if not 0.0 < total < np.inf:
-        raise ValueError(f"weights must have a positive finite sum, got {total}")
+        raise ValueError(f"sampling weights must have a positive finite sum, got {total}")
     cdf = (w / total).cumsum()
     cdf /= cdf[-1]
     cdf.flags.writeable = False

@@ -82,7 +82,7 @@ import numpy as np
 from . import schemes
 from .linalg import (SpdMatrix, aligned_empty, as_matrix, as_vector,
                      lu_inverses, normal_residual)
-from .sketch import GAUSS, IndexCdf, draw_sketch
+from .sketch import GAUSS, TRACE_PROPORTIONAL, IndexCdf, draw_dim, draw_sketch
 
 CONVERGED = "Converged"
 MAX_ITERS = "MaxIters"
@@ -256,16 +256,22 @@ def default_trace_every(scheme: schemes.Scheme) -> int:
 
 
 def check_compatible(problem: Problem, scheme: schemes.Scheme):
-    """Setup-time validation: symmetric schemes need an SPD system, weighted
-    schemes need a G of the right dimension."""
+    """What ``scheme`` needs of ``problem``, checked at setup: a square SPD A
+    for S1-S4 and trace-proportional sampling, a block no wider than the side
+    it draws over (:func:`sketch.draw_dim`), a weight G of the right size."""
     m, n = problem.shape
-    if schemes.family(scheme.id) == "S":
+    what = (f"scheme {scheme.id}" if schemes.family(scheme.id) == "S"
+                 else "trace-proportional sampling"
+                 if scheme.distribution == TRACE_PROPORTIONAL else None)
+    if what is not None:
         if m != n:
-            raise ValueError(f"scheme {scheme.id} needs a square system, "
-                             f"got {m}x{n}")
+            raise ValueError(f"{what} needs a square system, got {m}x{n}")
         exc = problem.spd_error
         if exc is not None:
-            raise ValueError(f"scheme {scheme.id} needs an SPD system: {exc}") from exc
+            raise ValueError(f"{what} needs an SPD system: {exc}") from exc
+    dim = draw_dim(scheme, (m, n))
+    if scheme.block_size > dim:
+        raise ValueError(f"block_size {scheme.block_size} exceeds dimension {dim}")
     if scheme.g is not None:
         want = schemes.weight_dim(scheme.id, (m, n))
         if scheme.g.n != want:

@@ -18,7 +18,7 @@ and by exact enumeration for finite sketch families
 (:func:`mean_sketched_inverse`). :func:`fit_empirical_rate` closes the loop
 by fitting the observed contraction of solver runs against the theory value;
 its trials are :func:`solver.solve` runs, so a fit gets the same input
-validation as a solve (SPD systems for S schemes, weight and ``x0`` sizes).
+validation as a solve (:func:`solver.check_compatible`, the ``x0`` size).
 """
 
 from __future__ import annotations

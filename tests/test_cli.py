@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import random_spd
-from sketchsolve import problems, schemes, sketch, theory
+from sketchsolve import problems, schemes, sketch, solver, theory
 from sketchsolve.cli import _weight_for, main
 from sketchsolve.linalg import SpdMatrix, json_dict
 from sketchsolve.problems import load_matrixmarket, save_matrixmarket
@@ -98,12 +98,19 @@ class TestBench:
         cfg = _bench_config(tmp_path, out, schemes=["K5"], g_mode="identity")
         assert main(["bench", "--config", cfg]) == 0
 
-    def test_scheme_failure_exits_two_but_others_run(self, tmp_path):
-        # an SPD-only scheme against a non-SPD FromFile matrix fails at
-        # setup inside the run, not at config validation
-        a = make_rng(2).standard_normal((6, 6))
+    def test_scheme_failure_exits_two_but_others_run(self, tmp_path,
+                                                      monkeypatch):
+        # a run that raises once set up is a Failed entry, not a config error
+        solve = solver.solve
+
+        def failing(problem, scheme, *args, **kwargs):
+            if scheme.id == "S1":
+                raise RuntimeError("S1 broke")
+            return solve(problem, scheme, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve", failing)
         mtx = tmp_path / "A.mtx"
-        save_matrixmarket(mtx, a)
+        save_matrixmarket(mtx, random_spd(2, 6))
         out = tmp_path / "out"
         cfg = _write_config(tmp_path, "cfg.json", {
             "problem": {"kind": "FromFile", "path": str(mtx)},
@@ -117,6 +124,7 @@ class TestBench:
         by_scheme = {e["scheme"]: e for e in summary["per_scheme"]}
         assert by_scheme["S1"]["status"] == "Failed"
         assert "error" in by_scheme["S1"]
+        assert by_scheme["S1"]["error"] == "S1 broke"
         assert by_scheme["K1"]["status"] in ("Converged", "MaxIters")
 
     def test_non_finite_run_reports_its_status(self, tmp_path):
@@ -340,11 +348,14 @@ class TestVerifyExpectation:
         assert not (out / "expectation.json").exists()
 
     def test_unknown_target(self, tmp_path):
+        out = tmp_path / "out"
         cfg = _write_config(tmp_path, "exp.json", {
             "target": "nope",
             "problem": {"kind": "UniformDense", "m": 4, "n": 4, "seed": 8},
+            "output_dir": str(out),
         })
         assert main(["verify-expectation", "--config", cfg]) == 1
+        assert not out.exists()
 
 
 class TestGenProblem:
@@ -598,13 +609,35 @@ class TestConfigRefusals:
          "g_mode 'inverse' needs an SPD system"),
         ({"schemes": ["C1"], "distribution": "trace_proportional"},
          "trace-proportional sampling applies only to single row draws"),
+        ({"problem": {"kind": "FromFile", "path": "nonspd.mtx"},
+          "schemes": ["S1"]},
+         "scheme S1 needs an SPD system: matrix is not symmetric"),
+        ({"problem": {"kind": "FromFile", "path": "zero.mtx"},
+          "schemes": ["K1"], "distribution": "norm_proportional"},
+         "sampling weights must have a positive finite sum, got 0.0"),
+        ({"problem": {"kind": "UniformDense", "m": 6, "n": 6, "seed": 4},
+          "schemes": ["K1"], "distribution": "trace_proportional"},
+         "trace-proportional sampling needs an SPD system: matrix is not "
+         "symmetric"),
+        ({"problem": {"kind": "UniformDense", "m": 3, "n": 6, "seed": 4},
+          "schemes": ["K1"], "distribution": "trace_proportional"},
+         "trace-proportional sampling needs a square system, got 3x6"),
+        ({"problem": {"kind": "UniformDense", "m": 6, "n": 3, "seed": 4},
+          "schemes": ["K1"], "distribution": "trace_proportional"},
+         "trace-proportional sampling needs a square system, got 6x3"),
     ])
-    def test_bench_scheme_setup(self, tmp_path, capsys, overrides, message):
-        out = tmp_path / "out"
-        cfg = _bench_config(tmp_path, out, **overrides)
-        assert main(["bench", "--config", cfg]) == 1
-        assert f"config error: {message}" in capsys.readouterr().err
-        assert not (out / "summary.json").exists()
+    def test_bench_scheme_setup(self, tmp_path, capsys, monkeypatch,
+                                overrides, message):
+        # bench and rates refuse a scheme they cannot set up alike
+        monkeypatch.chdir(tmp_path)  # the FromFile paths are relative
+        save_matrixmarket("nonspd.mtx", make_rng(2).standard_normal((6, 6)))
+        save_matrixmarket("zero.mtx", np.zeros((4, 3)))
+        for command in ("bench", "rates"):
+            out = tmp_path / command
+            cfg = _bench_config(tmp_path, out, **overrides)
+            assert main([command, "--config", cfg]) == 1, command
+            assert f"config error: {message}" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("command", ["bench", "rates"])
     def test_block_wider_than_its_side(self, tmp_path, capsys, command):
@@ -640,6 +673,46 @@ class TestConfigRefusals:
         assert main(["rates", "--config", cfg]) == 1
         assert "scheme K5 needs g_mode" in capsys.readouterr().err
         assert calls == []
+        assert not out.exists()
+
+    def test_rates_reads_norm_used_before_the_first_fit(self, tmp_path, capsys,
+                                                         monkeypatch):
+        calls = []
+        monkeypatch.setattr(theory, "fit_empirical_rate",
+                            lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path, "rates.json", {
+            "problem": {"kind": "UniformDense", "m": 20, "n": 5, "seed": 1},
+            "schemes": ["K1"], "trials": 2, "iterations": 5,
+            "norm_used": "l1", "output_dir": str(out)})
+        assert main(["rates", "--config", cfg]) == 1
+        assert "config error: unknown norm_used 'l1'" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"samples": 1}, "samples must be an integer >= 2"),
+        ({"scheme": "K5"}, "propagator for K5: not K2, K4 or K6"),
+        ({"target": "sketched_inverse", "partition_block": 0},
+         "partition_block must be an integer >= 1"),
+        ({"target": "nope"}, "unknown target 'nope'"),
+    ])
+    def test_verify_expectation_reads_its_options_first(
+            self, tmp_path, capsys, monkeypatch, overrides, message):
+        # refused before the problem is built, so before any A^-1 weight
+        built = []
+        monkeypatch.setattr(problems, "generate",
+                            lambda spec: built.append(spec))
+        monkeypatch.setattr(SpdMatrix, "__init__",
+                            lambda self, mat: built.append(mat))
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path, "exp.json", {
+            "problem": {"kind": "SparseSpd", "m": 6, "n": 6, "seed": 8},
+            "scheme": "K6", "g_mode": "inverse", "samples": 10,
+            "output_dir": str(out), **overrides})
+        assert main(["verify-expectation", "--config", cfg]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert built == []
         assert not out.exists()
 
     def test_output_dir_under_a_regular_file(self, tmp_path, capsys):
@@ -875,6 +948,11 @@ class TestEveryConfigEndsInAnExitCode:
                 for spec in overrides:
                     argv += ["--override", spec]
                 with np.errstate(all="ignore"):
-                    assert main(argv) in (0, 1, 2, 3)
+                    code = main(argv)
+                assert code in (0, 1, 2, 3)
+                if code == 1:  # a refused config leaves nothing behind
+                    assert sorted(os.listdir()) == [
+                        "cfg.json", "huge.mtx", "spd.mtx", "tall.mtx",
+                        "zero.mtx"]
             finally:
                 os.chdir(cwd)

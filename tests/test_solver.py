@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from helpers import gaussian, ls_residual, ls_solution_oracle, random_spd
-from sketchsolve import problems, schemes, solver
+from sketchsolve import problems, schemes, solver, theory
 from sketchsolve.linalg import SpdMatrix
 from sketchsolve.schemes import SkipStep, error_propagator, make_scheme, step
-from sketchsolve.sketch import NORM_PROPORTIONAL, draw_sketch, make_rng
+from sketchsolve.sketch import (NORM_PROPORTIONAL, TRACE_PROPORTIONAL,
+                                draw_sketch, make_rng)
 from sketchsolve.solver import (CONVERGED, DRIFT, EXACT_EVERY, MAX_ITERS,
                                 NON_FINITE, Problem, StopRule, TraceRecord,
                                 solve)
@@ -87,6 +88,32 @@ class TestValidation:
         with pytest.raises(ValueError,
                            match=f"scheme {sid} needs a square system, got 6x3"):
             solve(prob, make_scheme(sid, block_size=2), StopRule(), make_rng(0))
+
+    @pytest.mark.parametrize("shape, sid, block, dist, message", [
+        ((3, 6), "K1", 1, TRACE_PROPORTIONAL,
+         "trace-proportional sampling needs a square system, got 3x6"),
+        ((6, 6), "K1", 1, TRACE_PROPORTIONAL,
+         "trace-proportional sampling needs an SPD system: matrix is not "
+         "symmetric"),
+        ((6, 3), "K3", 7, "uniform", "block_size 7 exceeds dimension 6"),
+        ((6, 3), "C4", 4, "uniform", "block_size 4 exceeds dimension 3"),
+    ])
+    def test_setup_refused_before_any_step(self, monkeypatch, shape, sid,
+                                           block, dist, message):
+        # solve and fit_empirical_rate check the same rule before they draw
+        prob = _consistent_problem(4, *shape)
+        scheme = make_scheme(sid, block_size=block, distribution=dist)
+        rng, seen = make_rng(0), []
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            solve(prob, scheme, StopRule(itmax=10), rng,
+                  observe=lambda k, x: seen.append(k))
+        assert seen == [] and rng.bit_generator.state == state
+        monkeypatch.setattr(theory, "solve", lambda *args, **kw: seen.append(args))
+        with pytest.raises(ValueError, match=message):
+            theory.fit_empirical_rate(prob, scheme, trials=2, iterations=5,
+                                      norm_used="euclid", seed=0)
+        assert seen == []
 
     def test_trace_every_must_be_positive(self):
         prob = _consistent_problem(3, 6, 3)
