@@ -305,14 +305,19 @@ def run_verify_expectation(cfg: dict) -> int:
         if sid not in ("K2", "K4", "K6"):
             raise ConfigError(f"propagator for {sid}: not K2, K4 or K6")
         samples = _config_int(cfg, "samples", 10_000, 2)
-        a = _build_problem(cfg).a
-        block = _resolve_block_size(cfg, 1, a.shape[1])
-        g = _weight_for(sid, g_mode, a)
+        problem = _build_problem(cfg)
+        block = _resolve_block_size(cfg, 1, problem.shape[1])
+        try:  # a block wider than m, refused before A^-1 is built
+            solver.check_compatible(problem, schemes.make_scheme(
+                sid, block_size=block))
+        except ValueError as exc:
+            raise ConfigError(f"propagator for {sid}: {exc}") from exc
+        g = _weight_for(sid, g_mode, problem.a)
         try:
-            est = theory.estimate_mean_propagator(a, g, sid, samples,
+            est = theory.estimate_mean_propagator(problem.a, g, sid, samples,
                                                   sketch.make_rng(seed),
                                                   block_size=block)
-        except ValueError as exc:  # e.g. a block wider than m
+        except ValueError as exc:  # e.g. a zero matrix, which has no bound
             raise ConfigError(f"propagator for {sid}: {exc}") from exc
     elif target == "sketched_inverse":
         block = _config_int(cfg, "partition_block", 1, 1)

@@ -83,9 +83,10 @@ def draw_sketch(scheme, dims: tuple[int, int], rng: np.random.Generator,
     """Realize one draw of ``scheme`` against an m x n system, as its
     ``kind``, ``axis``, ``block_size`` and ``distribution`` say: a 1-D
     integer array of ``block_size`` indices for ``INDEX`` and ``SUBSET``, a
-    ``(dim, block_size)`` float block for ``GAUSS``. Given ``count``, a
-    ``GAUSS`` scheme draws a ``(count, dim, block_size)`` stack in one
-    generator call: the numbers and end state of ``count`` single draws.
+    ``(dim, block_size)`` float block for ``GAUSS``. Given ``count``, an
+    ``INDEX`` or ``GAUSS`` scheme draws a stack of ``count`` such draws,
+    ``(count, 1)`` or ``(count, dim, block_size)``, in one generator call:
+    the numbers and end state of ``count`` single draws.
 
     The proportional distributions need ``sampler``, the :func:`index_cdf`
     of the weights (squared row/column norms or diagonal entries), built once
@@ -96,17 +97,17 @@ def draw_sketch(scheme, dims: tuple[int, int], rng: np.random.Generator,
     dim = draw_dim(scheme, dims)
     if width > dim:
         raise ValueError(f"block_size {width} exceeds dimension {dim}")
-    if count is not None and kind != GAUSS:
-        raise ValueError("only Gaussian draws come in blocks")
+    if count is not None and kind == SUBSET:
+        raise ValueError("subset draws come one at a time")
+    shape = (1,) if count is None else (count, 1)
 
     if kind == INDEX:
         if scheme.distribution == UNIFORM:
-            # rng.integers(dim, size=1) draws the same index, more slowly
-            return np.array([int(rng.integers(dim))])
+            return rng.integers(dim, size=shape)
         if not isinstance(sampler, IndexCdf) or len(sampler.cdf) != dim:
             raise ValueError(f"{scheme.distribution} sampling needs the "
                              f"index_cdf of {dim} weights")
-        return sampler.cdf.searchsorted(rng.random((1,)), side="right")
+        return sampler.cdf.searchsorted(rng.random(shape), side="right")
 
     if kind == SUBSET:
         return np.sort(rng.choice(dim, size=width, replace=False))

@@ -1,9 +1,9 @@
 """Generic iteration driver: run one scheme on one problem to a stop rule.
 
 The loop is deliberately dumb: one sketch draw per iteration (taken from a
-block drawn ahead for the Gaussian S ids, see below), one update, and
-a residual record at trace points only (every iteration for block schemes,
-every tenth by default for the scalar ones).
+block drawn ahead for the index ids K1, C1, S1 and the Gaussian S ids, see
+below), one update, and a residual record at trace points only (every
+iteration for block schemes, every tenth by default for the scalar ones).
 
 Every record takes one path: read a tracked residual norm, recompute
 ``b - A x`` exactly when a rule fires, check the drift, resync. Which
@@ -48,21 +48,22 @@ factor (``LinAlgError``: say it overflowed) is a null step, as is a scalar
 id's :class:`schemes.SkipStep`; both count in ``skip_count``.
 
 Anchored K runs (no carried ``s``, no ``observe``) read records in batches,
-in one ``D G`` product: a record waits, with its ``x``, skip count and
-generator state, for ``READ_BATCH`` records (fewer at a sparser
-``trace_every``: under 160 steps run past one in K1, 16 in K3-K6), for
-``itmax`` or for the next periodic check. The rules above then judge them in
-order, re-reading after a re-anchor; one that stops the run restores its
-saved state, so steps run past it change nothing but the time taken.
+in one ``D G`` product: a record waits, with its ``x`` and skip count, for
+``READ_BATCH`` records (fewer at a sparser ``trace_every``: under 160 steps
+run past one in K1, 16 in K3-K6), for ``itmax`` or for the next periodic
+check. The rules above then judge them in order, re-reading after a
+re-anchor; one that stops the run restores its ``x`` and skip count, so
+steps run past it change nothing but the time taken.
 
-S2 and S4 draw their next steps' Gaussian blocks in one call (up to
-``SKETCH_BLOCK`` bytes each of draws and of sketched columns, never past
-``itmax``) and form the columns in one product, handing each
-:func:`schemes.step` its own; S4 also forms their systems ``W^T A W`` in
-one product and inverts them in one call, handing a step the inverse
-:func:`linalg.pseudoinverse` would return, if it is the LU one
-(:func:`linalg.lu_inverses`). A run that stops or raises inside a block
-resets the generator to the block's start and redraws the steps taken.
+K1, C1, S1, S2 and S4 draw their next steps in one call (up to
+``SKETCH_BLOCK`` bytes, never past ``itmax``). S2 and S4 also form the
+blocks' sketched columns in one product, handing each :func:`schemes.step`
+its own; S4 also forms their systems ``W^T A W`` in one product and inverts
+them in one call, handing a step the inverse :func:`linalg.pseudoinverse`
+would return, if it is the LU one (:func:`linalg.lu_inverses`). A run that
+stops or raises with draws made past its last step resets the generator to
+where that step's block (or batch of records) was drawn from, and redraws
+the steps taken.
 
 This is the only loop that runs the iteration: rate fits
 (:func:`theory.fit_empirical_rate`) run their trials through :func:`solve`
@@ -82,7 +83,8 @@ import numpy as np
 from . import schemes
 from .linalg import (SpdMatrix, aligned_empty, as_matrix, as_vector,
                      lu_inverses, normal_residual)
-from .sketch import GAUSS, TRACE_PROPORTIONAL, IndexCdf, draw_dim, draw_sketch
+from .sketch import (GAUSS, INDEX, TRACE_PROPORTIONAL, IndexCdf, draw_dim,
+                     draw_sketch)
 
 CONVERGED = "Converged"
 MAX_ITERS = "MaxIters"
@@ -468,8 +470,8 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
                                   norm_b, res_denom, carry=gram_space)
         r = tracked.s
     gram = problem.gram if gram_space else None
-    # records not yet judged, as (k, x, skips, exact by schedule, generator
-    # state): K steps never read the anchor, so they run on while a batch waits
+    # records not yet judged, as (k, x, skips, exact by schedule, mark): K
+    # steps never read the anchor, so they run on while a batch waits
     pending = []
     batch = 1
     if use_gram and not schemes.maintains_residual(scheme) and observe is None:
@@ -477,10 +479,10 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
 
     def judge() -> bool:
         # write the pending records in order; one that stops the run hands
-        # back the x, skip count and generator state it saw
-        nonlocal x
+        # back the x and skip count it saw, and where to rewind rng to
+        nonlocal x, mark, stop_at
         xs, reads = [p[1] for p in pending], None
-        for i, (k, x_k, skips, scheduled, state) in enumerate(pending):
+        for i, (k, x_k, skips, scheduled, mark_k) in enumerate(pending):
             if reads is None:  # first, or after a re-anchor
                 reads, first = tracked.read(xs[i:]), i
             rel_res, rounding, floor = reads[i - first]
@@ -495,41 +497,49 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
                          and tracked.resync(x_k, read, exact, exact_s)
                          > DRIFT_RTOL + rounding + floor)
             if record(k, x_k, rel_res, drift):
-                x, trace.skip_count = x_k, skips
-                if state is not None:
-                    rng.bit_generator.state = state
+                x, trace.skip_count, stop_at = x_k, skips, (k, mark_k)
                 return True
+        if batch > 1 and not blocked:  # the next batch redraws from here
+            mark = rng.bit_generator.state, pending[-1][0] + 1
         pending.clear()
         return False
 
-    # S2 and S4: ``block`` holds the draws W of steps ``first`` on, drawn from
-    # generator state ``state``; ``cols`` their A W, one product W^T A^T laid
-    # out as A @ w would be, so that a step rounds alike; ``inverses`` S4's
-    # (W^T A W)^-1 or None. SKETCH_BLOCK bounds the draws and columns, each
-    # B x n x l as A is square. The rewind in ``finally`` is the only one: S
-    # ids carry their residual, so batch == 1 and no pending record holds a
-    # generator state
-    blocked = scheme.kind == GAUSS and scheme.id[0] == "S"
+    # blocked ids: ``block`` holds the draws of steps ``first`` on, and
+    # ``mark`` the generator state it was drawn from. SKETCH_BLOCK bounds B x
+    # n x l in bytes: S2's and S4's draws, and their ``cols``, A W as one
+    # product W^T A^T laid out as A @ w would be, so that a step rounds
+    # alike (A is square for S); and as many index draws, few enough that a
+    # run stopping early wastes little. ``inverses`` holds S4's (W^T A W)^-1
+    # or None. An anchored K run that draws one at a time marks the start
+    # of each batch of records instead
+    gauss = scheme.kind == GAUSS
+    blocked = scheme.kind == INDEX or (gauss and scheme.id[0] == "S")
     per_block = max(1, SKETCH_BLOCK // (8 * scheme.block_size * n))
-    block, first = (), 1
+    block, first, cols = (), 1, None
+    mark, stop_at = (rng.bit_generator.state, 1), None
     try:
         for k in range(1, stop.itmax + 1):
             try:
                 if not blocked:
                     draw = draw_sketch(scheme, (m, n), rng, sampler)
-                    x = schemes.step(scheme, a, b, x, draw, r=r, gram=gram)
                 else:
                     if k - first == len(block):  # never past itmax
-                        first, state = k, rng.bit_generator.state
+                        state = rng.bit_generator.state
                         block = draw_sketch(scheme, (m, n), rng, sampler, count=min(
                             per_block, stop.itmax - k + 1))
-                        cols = np.ascontiguousarray(
-                            np.tensordot(block, a, (1, 1)).transpose(0, 2, 1))
-                        inverses = [None] * len(block)
-                        if scheme.id not in schemes.SCALAR_SCHEMES:
-                            inverses = lu_inverses(np.matmul(
-                                block.transpose(0, 2, 1), cols))
-                    x = schemes.step(scheme, a, b, x, block[k - first], r=r,
+                        first, mark = k, (state, k)
+                        if gauss:
+                            cols = np.ascontiguousarray(
+                                np.tensordot(block, a, (1, 1)).transpose(0, 2, 1))
+                            inverses = [None] * len(block)
+                            if scheme.id not in schemes.SCALAR_SCHEMES:
+                                inverses = lu_inverses(np.matmul(
+                                    block.transpose(0, 2, 1), cols))
+                    draw = block[k - first]
+                if cols is None:
+                    x = schemes.step(scheme, a, b, x, draw, r=r, gram=gram)
+                else:
+                    x = schemes.step(scheme, a, b, x, draw, r=r,
                                      az=cols[k - first],
                                      inverse=inverses[k - first])
             except (schemes.SkipStep, np.linalg.LinAlgError):
@@ -543,13 +553,16 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
             if k % trace_every == 0 or k == stop.itmax:
                 scheduled = k == stop.itmax or (
                     len(trace.records) + len(pending)) % EXACT_EVERY == 0
-                pending.append((k, x, trace.skip_count, scheduled,
-                                rng.bit_generator.state if batch > 1 else None))
+                pending.append((k, x, trace.skip_count, scheduled, mark))
                 if (len(pending) == batch or scheduled) and judge():
                     return x, trace
-    finally:  # drawn past the last step: leave rng where one draw a step would
-        if len(block) > k - first + 1:
+    finally:  # drawn past the last step taken: rewind rng to one draw a step
+        taken, (state, start) = stop_at or (k, mark)
+        if (first + len(block) - 1 if blocked else k) > taken:
             rng.bit_generator.state = state
-            draw_sketch(scheme, (m, n), rng, sampler, count=k - first + 1)
+            if blocked:
+                draw_sketch(scheme, (m, n), rng, sampler, count=taken - start + 1)
+            else:
+                for _ in range(start, taken + 1):
+                    draw_sketch(scheme, (m, n), rng, sampler)
     return x, trace
-

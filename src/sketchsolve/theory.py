@@ -178,6 +178,9 @@ def estimate_mean_propagator(a, g: SpdMatrix | None, scheme_id: str,
                          f"schemes K2/K4/K6, not {scheme_id!r}")
     if samples < 2:
         raise ValueError("need at least 2 samples")
+    dim = sketch.draw_dim(scheme, (m, n))
+    if scheme.block_size > dim:  # before G's square root is formed
+        raise ValueError(f"block_size {scheme.block_size} exceeds dimension {dim}")
     g_half = spd_sqrt(g) if g is not None else None
     g_half_inv = np.linalg.inv(g_half) if g is not None else None
 

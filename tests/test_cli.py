@@ -347,6 +347,28 @@ class TestVerifyExpectation:
         assert f"propagator for {sid}" in capsys.readouterr().err
         assert not (out / "expectation.json").exists()
 
+    def test_block_wider_than_m_refused_before_the_weight(
+            self, tmp_path, capsys, monkeypatch):
+        built = []
+        real_init = SpdMatrix.__init__
+
+        def spd_init(self, mat):
+            built.append(np.shape(mat))
+            real_init(self, mat)
+
+        monkeypatch.setattr(SpdMatrix, "__init__", spd_init)
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path, "exp.json", {
+            "target": "propagator", "scheme": "K6", "block_size": 8,
+            "g_mode": "inverse", "samples": 10,
+            "problem": {"kind": "SparseSpd", "m": 6, "n": 6, "seed": 8},
+            "output_dir": str(out)})
+        assert main(["verify-expectation", "--config", cfg]) == 1
+        assert ("config error: propagator for K6: block_size 8 exceeds "
+                "dimension 6" in capsys.readouterr().err)
+        assert built == []
+        assert not out.exists()
+
     def test_unknown_target(self, tmp_path):
         out = tmp_path / "out"
         cfg = _write_config(tmp_path, "exp.json", {

@@ -144,6 +144,33 @@ class TestCommittedPairs:
                   for side in ("parent", "change")]
         assert traced == [24794, 2358]
 
+    def test_bench_25_claims(self):
+        # the first set's dense parent runs drifted (IQR 0.090 s) and missed
+        # the IQR on 11 of 11 wins; the dense rerun met it. The first set's
+        # one "worse", dense peak_rss_mb, is +0.07 MiB of 119.6 (10 of 11),
+        # below the ~0.2 MiB that identical checkouts differ by, and "moved"
+        # in the rerun
+        bench = json.loads((ROOT / "BENCH_25.json").read_text())
+        rerun = json.loads((ROOT / "BENCH_25_dense_rerun.json").read_text())
+        assert _claims(bench) == {("spd-400-rates", name) for name in (
+            "cell S1", "cell fit.C1", "cell fit.S1")}
+        assert _claims(rerun) == {("dense-20000x500", name) for name in (
+            "solve_s.scalar", "cell K1")}
+        for set_ in (bench, rerun):
+            verdicts = {(w, name): e["verdict"]
+                        for w, pair in set_["benchmark_pairs"].items()
+                        for name, e in pair["metrics"].items()}
+            worse = {key for key, v in verdicts.items() if v == "worse"}
+            assert worse <= {("dense-20000x500", "peak_rss_mb")}
+            for pair in set_["benchmark_pairs"].values():
+                for its in pair["iterations"].values():
+                    assert its["parent"] == its["change"]
+        # the index cells' counts and rates do not depend on the budget
+        sweep = bench["sketch_block_sweep"]["values"].values()
+        for cell, key in (("S1", "iterations"), ("fit.K1", "rho_fit"),
+                          ("fit.C1", "rho_fit"), ("fit.S1", "rho_fit")):
+            assert len({json.dumps(v[cell][key]) for v in sweep}) == 1
+
 
 def _write_run(directory: Path, seed, trace, metrics, cells=None):
     run = {"workload": "w", "seed": seed, "metrics": metrics,

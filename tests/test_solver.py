@@ -8,7 +8,7 @@ from sketchsolve import problems, schemes, solver, theory
 from sketchsolve.linalg import SpdMatrix
 from sketchsolve.schemes import SkipStep, error_propagator, make_scheme, step
 from sketchsolve.sketch import (NORM_PROPORTIONAL, TRACE_PROPORTIONAL,
-                                draw_sketch, make_rng)
+                                UNIFORM, draw_sketch, make_rng)
 from sketchsolve.solver import (CONVERGED, DRIFT, EXACT_EVERY, MAX_ITERS,
                                 NON_FINITE, Problem, StopRule, TraceRecord,
                                 solve)
@@ -840,9 +840,9 @@ class TestBatchedReads:
     @staticmethod
     def _run(monkeypatch, make, scheme, stop, batch, **kw):
         prob = make()
-        spied = {"exact": [], "reads": {}, "sizes": [], "draws": 0}
+        spied = {"exact": [], "reads": {}, "sizes": [], "steps": 0}
         real_nr, real_read = solver.normal_residual, solver._ResidualAnchor.read
-        real_draw = solver.draw_sketch
+        real_step = schemes.step
 
         def nr(a, b, x):
             r, s = real_nr(a, b, x)
@@ -857,15 +857,15 @@ class TestBatchedReads:
                                   for v, rounding, floor in out)
             return out
 
-        def draw(*args):
-            spied["draws"] += 1
-            return real_draw(*args)
+        def step_(*args, **kw):
+            spied["steps"] += 1
+            return real_step(*args, **kw)
 
         with monkeypatch.context() as patch:
             patch.setattr(solver, "READ_BATCH", batch)
             patch.setattr(solver, "normal_residual", nr)
             patch.setattr(solver._ResidualAnchor, "read", read)
-            patch.setattr(solver, "draw_sketch", draw)
+            patch.setattr(schemes, "step", step_)
             rng = make_rng(77)
             x, trace = solve(prob, scheme, stop, rng, **kw)
         spied["state"] = rng.bit_generator.state
@@ -905,7 +905,7 @@ class TestBatchedReads:
         assert trace.status == CONVERGED
         # steps ran past the stopping record, and no further than the cap
         every = solver.default_trace_every(scheme)
-        assert 0 < spied["draws"] - trace.iterations <= \
+        assert 0 < spied["steps"] - trace.iterations <= \
             (self.BATCH - 1) * every
 
     @pytest.mark.parametrize("sid, block", [("K1", 1), ("K3", 8), ("K4", 4)])
@@ -914,7 +914,7 @@ class TestBatchedReads:
             monkeypatch, _with_zero_rows, make_scheme(sid, block_size=block),
             StopRule(itmax=1234, tol=1e-300))
         assert trace.status == MAX_ITERS
-        assert spied["draws"] == trace.iterations == 1234
+        assert spied["steps"] == trace.iterations == 1234
 
     @pytest.mark.parametrize("sid, block", [("K1", 1), ("K3", 3), ("K4", 3)])
     def test_drift(self, monkeypatch, sid, block):
@@ -928,7 +928,7 @@ class TestBatchedReads:
             monkeypatch, make, make_scheme(sid, block_size=block),
             StopRule(itmax=5000, tol=1e-3))
         assert trace.status == DRIFT
-        assert spied["draws"] > trace.iterations
+        assert spied["steps"] > trace.iterations
 
     @pytest.mark.parametrize("sid, block", [("K1", 1), ("K3", 3), ("K4", 3)])
     def test_non_finite(self, monkeypatch, sid, block):
@@ -944,7 +944,7 @@ class TestBatchedReads:
                 make_scheme(sid, block_size=block),
                 StopRule(itmax=1000, tol=1e-14))
         assert trace.status == NON_FINITE
-        assert spied["draws"] > trace.iterations
+        assert spied["steps"] > trace.iterations
 
     def test_step_raising_past_the_stopping_record_does_not_escape(
             self, monkeypatch):
@@ -1199,6 +1199,135 @@ class TestSketchBlocks:
             solve(prob, make_scheme(sid, block_size=4, g=g),
                   StopRule(itmax=30, tol=1e-300), make_rng(3))
         assert [c for c, _ in drawn] == [None] * 30
+
+
+class TestIndexBlocks:
+    """K1, C1 and S1 draw their indices in blocks. The same run with one-draw
+    blocks (``SKETCH_BLOCK`` 8) and ``READ_BATCH`` 1 is the oracle: a block
+    run must return the same x, status, counts, record ks and generator
+    state, also when it stops, or raises, inside a block. K1 reads its
+    records in batches from an anchor, C1 runs in Gram space, S1 carries its
+    residual; blocks hold ``B`` draws, or as many as the default budget
+    allows."""
+
+    B = 37
+    # each id on its kind of run, with its distribution and tolerance
+    CASES = {"K1": (NORM_PROPORTIONAL, 1e-3), "C1": (UNIFORM, 1e-3),
+             "S1": (TRACE_PROPORTIONAL, 1e-6)}
+
+    @staticmethod
+    def _problem(sid, drift=False):
+        if sid == "S1":
+            a = random_spd(8, 30)
+            return Problem(a=a, b=a @ np.ones(30), x_star=np.ones(30))
+        prob = _with_zero_rows()
+        if drift:  # K1 reads its records through a wrong G
+            prob.gram = prob.gram * (1.0 + 1e-6)
+        return prob
+
+    def _run(self, monkeypatch, sid, stop, oracle, fail=None):
+        dist = self.CASES[sid][0]
+        prob = self._problem(sid, drift=fail == "gram")
+        rng, drawn, steps = make_rng(77), [], []
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "ANCHOR_MIN_SIZE", 0)
+            if oracle:
+                patch.setattr(solver, "READ_BATCH", 1)
+                patch.setattr(solver, "SKETCH_BLOCK", 8)
+            elif self.B is not None:
+                patch.setattr(solver, "SKETCH_BLOCK", 8 * self.B * prob.shape[1])
+            TestSketchBlocks._spied_draws(patch, drawn)
+            step_ = (schemes.step if fail in (None, "gram")
+                     else TestSketchBlocks._failing_step(*fail))
+
+            def counted(*args, **kw):
+                steps.append(1)
+                return step_(*args, **kw)
+
+            patch.setattr(schemes, "step", counted)
+            try:
+                x, trace = solve(prob, make_scheme(sid, distribution=dist),
+                                 stop, rng)
+            except RuntimeError:
+                x, trace = None, None
+        return x, trace, rng.bit_generator.state, [c for c, _ in drawn], \
+            len(steps)
+
+    def _assert_as_oracle(self, monkeypatch, sid, stop, fail=None):
+        xb, tb, sb, cb, nb = self._run(monkeypatch, sid, stop, False, fail)
+        xo, to, so, co, no = self._run(monkeypatch, sid, stop, True, fail)
+        assert sb == so
+        assert set(co) == {1} and max(cb) > 1
+        if tb is None:  # both raised, at the same step
+            assert to is None and nb == no
+            return None, nb
+        assert xb.tobytes() == xo.tobytes()
+        assert (tb.status, tb.iterations, tb.skip_count, tb.exact_recomputes) \
+            == (to.status, to.iterations, to.skip_count, to.exact_recomputes)
+        assert [r.k for r in tb.records] == [r.k for r in to.records]
+        assert no == to.iterations
+        return tb, nb
+
+    @pytest.fixture(params=[37, None], ids=["B37", "default"])
+    def blocks(self, request, monkeypatch):
+        monkeypatch.setattr(self, "B", request.param)
+
+    @pytest.mark.parametrize("sid", CASES)
+    def test_converged(self, monkeypatch, blocks, sid):
+        trace, steps = self._assert_as_oracle(
+            monkeypatch, sid, StopRule(itmax=20_000, tol=self.CASES[sid][1]))
+        assert trace.status == CONVERGED
+        assert trace.iterations % (self.B or 20_000)
+        if sid == "K1":  # steps ran past the stopping record
+            assert steps > trace.iterations
+
+    @pytest.mark.parametrize("sid", CASES)
+    def test_itmax(self, monkeypatch, blocks, sid):
+        trace, steps = self._assert_as_oracle(
+            monkeypatch, sid, StopRule(itmax=30 * 37 + 3, tol=1e-300))
+        assert trace.status == MAX_ITERS
+        assert steps == trace.iterations == 30 * 37 + 3
+
+    @pytest.mark.parametrize("sid", CASES)
+    def test_drift(self, monkeypatch, blocks, sid):
+        trace, _ = self._assert_as_oracle(
+            monkeypatch, sid, StopRule(itmax=5000, tol=1e-14),
+            fail="gram" if sid == "K1" else (3, "drift"))
+        assert trace.status == DRIFT
+        assert trace.iterations % (self.B or 5000)
+
+    @pytest.mark.parametrize("sid", CASES)
+    def test_non_finite(self, monkeypatch, blocks, sid):
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace, _ = self._assert_as_oracle(
+                monkeypatch, sid, StopRule(itmax=5000, tol=1e-14),
+                fail=(2 * 37 + 13, "overflow"))
+        assert trace.status == NON_FINITE
+        assert trace.iterations % (self.B or 5000)
+
+    @pytest.mark.parametrize("sid", CASES)
+    def test_step_raising(self, monkeypatch, blocks, sid):
+        # K1 raises past its stopping record, while a batch waits: the run
+        # still converges there. C1 and S1 judge each record as it comes, so
+        # a raise mid-block escapes; rng is left after the failed step's draw
+        stop = StopRule(itmax=20_000, tol=self.CASES[sid][1])
+        at = 2 * 37 + 5
+        if sid == "K1":
+            at = self._run(monkeypatch, sid, stop, True)[1].iterations + 1
+        trace, steps = self._assert_as_oracle(monkeypatch, sid, stop,
+                                              fail=(at, "raise"))
+        assert steps == at
+        if sid == "K1":
+            assert trace.status == CONVERGED and trace.iterations == at - 1
+        else:
+            assert trace is None
+            ref = make_rng(77)
+            prob = self._problem(sid)
+            scheme = make_scheme(sid, distribution=self.CASES[sid][0])
+            for _ in range(at):
+                draw_sketch(scheme, prob.shape, ref, prob.sampler(scheme))
+            assert self._run(monkeypatch, sid, stop, False,
+                             (at, "raise"))[2] == ref.bit_generator.state
 
 
 class TestExactSchedule:

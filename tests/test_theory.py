@@ -118,6 +118,16 @@ class TestMeanPropagator:
             estimate_mean_propagator(np.eye(3), None, "K1", samples=10,
                                      rng=make_rng(0))
 
+    def test_block_wider_than_m_refused_before_the_square_root(
+            self, monkeypatch):
+        roots = []
+        monkeypatch.setattr(theory, "spd_sqrt", lambda g: roots.append(g))
+        with pytest.raises(ValueError, match="block_size 8 exceeds dimension 6"):
+            estimate_mean_propagator(random_spd(3, 6), SpdMatrix(np.eye(6)),
+                                     "K6", samples=10, rng=make_rng(0),
+                                     block_size=8)
+        assert roots == []
+
     @pytest.mark.parametrize("sid", ["K2", "K4"])
     def test_unweighted_scheme_refuses_a_weight(self, sid):
         # the bound would be weighted by g while the propagators were not
