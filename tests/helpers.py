@@ -59,3 +59,35 @@ def ls_residual(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
     at a least-squares solution, consistent or not."""
     denom = float(np.linalg.norm(a.T @ b))
     return float(np.linalg.norm(a.T @ (b - a @ x))) / (denom if denom > 0.0 else 1.0)
+
+
+def plain_solve(problem, scheme, stop, rng, x0=None, trace_every=None):
+    """``solver.solve``'s reference loop: one ``draw_sketch`` call (no
+    ``count``) and one ``step_generic`` a step, and an exact ``b - A x`` at
+    every record of solve's schedule (k = 0, every ``trace_every``-th step,
+    ``itmax``). It stops on the first record below tol, and knows no blocks,
+    anchors, Gram space or batches. Returns the final x, the status and the
+    records as ``(k, rel_residual, rel_error)``."""
+    from sketchsolve import schemes, solver
+    from sketchsolve.sketch import draw_sketch
+
+    a, b, x_star = problem.a, problem.b, problem.x_star
+    every = trace_every or solver.default_trace_every(scheme)
+    sampler = schemes.sampling_weights(scheme, a)
+    x = np.zeros(a.shape[1]) if x0 is None else np.array(x0, dtype=float)
+    norm_b = float(np.linalg.norm(b)) or 1.0
+    records = []
+    for k in range(stop.itmax + 1):
+        if k > 0:
+            draw = draw_sketch(scheme, a.shape, rng, sampler)
+            x = schemes.step_generic(scheme, a, b, x, draw)
+        if k % every and k != stop.itmax:
+            continue
+        err = None
+        if x_star is not None:
+            err = (float(np.linalg.norm(x - x_star))
+                   / (float(np.linalg.norm(x_star)) or 1.0))
+        records.append((k, float(np.linalg.norm(b - a @ x)) / norm_b, err))
+        if records[-1][1] < stop.tol:
+            return x, solver.CONVERGED, records
+    return x, solver.MAX_ITERS, records

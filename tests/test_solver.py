@@ -1,14 +1,17 @@
 import tracemalloc
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from helpers import gaussian, ls_residual, ls_solution_oracle, random_spd
+from helpers import (gaussian, ls_residual, ls_solution_oracle, plain_solve,
+                     random_spd)
 from sketchsolve import problems, schemes, solver, theory
 from sketchsolve.linalg import SpdMatrix
 from sketchsolve.schemes import SkipStep, error_propagator, make_scheme, step
-from sketchsolve.sketch import (NORM_PROPORTIONAL, TRACE_PROPORTIONAL,
-                                UNIFORM, draw_sketch, make_rng)
+from sketchsolve.sketch import (INDEX, NORM_PROPORTIONAL, TRACE_PROPORTIONAL,
+                                UNIFORM, draw_dim, draw_sketch, make_rng)
 from sketchsolve.solver import (CONVERGED, DRIFT, EXACT_EVERY, MAX_ITERS,
                                 NON_FINITE, Problem, StopRule, TraceRecord,
                                 solve)
@@ -1547,3 +1550,102 @@ class TestLeastSquares:
                              StopRule(itmax=50_000, tol=1e-10), make_rng(6))
             assert trace.status == CONVERGED
             assert ls_residual(prob.a, prob.b, x) <= 1e-8
+
+
+class TestPlainLoopOracle:
+    """``solve`` against :func:`helpers.plain_solve`, one draw and one
+    ``step_generic`` a step with exact records. Over every id with each
+    sampling it accepts and a width; tall (consistent or not), wide and
+    square SPD problems, the first two with a zero row or column; the run's
+    ``itmax``, ``tol``, ``trace_every`` and ``x0``; and the solver's
+    ``SKETCH_BLOCK``, ``READ_BATCH`` and ``ANCHOR_MIN_*``, which turn blocks,
+    batched reads and use-G on and off: the same status and record ks, the
+    same errors to ~1e-10 relative, the same residuals, the same final x to
+    rounding, and the same generator end state, bit for bit. A record that
+    reads a tracked residual may carry a rounding bound up to
+    ``RECORD_RTOL`` of its value (an anchored read at a residual far below
+    its anchor's cancels), so residuals are compared to that.
+
+    Both runs stop on the first record below tol, but on values that round
+    differently. So where the record one run stops on lies within rounding
+    of tol, the other may stop one record later; then only the records
+    before it are compared."""
+
+    @staticmethod
+    def _close(got, want, rtol=1e-10):
+        return abs(got - want) <= rtol * abs(want) + 1e-12
+
+    @settings(max_examples=300, database=None)
+    @given(data=st.data())
+    def test_solve_is_the_plain_loop(self, data):
+        draw = data.draw
+        sid = draw(st.sampled_from(schemes.ALL_SCHEMES))
+        shape = draw(st.sampled_from(["spd"] if sid[0] == "S"
+                                     else ["tall", "wide", "spd"]))
+        seed = draw(st.integers(0, 10_000))
+        rng = np.random.default_rng(seed)
+        if shape == "spd":
+            a = random_spd(seed, draw(st.integers(3, 10)))
+        else:
+            m, n = draw(st.integers(8, 40)), draw(st.integers(2, 6))
+            a = rng.standard_normal((m, n) if shape == "tall" else (n, m))
+            zero = draw(st.sampled_from([None, "row", "column"]))
+            if zero == "row":
+                a[rng.integers(a.shape[0])] = 0.0
+            elif zero == "column":
+                a[:, rng.integers(a.shape[1])] = 0.0
+        m, n = a.shape
+        x_star = np.ones(n)
+        b = a @ x_star
+        if shape == "tall" and draw(st.booleans()):
+            b, x_star = b + 0.1 * rng.standard_normal(m), None
+        dists = [UNIFORM]
+        if schemes.sketch_kind(sid) == INDEX:
+            dists.append(NORM_PROPORTIONAL)
+            if shape == "spd" and sid != "C1":
+                dists.append(TRACE_PROPORTIONAL)
+        g = None
+        if sid in schemes.WEIGHTED_SCHEMES and draw(st.booleans()):
+            g = SpdMatrix(random_spd(seed + 1,
+                                     schemes.weight_dim(sid, (m, n))))
+        scheme = make_scheme(sid, distribution=draw(st.sampled_from(dists)),
+                             g=g)
+        if sid not in schemes.SCALAR_SCHEMES:
+            width = draw(st.integers(1, min(4, draw_dim(scheme, (m, n)))))
+            scheme = make_scheme(sid, block_size=width,
+                                 distribution=scheme.distribution, g=g)
+        stop = StopRule(itmax=draw(st.integers(1, 300)),
+                        tol=10.0 ** draw(st.floats(-7.0, -1.0)))
+        every = draw(st.one_of(st.none(), st.integers(1, 30)))
+        x0 = rng.standard_normal(n) if draw(st.booleans()) else None
+        # one-draw, short or default blocks; batches of 1, 3 or 16 records
+        knobs = {"SKETCH_BLOCK": draw(st.sampled_from(
+                     [8, 2 ** 10, solver.SKETCH_BLOCK])),
+                 "READ_BATCH": draw(st.sampled_from([1, 3, solver.READ_BATCH]))}
+        if draw(st.booleans()):  # use G wherever m >= n; never by default here
+            knobs.update(ANCHOR_MIN_SIZE=0, ANCHOR_MIN_RATIO=1)
+
+        prob = Problem(a=a, b=b, x_star=x_star)
+        with pytest.MonkeyPatch.context() as patch:
+            for name, value in knobs.items():
+                patch.setattr(solver, name, value)
+            mine = make_rng(seed)
+            x, trace = solve(prob, scheme, stop, mine, x0=x0,
+                             trace_every=every)
+        ref = make_rng(seed)
+        x_ref, status_ref, records = plain_solve(prob, scheme, stop, ref,
+                                                 x0=x0, trace_every=every)
+
+        for rec, (k, res, err) in zip(trace.records, records):
+            assert rec.k == k
+            assert self._close(rec.rel_residual, res, solver.RECORD_RTOL)
+            assert (rec.rel_error is None) == (err is None)
+            assert err is None or self._close(rec.rel_error, err)
+        if len(trace.records) != len(records):  # a stop within rounding of tol
+            last = min(len(trace.records), len(records)) - 1
+            assert abs(len(trace.records) - len(records)) == 1
+            assert self._close(records[last][1], stop.tol)
+            return
+        assert trace.status == status_ref
+        np.testing.assert_allclose(x, x_ref, rtol=1e-9, atol=1e-10)
+        assert mine.bit_generator.state == ref.bit_generator.state
