@@ -28,6 +28,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -163,15 +164,15 @@ def _build_schemes(cfg: dict, ids: list[str], problem: solver.Problem,
     for sid in ids:
         index = schemes.sketch_kind(sid) == sketch.INDEX
         kind = (index and cfg.get("distribution")) or sampling.get(sid, sketch.UNIFORM)
-        g = _weight_for(sid, cfg.get("g_mode"), problem.a, weights)
-        try:
+        try:  # before an A^-1 weight, of the size the check asks, is built
             scheme = schemes.make_scheme(sid, block_size=block,
-                                         distribution=kind, g=g)
+                                         distribution=kind)
             solver.check_compatible(problem, scheme)
             problem.sampler(scheme)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        built.append(scheme)
+        g = _weight_for(sid, cfg.get("g_mode"), problem.a, weights)
+        built.append(scheme if g is None else replace(scheme, g=g))
     return built
 
 

@@ -83,10 +83,10 @@ def draw_sketch(scheme, dims: tuple[int, int], rng: np.random.Generator,
     """Realize one draw of ``scheme`` against an m x n system, as its
     ``kind``, ``axis``, ``block_size`` and ``distribution`` say: a 1-D
     integer array of ``block_size`` indices for ``INDEX`` and ``SUBSET``, a
-    ``(dim, block_size)`` float block for ``GAUSS``. Given ``count``, an
-    ``INDEX`` or ``GAUSS`` scheme draws a stack of ``count`` such draws,
-    ``(count, 1)`` or ``(count, dim, block_size)``, in one generator call:
-    the numbers and end state of ``count`` single draws.
+    ``(dim, block_size)`` float block for ``GAUSS``. Given ``count``, a
+    stack of ``count`` such draws, ``(count, block_size)`` or ``(count, dim,
+    block_size)``, with the numbers and end state of ``count`` single draws,
+    in one generator call (``SUBSET``: one a draw).
 
     The proportional distributions need ``sampler``, the :func:`index_cdf`
     of the weights (squared row/column norms or diagonal entries), built once
@@ -97,8 +97,6 @@ def draw_sketch(scheme, dims: tuple[int, int], rng: np.random.Generator,
     dim = draw_dim(scheme, dims)
     if width > dim:
         raise ValueError(f"block_size {width} exceeds dimension {dim}")
-    if count is not None and kind == SUBSET:
-        raise ValueError("subset draws come one at a time")
     shape = (1,) if count is None else (count, 1)
 
     if kind == INDEX:
@@ -110,7 +108,10 @@ def draw_sketch(scheme, dims: tuple[int, int], rng: np.random.Generator,
         return sampler.cdf.searchsorted(rng.random(shape), side="right")
 
     if kind == SUBSET:
-        return np.sort(rng.choice(dim, size=width, replace=False))
+        stack = np.empty((1 if count is None else count, width), dtype=np.int64)
+        for row in stack:
+            row[:] = np.sort(rng.choice(dim, size=width, replace=False))
+        return stack[0] if count is None else stack
 
     # GAUSS: fresh i.i.d. standard-normal entries every draw, in C order
     return rng.standard_normal((dim, width) if count is None

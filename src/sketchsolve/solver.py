@@ -1,9 +1,9 @@
 """Generic iteration driver: run one scheme on one problem to a stop rule.
 
 The loop is deliberately dumb: one sketch draw per iteration (taken from a
-block drawn ahead for the index ids K1, C1, S1 and the Gaussian S ids, see
-below), one update, and a residual record at trace points only (every
-iteration for block schemes, every tenth by default for the scalar ones).
+block drawn ahead, see below), one update, and a residual record at trace
+points only (every iteration for block schemes, every tenth by default for
+the scalar ones).
 
 Every record takes one path: read a tracked residual norm, recompute
 ``b - A x`` exactly when a rule fires, check the drift, resync. Which
@@ -55,15 +55,16 @@ check. The rules above then judge them in order, re-reading after a
 re-anchor; one that stops the run restores its ``x`` and skip count, so
 steps run past it change nothing but the time taken.
 
-K1, C1, S1, S2 and S4 draw their next steps in one call (up to
-``SKETCH_BLOCK`` bytes, never past ``itmax``). S2 and S4 also form the
+Every id takes its draws from a block drawn in one ``draw_sketch(...,
+count=)`` call, never past ``itmax``: K1, C1, S1, S2 and S4 up to
+``SKETCH_BLOCK`` bytes of them, every other id one. S2 and S4 also form the
 blocks' sketched columns in one product, handing each :func:`schemes.step`
 its own; S4 also forms their systems ``W^T A W`` in one product and inverts
 them in one call, handing a step the inverse :func:`linalg.pseudoinverse`
 would return, if it is the LU one (:func:`linalg.lu_inverses`). A run that
 stops or raises with draws made past its last step resets the generator to
 where that step's block (or batch of records) was drawn from, and redraws
-the steps taken.
+the steps taken in one call.
 
 This is the only loop that runs the iteration: rate fits
 (:func:`theory.fit_empirical_rate`) run their trials through :func:`solve`
@@ -112,8 +113,8 @@ ANCHOR_MIN_SIZE = 2 ** 17
 # anchored K records wait, up to this many at the default cadence, for one
 # read that streams G once for all (2 MB at n = 500; sweep in BENCH_17.json)
 READ_BATCH = 16
-# bytes of draws, and of sketched columns, per block of Gaussian draws in S2
-# and S4 (sweep in BENCH_19.json)
+# bytes of draws, and of S2's and S4's sketched columns, per block of K1, C1,
+# S1, S2 and S4 draws (sweeps in BENCH_19.json and BENCH_25.json)
 SKETCH_BLOCK = 2 ** 19
 
 
@@ -480,7 +481,7 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
     def judge() -> bool:
         # write the pending records in order; one that stops the run hands
         # back the x and skip count it saw, and where to rewind rng to
-        nonlocal x, mark, stop_at
+        nonlocal x, stop_at
         xs, reads = [p[1] for p in pending], None
         for i, (k, x_k, skips, scheduled, mark_k) in enumerate(pending):
             if reads is None:  # first, or after a re-anchor
@@ -499,43 +500,39 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
             if record(k, x_k, rel_res, drift):
                 x, trace.skip_count, stop_at = x_k, skips, (k, mark_k)
                 return True
-        if batch > 1 and not blocked:  # the next batch redraws from here
-            mark = rng.bit_generator.state, pending[-1][0] + 1
         pending.clear()
         return False
 
-    # blocked ids: ``block`` holds the draws of steps ``first`` on, and
-    # ``mark`` the generator state it was drawn from. SKETCH_BLOCK bounds B x
-    # n x l in bytes: S2's and S4's draws, and their ``cols``, A W as one
-    # product W^T A^T laid out as A @ w would be, so that a step rounds
-    # alike (A is square for S); and as many index draws, few enough that a
-    # run stopping early wastes little. ``inverses`` holds S4's (W^T A W)^-1
-    # or None. An anchored K run that draws one at a time marks the start
-    # of each batch of records instead
-    gauss = scheme.kind == GAUSS
-    blocked = scheme.kind == INDEX or (gauss and scheme.id[0] == "S")
-    per_block = max(1, SKETCH_BLOCK // (8 * scheme.block_size * n))
-    block, first, cols = (), 1, None
-    mark, stop_at = (rng.bit_generator.state, 1), None
+    # ``block`` holds the draws of steps ``first`` on. SKETCH_BLOCK bounds B x
+    # n x l in bytes for S2 and S4: their draws, and their ``cols``, A W as
+    # one product W^T A^T laid out as A @ w would be, so that a step rounds
+    # alike (A is square for S); and for as many index draws, few enough
+    # that a run stopping early wastes little. Every other id draws blocks
+    # of one. ``inverses`` holds S4's (W^T A W)^-1 or None. ``mark`` is the
+    # generator state, and first step, that a rewind redraws from, read only
+    # where a rewind can follow: at a block of several draws, or at the
+    # first draw of an anchored K batch of records
+    sym_gauss = scheme.kind == GAUSS and scheme.id[0] == "S"
+    per_block = (max(1, SKETCH_BLOCK // (8 * scheme.block_size * n))
+                 if sym_gauss or scheme.kind == INDEX else 1)
+    block, first, cols, mark, stop_at = (), 1, None, None, None
     try:
         for k in range(1, stop.itmax + 1):
             try:
-                if not blocked:
-                    draw = draw_sketch(scheme, (m, n), rng, sampler)
-                else:
-                    if k - first == len(block):  # never past itmax
-                        state = rng.bit_generator.state
-                        block = draw_sketch(scheme, (m, n), rng, sampler, count=min(
-                            per_block, stop.itmax - k + 1))
-                        first, mark = k, (state, k)
-                        if gauss:
-                            cols = np.ascontiguousarray(
-                                np.tensordot(block, a, (1, 1)).transpose(0, 2, 1))
-                            inverses = [None] * len(block)
-                            if scheme.id not in schemes.SCALAR_SCHEMES:
-                                inverses = lu_inverses(np.matmul(
-                                    block.transpose(0, 2, 1), cols))
-                    draw = block[k - first]
+                if k - first == len(block):  # never past itmax
+                    count = min(per_block, stop.itmax - k + 1)
+                    if count > 1 or batch > 1 and trace.records[-1].k == k - 1:
+                        mark = rng.bit_generator.state, k
+                    block = draw_sketch(scheme, (m, n), rng, sampler, count=count)
+                    first = k
+                    if sym_gauss:
+                        cols = np.ascontiguousarray(
+                            np.tensordot(block, a, (1, 1)).transpose(0, 2, 1))
+                        inverses = [None] * len(block)
+                        if scheme.id not in schemes.SCALAR_SCHEMES:
+                            inverses = lu_inverses(np.matmul(
+                                block.transpose(0, 2, 1), cols))
+                draw = block[k - first]
                 if cols is None:
                     x = schemes.step(scheme, a, b, x, draw, r=r, gram=gram)
                 else:
@@ -557,12 +554,9 @@ def solve(problem: Problem, scheme: schemes.Scheme, stop: StopRule,
                 if (len(pending) == batch or scheduled) and judge():
                     return x, trace
     finally:  # drawn past the last step taken: rewind rng to one draw a step
-        taken, (state, start) = stop_at or (k, mark)
-        if (first + len(block) - 1 if blocked else k) > taken:
+        taken, mark = stop_at or (k, mark)
+        if first + len(block) - 1 > taken:
+            state, start = mark
             rng.bit_generator.state = state
-            if blocked:
-                draw_sketch(scheme, (m, n), rng, sampler, count=taken - start + 1)
-            else:
-                for _ in range(start, taken + 1):
-                    draw_sketch(scheme, (m, n), rng, sampler)
+            draw_sketch(scheme, (m, n), rng, sampler, count=taken - start + 1)
     return x, trace

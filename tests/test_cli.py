@@ -492,6 +492,31 @@ class TestInverseWeight:
         assert main([command, "--config", cfg]) == 0
         assert built == [(12, 12)]
 
+    @pytest.mark.parametrize("command, extra", [
+        ("bench", {"stop": {"itmax": 20}}),
+        ("rates", {"trials": 2, "iterations": 5})])
+    @pytest.mark.parametrize("sid", ["K6", "C6"])
+    def test_block_wider_than_its_side_refused_before_the_weight(
+            self, tmp_path, capsys, monkeypatch, command, extra, sid):
+        built = []
+        init = SpdMatrix.__init__
+
+        def recording(self, mat):
+            built.append(np.shape(mat))
+            init(self, mat)
+
+        monkeypatch.setattr(SpdMatrix, "__init__", recording)
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path, "cfg.json", {
+            "problem": {"kind": "SparseSpd", "m": 6, "n": 6, "seed": 8},
+            "schemes": [sid], "g_mode": "inverse", "block_size": 8,
+            "output_dir": str(out), **extra})
+        assert main([command, "--config", cfg]) == 1
+        assert ("config error: block_size 8 exceeds dimension 6"
+                in capsys.readouterr().err)
+        assert built == []
+        assert not out.exists()
+
 
 class TestIntegerOptions:
     """Every integer and float option, the stop object, ``block_size`` and

@@ -6,10 +6,9 @@ from hypothesis import given
 from helpers import gaussian, random_spd
 from sketchsolve import schemes
 from sketchsolve.linalg import SpdMatrix
-from sketchsolve.sketch import (GAUSS, NORM_PROPORTIONAL, TRACE_PROPORTIONAL,
-                                UNIFORM,
-                                draw_sketch, index_cdf, make_rng,
-                                rng_from_keys)
+from sketchsolve.sketch import (GAUSS, NORM_PROPORTIONAL, SUBSET,
+                                TRACE_PROPORTIONAL, UNIFORM, draw_sketch,
+                                index_cdf, make_rng, rng_from_keys)
 
 
 class TestSpecValidation:
@@ -224,38 +223,42 @@ class TestDrawContract:
         assert np.array_equal(block, np.stack(singles))
         assert mine.bit_generator.state == ref.bit_generator.state
 
-    # uniform dims around the generator's 32-bit boundaries, then CDF draws
+    # uniform dims around the generator's 32-bit boundaries, then CDF draws,
+    # then subsets of 3
     INDEX_CASES = [("K1", UNIFORM, d) for d in (
         1, 7, 2 ** 31 - 1, 2 ** 31, 2 ** 31 + 1, 2 ** 32, 2 ** 40)] + [
         ("C1", UNIFORM, 2 ** 31 + 1), ("S1", UNIFORM, 7),
         ("K1", NORM_PROPORTIONAL, 1), ("K1", NORM_PROPORTIONAL, 500),
-        ("C1", NORM_PROPORTIONAL, 7), ("S1", TRACE_PROPORTIONAL, 500)]
+        ("C1", NORM_PROPORTIONAL, 7), ("S1", TRACE_PROPORTIONAL, 500),
+        ("K3", UNIFORM, 3), ("K3", UNIFORM, 7), ("C3", UNIFORM, 500),
+        ("S3", UNIFORM, 7)]
 
     @pytest.mark.parametrize("sid, dist, dim", INDEX_CASES)
     def test_block_of_index_draws_is_its_single_draws(self, sid, dist, dim):
-        # every count from 1 to 1001, against the same 1001 single draws and
-        # the generator state after each
-        scheme = schemes.make_scheme(sid, distribution=dist)
+        # every count from 1 to N (1001 index draws, 101 subsets, each a
+        # generator call), against the same N single draws and the generator
+        # state after each; count 0 draws nothing, and a negative one is
+        # refused
+        subset = schemes.sketch_kind(sid) == SUBSET
+        scheme = schemes.make_scheme(sid, block_size=3 if subset else 1,
+                                     distribution=dist)
         dims = (dim, 3) if scheme.axis == "rows" else (3, dim)
         cdf = None if dist == UNIFORM else index_cdf(
             rng_from_keys(dim, 99).random(dim))
         ref, singles, states = make_rng(11), [], []
-        for _ in range(1001):
+        for _ in range(101 if subset else 1001):
             singles.append(draw_sketch(scheme, dims, ref, cdf))
             states.append(ref.bit_generator.state)
         singles = np.stack(singles)
-        for count in range(1, 1002):
+        for count in range(len(singles) + 1):
             mine = make_rng(11)
             block = draw_sketch(scheme, dims, mine, cdf, count=count)
             assert block.dtype == singles.dtype
             assert np.array_equal(block, singles[:count])
-            assert mine.bit_generator.state == states[count - 1]
-
-    @pytest.mark.parametrize("sid", ["K3", "S3"])
-    def test_index_draws_come_one_at_a_time(self, sid):
-        with pytest.raises(ValueError, match="subset draws come one at a time"):
-            draw_sketch(self._scheme(sid, UNIFORM), (self.M, self.N),
-                        make_rng(0), count=2)
+            assert mine.bit_generator.state == (
+                states[count - 1] if count else make_rng(11).bit_generator.state)
+        with pytest.raises(ValueError):
+            draw_sketch(scheme, dims, mine, cdf, count=-1)
 
 
 class TestSamplingWeights:

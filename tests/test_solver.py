@@ -1201,7 +1201,7 @@ class TestSketchBlocks:
             self._spied_draws(patch, drawn)
             solve(prob, make_scheme(sid, block_size=4, g=g),
                   StopRule(itmax=30, tol=1e-300), make_rng(3))
-        assert [c for c, _ in drawn] == [None] * 30
+        assert [c for c, _ in drawn] == [1] * 30
 
 
 class TestIndexBlocks:
@@ -1331,6 +1331,72 @@ class TestIndexBlocks:
                 draw_sketch(scheme, prob.shape, ref, prob.sampler(scheme))
             assert self._run(monkeypatch, sid, stop, False,
                              (at, "raise"))[2] == ref.bit_generator.state
+
+
+class _CountingPCG64(np.random.PCG64):
+    """PCG64 that counts reads of its ``state``."""
+
+    reads = 0
+
+    @property
+    def state(self):
+        self.reads += 1
+        return np.random.PCG64.state.__get__(self)
+
+    @state.setter
+    def state(self, value):
+        np.random.PCG64.state.__set__(self, value)
+
+
+class TestMarks:
+    """Every id draws from a block; the generator state a rewind resets to is
+    read only where a rewind can follow: at a block of several draws, or at
+    the first draw of an anchored K batch of records. A state read costs
+    microseconds, as much as a scalar step."""
+
+    @staticmethod
+    def _run(monkeypatch, prob, scheme, stop, anchored=False):
+        bits, drawn = _CountingPCG64(77), []
+        with monkeypatch.context() as patch:
+            if anchored:
+                patch.setattr(solver, "ANCHOR_MIN_SIZE", 0)
+            TestSketchBlocks._spied_draws(patch, drawn)
+            _, trace = solve(prob, scheme, stop, np.random.Generator(bits),
+                             trace_every=1)
+        reads = bits.reads
+        ref = make_rng(77)
+        for _ in range(trace.iterations):
+            draw_sketch(scheme, prob.shape, ref, prob.sampler(scheme))
+        assert bits.state["state"] == ref.bit_generator.state["state"]
+        return trace, reads, [c for c, _ in drawn]
+
+    @pytest.mark.parametrize("sid, gram", [("S3", False), ("C3", False),
+                                           ("C3", True)])
+    def test_no_read_where_no_rewind_can_follow(self, monkeypatch, sid, gram):
+        # one-draw blocks, each record judged as it comes
+        prob = (_consistent_problem(8, 120, 24) if gram else Problem(
+            a=random_spd(8, 30), b=random_spd(8, 30) @ np.ones(30)))
+        trace, reads, counts = self._run(
+            monkeypatch, prob, make_scheme(sid, block_size=4),
+            StopRule(itmax=20_000, tol=1e-8), anchored=gram)
+        assert trace.status == CONVERGED and trace.iterations > 100
+        assert reads == 0 and counts == [1] * trace.iterations
+
+    @pytest.mark.parametrize("sid, block", [("K3", 8), ("K4", 4)])
+    def test_one_read_a_batch_of_records(self, monkeypatch, sid, block):
+        trace, reads, counts = self._run(
+            monkeypatch, _sparse_normal(1e-3), make_scheme(sid, block_size=block),
+            StopRule(itmax=20_000, tol=1e-3), anchored=True)
+        assert trace.status == CONVERGED
+        # a batch ends after READ_BATCH records, or at an exact-by-schedule one
+        records = len(trace.records) - 1
+        batches = -(-records // solver.READ_BATCH) + records // EXACT_EVERY
+        assert records > 2 * solver.READ_BATCH and 1 <= reads <= batches + 1
+        # one-draw blocks, then a rewind to the stopping batch's mark: a mark
+        # left at step 1 would redraw every step
+        assert counts[:-1] == [1] * (len(counts) - 1)
+        assert len(counts) - 1 > trace.iterations
+        assert counts[-1] <= solver.READ_BATCH < trace.iterations
 
 
 class TestExactSchedule:
